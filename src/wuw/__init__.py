@@ -33,6 +33,7 @@ from .features import (
     save_features,
 )
 from .fusion import (
+    Ensemble,
     FusionModel,
     LogOddsVector,
     ScoreDataset,

@@ -41,13 +41,17 @@ from .audio import (
 )
 from .errors import DataError, ManifestError
 from .features import FeatureMatrix, mfcc, preset
-from .fusion import FusionModel, LogOddsVector, ScoreDataset, fuse, log_odds
+from .fusion import Ensemble, FusionModel, LogOddsVector, ScoreDataset, fuse
 from .nnet import Scorer, softmax2
 
 LABELS = ("wuw", "other", "noise", "rir")
 SPLITS = ("train", "valid", "test")
 
 ScoreFn = Callable[[AudioClip], float]
+
+# build_score_dataset holds the features of at most this many windows at a
+# time; the GRU kernel splits a batch further by its own memory budget.
+_SCORE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -355,16 +359,18 @@ def ensemble_pipeline(
     device_member_id: str = "device",
 ) -> ScoreFn:
     """Offline two-phase pipeline: device log-odds stacked with the members'
-    verification-config log-odds, fused to one p_pos."""
-    device_cfg = preset(device_scorer.config_id)
-    member_cfgs = [preset(m.config_id) for m in members]
-    ids = (device_member_id,) + tuple(m.member_id for m in members)
+    verification-config log-odds, fused to one p_pos.
+
+    Each window's MFCC is computed once per feature config, whatever the
+    number of scorers on it.
+    """
+    core = Ensemble([device_scorer, *members])
+    configs = [preset(c) for c in core.config_ids]
+    ids = (device_member_id,) + core.member_ids[1:]
 
     def score(clip: AudioClip) -> float:
-        values = [log_odds(*softmax2(device_scorer.fn(mfcc(clip, device_cfg))))]
-        for member, cfg in zip(members, member_cfgs):
-            values.append(log_odds(*softmax2(member.fn(mfcc(clip, cfg)))))
-        fused = fuse(LogOddsVector(np.array(values), ids), fusion)
+        feats = {cfg.config_id: mfcc(clip, cfg).values[None] for cfg in configs}
+        fused = fuse(LogOddsVector(core.log_odds(feats)[0], ids), fusion)
         return softmax2(fused)[0]
 
     return score
@@ -431,10 +437,14 @@ def build_score_dataset(
     device_member_id: str = "device",
     base_dir=None,
 ) -> ScoreDataset:
-    """Member log-odds rows for fusion training, device column first."""
-    device_cfg = preset(device_scorer.config_id)
-    member_cfgs = [preset(m.config_id) for m in members]
-    ids = (device_member_id,) + tuple(m.member_id for m in members)
+    """Member log-odds rows for fusion training, device column first.
+
+    Windows are scored as a batch, in chunks; each window's MFCC is computed
+    once per feature config.
+    """
+    core = Ensemble([device_scorer, *members])
+    configs = [preset(c) for c in core.config_ids]
+    ids = (device_member_id,) + core.member_ids[1:]
 
     chosen = [e for e in entries if e.split == split]
     samples = [e for e in chosen if e.label in ("wuw", "other", "noise")]
@@ -444,17 +454,26 @@ def build_score_dataset(
 
     cache = _ClipCache(base_dir)
     rng = np.random.default_rng(seed)
-    rows, labels = [], []
+    rows, labels, pending = [], [], []
+
+    def score_pending():
+        feats = {cfg.config_id: np.stack([w[i] for w in pending])
+                 for i, cfg in enumerate(configs)}
+        rows.append(core.log_odds(feats))
+        pending.clear()
+
     for entry in samples:
         for _ in range(copies):
             snr = float(rng.uniform(*SNR_RANGE_DB))
             window = _mixed_window(entry, cache, noise_pool, snr, rng)
-            values = [log_odds(*softmax2(device_scorer.fn(mfcc(window, device_cfg))))]
-            for member, cfg in zip(members, member_cfgs):
-                values.append(log_odds(*softmax2(member.fn(mfcc(window, cfg)))))
-            rows.append(values)
+            pending.append([mfcc(window, cfg).values for cfg in configs])
             labels.append(1 if entry.label == "wuw" else 0)
-    return ScoreDataset(np.array(rows), np.array(labels), ids)
+            if len(pending) == _SCORE_BATCH:
+                score_pending()
+    if pending:
+        score_pending()
+    log_odds = np.concatenate(rows) if rows else np.empty((0, len(ids)))
+    return ScoreDataset(log_odds, np.array(labels), ids)
 
 
 # -- Benchmarking ------------------------------------------------------------

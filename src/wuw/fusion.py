@@ -1,4 +1,5 @@
-"""Score stacking: log-odds transform of member scores and the trainable
+"""Score stacking: log-odds transform of member scores, the ensemble core
+that computes them for a batch of windows, and the trainable
 FC -> ReLU -> FC(2) meta-classifier that fuses them.
 
 Member order is contractual: a fusion model only accepts log-odds vectors
@@ -7,20 +8,24 @@ whose member ids match its own, in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, ModelError
+from .features import FeatureMatrix
 from .nnet import (
     Adam,
+    GRUStack,
     PlateauSchedule,
+    Scorer,
     ScorePair,
     TrainSpec,
     WeightStore,
     _ce_batch,
     _uniform,
+    gru_stack_key,
     softmax2,
 )
 
@@ -61,19 +66,92 @@ def log_odds(p_pos: float, p_neg: float) -> float:
     return float(np.log(p_pos / p_neg))
 
 
+def logits_log_odds(logits) -> np.ndarray:
+    """(pos, neg) logit pairs (..., 2) -> log-odds (...): ``log_odds`` of
+    ``softmax2`` of each pair, with the same clamp, for a whole array."""
+    logits = np.asarray(logits, dtype=np.float64)
+    e = np.exp(logits - np.maximum(logits[..., :1], logits[..., 1:]))
+    p = e / (e[..., :1] + e[..., 1:])
+    np.maximum(p, PROB_CLAMP, out=p)
+    np.minimum(p, 1.0 - PROB_CLAMP, out=p)
+    return np.log(p[..., 0] / p[..., 1])
+
+
 def stack_scores(scores: Sequence[ScorePair], member_ids: Sequence[str]) -> LogOddsVector:
     """Turn one ScorePair per member into the fusion input vector."""
     if len(scores) != len(member_ids):
         raise DataError(f"{len(scores)} scores for {len(member_ids)} members")
-    values = [log_odds(*softmax2(s)) for s in scores]
-    return LogOddsVector(np.array(values), tuple(member_ids))
+    values = logits_log_odds(np.array(scores, dtype=np.float64).reshape(-1, 2))
+    return LogOddsVector(values, tuple(member_ids))
+
+
+class Ensemble:
+    """The scoring core: every scorer's log-odds for a batch of windows.
+
+    ``log_odds`` takes the windows' features per config id, each (B, T, C),
+    and returns (B, N) log-odds, column j from scorer j: the rows that are
+    stacked for the fusion model (Wolpert, 1992, "Stacked generalization").
+    Scorers whose ``weights`` are GRU stores of one shape and config are run
+    together, in lockstep, by one ``nnet.GRUStack``. Every other scorer (a
+    plug-in ``fn``, the linear kind, a Scorer without ``weights``) is called
+    through ``fn``, one window at a time, into its own column.
+
+    Weights are cast and stacked here, once. The core keeps no per-call
+    state, so threads may share one.
+    """
+
+    def __init__(self, scorers: Sequence[Scorer]):
+        self.scorers = tuple(scorers)
+        self.member_ids = tuple(s.member_id for s in self.scorers)
+        self.config_ids = tuple(dict.fromkeys(s.config_id for s in self.scorers))
+        groups: dict[tuple, list[int]] = {}
+        self._singles: list[tuple[int, Scorer]] = []
+        for col, s in enumerate(self.scorers):
+            key = None if s.weights is None else gru_stack_key(s.weights)
+            if key is None or s.weights.config_id != s.config_id:
+                self._singles.append((col, s))
+            else:
+                groups.setdefault(key, []).append(col)
+        self._stacks = [
+            (cols, GRUStack([self.scorers[c].weights for c in cols]))
+            for cols in groups.values()
+        ]
+
+    def log_odds(self, features: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Features per config id, each (B, T, C) -> log-odds (B, N).
+
+        Features are float32 grids, as in a FeatureMatrix; other dtypes are
+        rounded to float32 first, so stacked and ``fn`` members see the same
+        values.
+        """
+        missing = [c for c in self.config_ids if c not in features]
+        if missing:
+            raise ModelError(f"no features for config ids {missing}")
+        sizes = {len(x) for x in features.values()}
+        if len(sizes) != 1:
+            raise DataError(f"feature batches of different sizes {sorted(sizes)}")
+        n = sizes.pop()
+        features = {c: np.asarray(features[c], dtype=np.float32) for c in self.config_ids}
+        logits = np.empty((n, len(self.scorers), 2))
+        for cols, stack in self._stacks:
+            logits[:, cols] = stack.logits(features[stack.config_id]).transpose(1, 0, 2)
+        for col, s in self._singles:
+            x = features[s.config_id]
+            for b in range(n):
+                logits[b, col] = s.fn(FeatureMatrix(x[b], s.config_id))
+        return logits_log_odds(logits)
 
 
 @dataclass(eq=False)
 class FusionModel:
-    """FC(N -> hidden) -> ReLU -> FC(hidden -> 2) over member log-odds."""
+    """FC(N -> hidden) -> ReLU -> FC(hidden -> 2) over member log-odds.
+
+    ``params`` holds the four tensors cast to float64, once, in
+    ``mlp_forward`` order.
+    """
 
     weights: WeightStore
+    params: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.weights.kind != "fusion":
@@ -83,6 +161,10 @@ class FusionModel:
         n = len(self.member_ids)
         if self.weights["fc1.w"].shape[1] != n:
             raise ModelError("fusion input width does not match member_ids")
+        self.params = tuple(
+            self.weights[name].astype(np.float64)
+            for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b")
+        )
 
     @property
     def member_ids(self) -> tuple[str, ...]:
@@ -125,10 +207,7 @@ def fuse(z: LogOddsVector, model: FusionModel) -> ScorePair:
         raise ModelError(
             f"member ids {z.member_ids} do not match model {model.member_ids}"
         )
-    ws = model.weights
-    params = [ws["fc1.w"].astype(np.float64), ws["fc1.b"].astype(np.float64),
-              ws["fc2.w"].astype(np.float64), ws["fc2.b"].astype(np.float64)]
-    logits = mlp_forward(params, z.values[None, :])[0]
+    logits = mlp_forward(model.params, z.values[None, :])[0]
     return ScorePair(float(logits[0]), float(logits[1]))
 
 
@@ -246,8 +325,5 @@ def fusion_predictions(model: FusionModel, data: ScoreDataset) -> np.ndarray:
     """Hard labels the fused model assigns to every row of a dataset."""
     if data.member_ids != model.member_ids:
         raise ModelError("dataset member ids do not match the fusion model")
-    ws = model.weights
-    params = [ws["fc1.w"].astype(np.float64), ws["fc1.b"].astype(np.float64),
-              ws["fc2.w"].astype(np.float64), ws["fc2.b"].astype(np.float64)]
-    logits = mlp_forward(params, data.log_odds)
+    logits = mlp_forward(model.params, data.log_odds)
     return (logits[:, 0] >= logits[:, 1]).astype(np.int64)

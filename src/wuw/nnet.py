@@ -4,6 +4,17 @@ a plateau schedule, and the binary weight-file format.
 Weight tensors are stored as float32 (the file format is float32), while all
 forward/backward math runs in float64 for numerically clean gradients. GRU
 scorers are inference-only; the trainable baseline is the linear classifier.
+
+GRU scorers run on one kernel, :class:`GRUStack`: M scorers of the same shape
+stepped in lockstep over a (member, window, time) batch of shape (M, B, T).
+Their weights are cast to float64, transposed and stacked once, when the
+stack is built (by the ensemble core in ``fusion``, or by a Scorer's ``fn``
+on its first call), never per call. Per layer, the input projection
+``x @ W_ih.T`` is computed for all time steps before the recurrence; only
+``h @ W_hh.T`` stays inside the time loop. ``sgru_forward`` and
+``gru_max_forward`` are views of the kernel with one member and one window;
+``gru_cell`` and ``gru_outputs`` are the step-by-step oracle it is tested
+against.
 """
 
 from __future__ import annotations
@@ -268,12 +279,20 @@ def load_weights(path) -> WeightStore:
 
 @dataclass(frozen=True)
 class Scorer:
-    """A named classifier over one feature config; the plug-in point for
-    external architectures as well as the built-in ones."""
+    """A named classifier over one feature config.
+
+    ``fn`` scores one window and is the plug-in point for external
+    architectures as well as the built-in ones. ``weights``, which
+    ``make_scorer`` sets, lets the ensemble core (``fusion.Ensemble``) find
+    GRU scorers of one shape and run them stacked in :class:`GRUStack`
+    instead of one ``fn`` call per window; a Scorer without it is always
+    called through ``fn``.
+    """
 
     member_id: str
     config_id: int
     fn: Callable[[FeatureMatrix], ScorePair]
+    weights: WeightStore | None = None
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -321,80 +340,273 @@ def init_gru_scorer(
     return WeightStore(tensors, meta)
 
 
-def _gru_scorer_forward(features: FeatureMatrix, ws: WeightStore, mode: str) -> ScorePair:
+# The kernel's transient arrays (the hoisted input projection and the
+# layer's hidden states, float64) are kept under this many bytes by running
+# large window batches in chunks.
+_SCRATCH_BYTES = 8 << 20
+
+# OpenBLAS, the BLAS numpy ships with, runs a gemm on every core once
+# m * n * k exceeds 2**18, and its idle workers then spin for tens of
+# milliseconds. A verification server sharing a two-core machine with a
+# scanning device would lose a core to that spin after every request, so the
+# kernel issues each matmul below this size. Measured on two cores, three
+# 2x128 members over one 148-frame window: 16.2 ms this way, 15.4 ms with
+# threaded projections, whose CPU time is then twice their wall time.
+_GEMM_MAX_MNK = 1 << 18
+
+_GRU_KINDS = ("sgru", "gru-max")
+
+
+def _gru_layer_count(ws: WeightStore) -> int:
+    return ws.metadata.get("hparams", {}).get("layers", 2)
+
+
+def gru_stack_key(ws: WeightStore) -> tuple | None:
+    """What must match for GRU scorers to share one :class:`GRUStack`: the
+    feature config, the layer count and every tensor shape. None for a store
+    that is not a GRU scorer."""
+    if ws.kind not in _GRU_KINDS:
+        return None
+    return (
+        ws.config_id,
+        _gru_layer_count(ws),
+        tuple((name, t.shape) for name, t in ws.tensors.items()),
+    )
+
+
+def _check_gru_store(ws: WeightStore) -> None:
+    """Raise ModelError unless ws holds a well-formed GRU scorer."""
+    size_in = None
+    try:
+        for i in range(_gru_layer_count(ws)):
+            p = GRUParams(*(ws[f"gru{i}.{n}"] for n in ("w_ih", "w_hh", "b_ih", "b_hh")))
+            if size_in is not None and p.input_size != size_in:
+                raise ModelError(f"GRU layer {i} input does not match layer {i - 1}")
+            size_in = p.hidden_size
+        head_w, head_b = ws["head.w"], ws["head.b"]
+    except (KeyError, ValueError) as exc:
+        raise ModelError(f"malformed GRU scorer: {exc!r}") from None
+    if size_in is None:
+        raise ModelError("GRU scorer has no layers")
+    if head_w.shape != (2, size_in) or head_b.shape != (2,):
+        raise ModelError("GRU scorer head does not match its last layer")
+
+
+def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a (R, K) or (M, R, K) @ w (M, K, N) -> (M, R, N), issued in row blocks
+    that each stay below ``_GEMM_MAX_MNK``."""
+    m, k, n = w.shape
+    rows = a.shape[-2]
+    block = max(1, _GEMM_MAX_MNK // (k * n))
+    out = np.empty((m, rows, n))
+    for s in range(0, rows, block):
+        np.matmul(a[..., s : s + block, :], w, out=out[:, s : s + block])
+    return out
+
+
+class GRUStack:
+    """M GRU scorers of one shape, run in lockstep over a window batch.
+
+    ``logits`` maps features (B, T, I) to (pos, neg) logits (M, B, 2). Each
+    member pools its last layer as its kind says: ``sgru`` the final hidden
+    state, ``gru-max`` the elementwise max over time. Weights are cast to
+    float64 and stored pre-transposed and C-contiguous here, once: a batched
+    matmul on a transposed view does not reach BLAS. The object holds no
+    per-call state, so threads may share it.
+    """
+
+    def __init__(self, stores: Sequence[WeightStore]):
+        if not stores:
+            raise ModelError("a GRU stack needs at least one scorer")
+        key = gru_stack_key(stores[0])
+        if key is None or any(gru_stack_key(ws) != key for ws in stores):
+            raise ModelError("stacked scorers must be GRU scorers of one shape and config")
+        _check_gru_store(stores[0])
+        self.config_id = stores[0].config_id
+
+        def stacked(name, transpose=False):
+            first = stores[0][name].T if transpose else stores[0][name]
+            out = np.empty((len(stores),) + first.shape)
+            for j, ws in enumerate(stores):
+                out[j] = ws[name].T if transpose else ws[name]
+            return out
+
+        self.layers = [
+            (
+                stacked(f"gru{i}.w_ih", transpose=True),  # (M, I, 3H)
+                stacked(f"gru{i}.w_hh", transpose=True),  # (M, H, 3H)
+                stacked(f"gru{i}.b_ih")[:, None, :],      # (M, 1, 3H)
+                stacked(f"gru{i}.b_hh")[:, None, :],
+            )
+            for i in range(_gru_layer_count(stores[0]))
+        ]
+        self.head_w = stacked("head.w", transpose=True)   # (M, H, 2)
+        self.head_b = stacked("head.b")[:, None, :]       # (M, 1, 2)
+        self.max_pool = np.array([ws.kind == "gru-max" for ws in stores])
+        self.input_size = self.layers[0][0].shape[1]
+        self.hidden_size = self.head_w.shape[1]
+
+    @property
+    def n_members(self) -> int:
+        return self.max_pool.shape[0]
+
+    def logits(self, x) -> np.ndarray:
+        """Features (B, T, I) -> logits (M, B, 2), float64."""
+        x = np.asarray(x)
+        if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != self.input_size:
+            raise DataError(
+                f"GRU stack needs (B, T >= 1, {self.input_size}) features, got {x.shape}"
+            )
+        n, steps = x.shape[0], x.shape[1]
+        hs = self.hidden_size
+        # windows per chunk: within the scratch budget, and few enough that
+        # the recurrent matmul (chunk, H) @ (H, 3H) stays a single-thread gemm
+        chunk = max(1, min(_SCRATCH_BYTES // (8 * self.n_members * steps * 4 * hs),
+                           _GEMM_MAX_MNK // (hs * 3 * hs)))
+        out = np.empty((self.n_members, n, 2))
+        for s in range(0, n, chunk):
+            out[:, s : s + chunk] = self._run(x[s : s + chunk])
+        return out
+
+    def _run(self, x: np.ndarray) -> np.ndarray:
+        n, steps, size_in = x.shape
+        # time-major rows, so that one step of all windows is contiguous
+        seq = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=np.float64)
+        seq = seq.reshape(steps * n, size_in)
+        for params in self.layers[:-1]:
+            states = _gru_layer(seq, params, steps, n)
+            seq = states.reshape(self.n_members, steps * n, -1)
+        h, h_max = _gru_layer(seq, self.layers[-1], steps, n, last=True)
+        pooled = np.where(self.max_pool[:, None, None], h_max, h)
+        return pooled @ self.head_w + self.head_b
+
+
+def _gru_layer(seq, params, steps, n, last=False):
+    """One stacked layer over time-major rows seq (T*B, I) or (M, T*B, I).
+
+    Returns the states (M, T, B, H) of every step, or for the last layer
+    the final state and the running max over time, each (M, B, H).
+    """
+    w_ih, w_hh, b_ih, b_hh = params
+    m, hs = w_hh.shape[0], w_hh.shape[1]
+    gi = _matmul_rows(seq, w_ih)  # (M, T*B, 3H): the hoisted input projection
+    gi += b_ih
+    gi = gi.reshape(m, steps, n, 3 * hs)
+    states = None if last else np.empty((m, steps, n, hs))
+    h = np.zeros((m, n, hs))
+    h_max = np.full((m, n, hs), -np.inf) if last else None
+    gh = np.empty((m, n, 3 * hs))
+    zr = np.empty((m, n, 2 * hs))
+    cand = np.empty((m, n, hs))
+    keep = np.empty((m, n, hs))
+    z, r = zr[..., :hs], zr[..., hs:]
+    for t in range(steps):
+        np.matmul(h, w_hh, out=gh)
+        gh += b_hh
+        g = gi[:, t]
+        # z and r in one sigmoid: 1 / (1 + exp(-x))
+        np.add(g[..., : 2 * hs], gh[..., : 2 * hs], out=zr)
+        np.negative(zr, out=zr)
+        np.exp(zr, out=zr)
+        zr += 1.0
+        np.reciprocal(zr, out=zr)
+        np.multiply(r, gh[..., 2 * hs :], out=cand)
+        cand += g[..., 2 * hs :]
+        np.tanh(cand, out=cand)
+        # h' = (1 - z) * n + z * h
+        np.subtract(1.0, z, out=keep)
+        keep *= cand
+        h *= z
+        h += keep
+        if last:
+            np.maximum(h_max, h, out=h_max)
+        else:
+            states[:, t] = h
+    return (h, h_max) if last else states
+
+
+def _check_config(features: FeatureMatrix, ws: WeightStore) -> None:
     if ws.config_id != features.config_id:
         raise ModelError(
             f"features config {features.config_id} != model config {ws.config_id}"
         )
-    layers = ws.metadata.get("hparams", {}).get("layers", 2)
-    seq = np.asarray(features.values, dtype=np.float64)
-    for i in range(layers):
-        params = GRUParams(
-            ws[f"gru{i}.w_ih"].astype(np.float64),
-            ws[f"gru{i}.w_hh"].astype(np.float64),
-            ws[f"gru{i}.b_ih"].astype(np.float64),
-            ws[f"gru{i}.b_hh"].astype(np.float64),
-        )
-        if i + 1 < layers:
-            seq = gru_outputs(seq, params)
-        else:
-            pooled = gru_sequence(seq, params, mode=mode)
-    logits = linear(pooled, ws["head.w"].astype(np.float64), ws["head.b"].astype(np.float64))
-    return ScorePair(float(logits[0]), float(logits[1]))
+
+
+def _gru_forward(ws: WeightStore) -> Callable[[FeatureMatrix], ScorePair]:
+    _check_gru_store(ws)
+    # Built on the first call: a scorer that only ever runs inside an
+    # ensemble core's stack never needs a float64 copy of its own.
+    stack = None
+
+    def forward(features: FeatureMatrix) -> ScorePair:
+        nonlocal stack
+        _check_config(features, ws)
+        if stack is None:
+            stack = GRUStack([ws])
+        logits = stack.logits(features.values[None])[0, 0]
+        return ScorePair(float(logits[0]), float(logits[1]))
+
+    return forward
+
+
+def _linear_forward(ws: WeightStore) -> Callable[[FeatureMatrix], ScorePair]:
+    mean, std, w, b = (ws[n].astype(np.float64) for n in ("norm.mean", "norm.std", "w", "b"))
+
+    def forward(features: FeatureMatrix) -> ScorePair:
+        _check_config(features, ws)
+        x = (np.asarray(features.values, dtype=np.float64) - mean) / std
+        flat = x.reshape(-1)
+        if w.shape[1] != flat.shape[0]:
+            raise ModelError(
+                f"feature shape {features.values.shape} does not match model input "
+                f"width {w.shape[1]}"
+            )
+        logits = linear(flat, w, b)
+        return ScorePair(float(logits[0]), float(logits[1]))
+
+    return forward
+
+
+def _prepare(ws: WeightStore) -> Callable[[FeatureMatrix], ScorePair]:
+    """The forward pass of a store, with its weights cast once."""
+    if ws.kind in _GRU_KINDS:
+        return _gru_forward(ws)
+    if ws.kind == "linear":
+        return _linear_forward(ws)
+    raise ModelError(f"no forward pass for model kind {ws.kind!r}")
 
 
 def sgru_forward(features: FeatureMatrix, ws: WeightStore) -> ScorePair:
     """Stacked GRU scorer pooled with the last hidden state."""
     if ws.kind != "sgru":
         raise ModelError(f"expected an sgru store, got kind {ws.kind!r}")
-    return _gru_scorer_forward(features, ws, "last")
+    return _prepare(ws)(features)
 
 
 def gru_max_forward(features: FeatureMatrix, ws: WeightStore) -> ScorePair:
     """Stacked GRU scorer pooled with the elementwise max over time."""
     if ws.kind != "gru-max":
         raise ModelError(f"expected a gru-max store, got kind {ws.kind!r}")
-    return _gru_scorer_forward(features, ws, "max")
+    return _prepare(ws)(features)
 
 
 def linear_classifier_forward(features: FeatureMatrix, ws: WeightStore) -> ScorePair:
     """Standardize per coefficient column, flatten row-major, affine to 2 logits."""
-    if ws.config_id != features.config_id:
-        raise ModelError(
-            f"features config {features.config_id} != model config {ws.config_id}"
-        )
-    mean = ws["norm.mean"].astype(np.float64)
-    std = ws["norm.std"].astype(np.float64)
-    w = ws["w"].astype(np.float64)
-    b = ws["b"].astype(np.float64)
-    x = (np.asarray(features.values, dtype=np.float64) - mean) / std
-    flat = x.reshape(-1)
-    if w.shape[1] != flat.shape[0]:
-        raise ModelError(
-            f"feature shape {features.values.shape} does not match model input "
-            f"width {w.shape[1]}"
-        )
-    logits = linear(flat, w, b)
-    return ScorePair(float(logits[0]), float(logits[1]))
-
-
-_FORWARDS = {
-    "sgru": sgru_forward,
-    "gru-max": gru_max_forward,
-    "linear": linear_classifier_forward,
-}
+    return _linear_forward(ws)(features)
 
 
 def make_scorer(ws: WeightStore, member_id: str | None = None) -> Scorer:
-    """Wrap a weight store as a Scorer, dispatching on its model kind."""
-    try:
-        forward = _FORWARDS[ws.kind]
-    except KeyError:
-        raise ModelError(f"no forward pass for model kind {ws.kind!r}") from None
+    """Wrap a weight store as a Scorer, dispatching on its model kind.
+
+    The store is checked here and kept on the Scorer as ``weights``. The
+    forward pass casts the weights once: the linear kind here, a GRU scorer
+    on its first ``fn`` call.
+    """
+    forward = _prepare(ws)
     if ws.config_id is None:
         raise ModelError("weight store metadata lacks a config_id")
     name = member_id if member_id is not None else ws.metadata.get("name", ws.kind)
-    return Scorer(name, ws.config_id, lambda fm: forward(fm, ws))
+    return Scorer(name, ws.config_id, forward, ws)
 
 
 # -- Training --------------------------------------------------------------

@@ -15,6 +15,7 @@ real transport-security layer in production.
 
 from __future__ import annotations
 
+import logging
 import socket
 import socketserver
 import struct
@@ -35,9 +36,11 @@ from .errors import (
     ModelError,
     ProtocolError,
 )
-from .features import CLOUD, DEVICE, FeatureMatrix, mfcc, preset
-from .fusion import FusionModel, LogOddsVector, fuse, log_odds
+from .features import CLOUD, DEVICE, FeatureConfig, FeatureMatrix, frame_count, mfcc, preset
+from .fusion import Ensemble, FusionModel, LogOddsVector, fuse, log_odds
 from .nnet import Scorer, softmax2
+
+_log = logging.getLogger(__name__)
 
 PROTOCOL_MAGIC = b"WUWP"
 PROTOCOL_VERSION = 1
@@ -228,37 +231,44 @@ def decode_response(frame: bytes) -> VerifyResponse:
     return VerifyResponse(Verdict(verdict), p_pos, values)
 
 
+def _read_into(stream: BinaryIO, view: memoryview) -> int:
+    """Fill ``view`` from the stream; returns the bytes read, fewer than
+    ``len(view)`` only when the stream ended."""
+    got = 0
+    while got < len(view):
+        n = stream.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    return got
+
+
 def read_frame(stream: BinaryIO) -> bytes:
     """Read one complete frame from a blocking byte stream.
 
     Raises EOFError on a clean end-of-stream before any header byte, and
-    ProtocolError subclasses on anything malformed.
+    ProtocolError subclasses on anything malformed. The body is read into
+    one buffer of the declared length.
     """
-    header = stream.read(8)
-    if not header:
+    header = bytearray(8)
+    got = _read_into(stream, memoryview(header))
+    if not got:
         raise EOFError
-    if len(header) < 8:
+    if got < 8:
         raise FrameTruncatedError("stream ended inside the frame header")
     if header[:4] != PROTOCOL_MAGIC:
         raise FrameMagicError("bad frame magic")
     (body_len,) = struct.unpack_from("<I", header, 4)
     if body_len > MAX_BODY_BYTES:
         raise FrameLengthError(f"declared body of {body_len} bytes exceeds cap")
-    body = b""
-    while len(body) < body_len:
-        chunk = stream.read(body_len - len(body))
-        if not chunk:
-            raise FrameTruncatedError("stream ended inside the frame body")
-        body += chunk
-    return header + body
+    frame = bytearray(8 + body_len)
+    frame[:8] = header
+    if _read_into(stream, memoryview(frame)[8:]) < body_len:
+        raise FrameTruncatedError("stream ended inside the frame body")
+    return bytes(frame)
 
 
 # -- Device agent ------------------------------------------------------------
-
-def _prob_to_log_odds(p: float) -> float:
-    p = min(max(p, 1e-7), 1.0 - 1e-7)
-    return float(np.log(p / (1.0 - p)))
-
 
 class DeviceAgent:
     """Streaming first-phase detector.
@@ -291,10 +301,11 @@ class DeviceAgent:
         self.scorer = scorer
         self.theta_device = theta_device
         self.key = key
+        self._core = Ensemble([scorer])
         self._device_cfg = device_cfg
         self._cloud_cfg = CLOUD
         self._rate = device_cfg.sample_rate_hz
-        self._threshold_lo = _prob_to_log_odds(theta_device)
+        self._threshold_lo = log_odds(theta_device, 1.0 - theta_device)
         self._window = int(round(window_s * self._rate))
         self._window_s = window_s
         self._stride = stride_hops * device_cfg.hop_samples
@@ -338,7 +349,7 @@ class DeviceAgent:
     def _score_window(self, window, start):
         clip = AudioClip(window, self._rate)
         device_fm = mfcc(clip, self._device_cfg)
-        lo = log_odds(*softmax2(self.scorer.fn(device_fm)))
+        lo = float(self._core.log_odds({device_fm.config_id: device_fm.values[None]})[0, 0])
         if lo < self._threshold_lo:
             return None
         if (
@@ -369,29 +380,53 @@ def verify_request(
     device_member_id: str = "device",
 ) -> VerifyResponse:
     """Pure second-phase verification: run every member on the shipped
-    features, stack the device score first, fuse, and threshold."""
+    features, stack the device score first, fuse, and threshold.
+
+    The ensemble core is built for this one call; VerificationServer builds
+    it once and checks the request's shape first.
+    """
+    return _verify(req, Ensemble(members), fusion, theta_cloud, device_member_id)
+
+
+def _verify(
+    req: VerifyRequest,
+    core: Ensemble,
+    fusion: FusionModel,
+    theta_cloud: float,
+    device_member_id: str,
+) -> VerifyResponse:
     fm = FeatureMatrix(req.features, req.config_id)
-    values = [req.device_log_odds]
-    for member in members:
+    for member in core.scorers:
         if member.config_id != req.config_id:
             raise ModelError(
                 f"member {member.member_id!r} expects config {member.config_id}, "
                 f"request carries {req.config_id}"
             )
-        values.append(log_odds(*softmax2(member.fn(fm))))
-    ids = (device_member_id,) + tuple(m.member_id for m in members)
-    z = LogOddsVector(np.array(values), ids)
+    values = core.log_odds({fm.config_id: fm.values[None]})[0]
+    ids = (device_member_id,) + core.member_ids
+    z = LogOddsVector(np.concatenate(([req.device_log_odds], values)), ids)
     fused = fuse(z, fusion)
     p_pos, _ = softmax2(fused)
     verdict = Verdict.ACCEPT if np.float32(p_pos) >= theta_cloud else Verdict.REJECT
     return VerifyResponse(verdict, p_pos, z.values.astype(np.float32))
 
 
+def _window_shape(config: FeatureConfig) -> tuple[int, int]:
+    """(n_frames, n_coeffs) of the features of one WINDOW_S analysis window."""
+    n_samples = int(round(WINDOW_S * config.sample_rate_hz))
+    return frame_count(n_samples, config.window_samples, config.hop_samples), config.n_mfcc
+
+
 class VerificationServer:
     """Stateless per-request verification over a TCP loopback or any stream.
 
-    Scorer and fusion weights are immutable shared state; each connection is
-    handled on its own thread and every frame is answered independently.
+    The ensemble core is built once, here, and shared: scorer and fusion
+    weights are immutable, each connection is handled on its own thread and
+    every frame is answered independently. A request whose features are not
+    ``input_shape``, the cloud-config features of one ``WINDOW_S`` window
+    (148 x 40), is refused before any member runs; this also bounds the work
+    one request can ask for. Every frame gets a response: ACCEPT, REJECT, or
+    ERROR for a malformed or refused request or a member that fails.
     """
 
     def __init__(
@@ -417,6 +452,8 @@ class VerificationServer:
         self.theta_cloud = theta_cloud
         self.key = key
         self.device_member_id = device_member_id
+        self.input_shape = _window_shape(CLOUD)
+        self._core = Ensemble(self.members)
         self._tcp: socketserver.ThreadingTCPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -426,14 +463,21 @@ class VerificationServer:
             req = decode_request(frame, key=self.key)
             resp = self.verify(req)
         except (ProtocolError, ModelError, DataError):
-            error = VerifyResponse(Verdict.ERROR, 0.0, np.zeros(0, dtype=np.float32))
-            return encode_response(error), False
+            return _error_response(), False
+        except Exception:
+            # A member is outside code; its failure is this request's only.
+            _log.exception("verification failed")
+            return _error_response(), False
         return encode_response(resp), True
 
     def verify(self, req: VerifyRequest) -> VerifyResponse:
-        return verify_request(
-            req, self.members, self.fusion, self.theta_cloud, self.device_member_id
-        )
+        if (req.n_frames, req.n_coeffs) != self.input_shape:
+            raise DataError(
+                f"request features are {req.n_frames} x {req.n_coeffs}, "
+                f"the server takes {self.input_shape[0]} x {self.input_shape[1]}"
+            )
+        return _verify(req, self._core, self.fusion, self.theta_cloud,
+                       self.device_member_id)
 
     # TCP wiring
 
@@ -451,11 +495,8 @@ class VerificationServer:
                     except EOFError:
                         return
                     except ProtocolError:
-                        error = VerifyResponse(
-                            Verdict.ERROR, 0.0, np.zeros(0, dtype=np.float32)
-                        )
                         try:
-                            self.wfile.write(encode_response(error))
+                            self.wfile.write(_error_response())
                         except OSError:
                             pass
                         return
@@ -487,6 +528,10 @@ class VerificationServer:
             self._tcp.server_close()
             self._tcp = None
             self._thread = None
+
+
+def _error_response() -> bytes:
+    return encode_response(VerifyResponse(Verdict.ERROR, 0.0, np.zeros(0, dtype=np.float32)))
 
 
 def request_verification(

@@ -1,0 +1,124 @@
+import numpy as np
+import pytest
+
+from wuw.audio import SNR_RANGE_DB
+from wuw.evaluation import (
+    _ClipCache,
+    _mixed_window,
+    build_score_dataset,
+    ensemble_pipeline,
+    evaluate,
+    f1,
+    load_manifest,
+    threshold_sweep,
+)
+from wuw.features import CLOUD, DEVICE, mfcc, preset
+from wuw.fusion import FusionModel, log_odds
+from wuw.nnet import Scorer, ScorePair, WeightStore, init_gru_scorer, make_scorer, softmax2
+from wuw.synth import make_chirp_task
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    base = tmp_path_factory.mktemp("chirps")
+    manifest = make_chirp_task(base, n_train=5, n_valid=10, n_test=10, seed=3)
+    return load_manifest(manifest), base
+
+
+@pytest.fixture(scope="module")
+def scorers():
+    rng = np.random.default_rng(0)
+    device = make_scorer(WeightStore(
+        {"norm.mean": np.zeros(13), "norm.std": np.ones(13),
+         "w": rng.normal(size=(2, 29 * 13)) * 0.05, "b": np.zeros(2)},
+        {"kind": "linear", "config_id": DEVICE.config_id}), "device")
+    plug = Scorer("plug", CLOUD.config_id,
+                  lambda fm: ScorePair(float(fm.values[:, 0].mean()) / 10.0, 0.0))
+    members = [make_scorer(init_gru_scorer(CLOUD, hidden=8, seed=1), "g0"), plug,
+               make_scorer(init_gru_scorer(CLOUD, kind="gru-max", hidden=8, seed=2), "g1")]
+    return device, members
+
+
+@pytest.fixture(scope="module")
+def fusion_model():
+    rng = np.random.default_rng(1)
+    ws = WeightStore({"fc1.w": rng.normal(size=(6, 4)), "fc1.b": rng.normal(size=6),
+                      "fc2.w": rng.normal(size=(2, 6)), "fc2.b": np.zeros(2)},
+                     {"kind": "fusion", "member_ids": ["device", "g0", "plug", "g1"]})
+    return FusionModel(ws)
+
+
+def recorded(score_fn):
+    scores = []
+
+    def score(clip):
+        scores.append(score_fn(clip))
+        return scores[-1]
+
+    return score, scores
+
+
+class TestEvaluate:
+    def test_bucket_counts_sum_to_overall(self, corpus, scorers, fusion_model):
+        entries, base = corpus
+        score, scores = recorded(ensemble_pipeline(*scorers, fusion_model))
+        report = evaluate(entries, score, theta=0.5, seed=4, base_dir=base)
+        test = [e for e in entries if e.split == "test"]
+        n_pos = sum(e.label == "wuw" for e in test)
+        n = n_pos + sum(e.label in ("other", "noise") for e in test)
+        assert len(scores) == n * len(report.buckets)
+        total = np.zeros(3, dtype=int)
+        for b, bucket in enumerate(report.buckets):
+            accepted = np.array(scores[b * n : (b + 1) * n]) >= 0.5
+            is_pos = np.arange(n) < n_pos
+            assert (bucket.tp, bucket.fp, bucket.fn) == (
+                int(np.sum(accepted & is_pos)), int(np.sum(accepted & ~is_pos)),
+                int(np.sum(~accepted & is_pos)))
+            assert bucket.tp + bucket.fn == n_pos
+            total += (bucket.tp, bucket.fp, bucket.fn)
+        assert report.overall_f1 == f1(*(int(c) for c in total))
+
+    def test_report_json_repeats_for_a_seed(self, corpus, scorers, fusion_model):
+        entries, base = corpus
+        pipeline = ensemble_pipeline(*scorers, fusion_model)
+        first = evaluate(entries, pipeline, theta=0.5, seed=5, base_dir=base).to_json()
+        again = evaluate(entries, ensemble_pipeline(*scorers, fusion_model), theta=0.5,
+                         seed=5, base_dir=base).to_json()
+        assert first == again
+
+    def test_sweep_recall_does_not_rise_with_theta(self, corpus, scorers, fusion_model):
+        entries, base = corpus
+        thetas = np.linspace(0.0, 1.0, 21)
+        points = threshold_sweep(entries, ensemble_pipeline(*scorers, fusion_model),
+                                 thetas, seed=6, base_dir=base)
+        recalls = [p.recall for p in points]
+        assert recalls[0] == 1.0
+        assert all(b <= a for a, b in zip(recalls, recalls[1:]))
+        assert sum(p.best for p in points) == 1
+
+
+class TestBuildScoreDataset:
+    def test_rows_match_per_window_scorer_calls(self, corpus, scorers):
+        entries, base = corpus
+        device, members = scorers
+        copies = 4  # 40 windows: more than one scoring batch
+        data = build_score_dataset(entries, device, members, "valid", seed=7,
+                                   copies=copies, base_dir=base)
+        assert data.member_ids == ("device", "g0", "plug", "g1")
+
+        chosen = [e for e in entries if e.split == "valid"]
+        samples = [e for e in chosen if e.label in ("wuw", "other", "noise")]
+        noise_pool = [e for e in chosen if e.label == "noise"]
+        cache = _ClipCache(base)
+        rng = np.random.default_rng(7)
+        rows, labels = [], []
+        for entry in samples:
+            for _ in range(copies):
+                snr = float(rng.uniform(*SNR_RANGE_DB))
+                window = _mixed_window(entry, cache, noise_pool, snr, rng)
+                rows.append([log_odds(*softmax2(s.fn(mfcc(window, preset(s.config_id)))))
+                             for s in (device, *members)])
+                labels.append(int(entry.label == "wuw"))
+        assert len(data) == len(rows) > 32
+        np.testing.assert_array_equal(data.labels, labels)
+        np.testing.assert_allclose(data.log_odds, rows, rtol=0, atol=1e-12)

@@ -5,7 +5,9 @@ import pytest
 
 from wuw.errors import DataError, ModelError
 from wuw.evaluation import macro_f1
+from wuw.features import CLOUD, DEVICE, FeatureMatrix
 from wuw.fusion import (
+    Ensemble,
     FusionModel,
     LogOddsVector,
     ScoreDataset,
@@ -13,13 +15,25 @@ from wuw.fusion import (
     fusion_predictions,
     load_fusion,
     log_odds,
+    logits_log_odds,
     mlp_forward,
     mlp_grads,
     stack_scores,
     synth_score_task,
     train_fusion,
 )
-from wuw.nnet import ScorePair, TrainSpec, WeightStore, save_weights, softmax2
+from wuw.nnet import (
+    Scorer,
+    ScorePair,
+    TrainSpec,
+    WeightStore,
+    init_gru_scorer,
+    make_scorer,
+    save_weights,
+    softmax2,
+)
+
+from test_nnet import oracle_logits
 
 
 def fusion_from_arrays(w1, b1, w2, b2, member_ids):
@@ -249,3 +263,119 @@ class TestTrainFusion:
         assert back.member_ids == model.member_ids
         z = LogOddsVector(np.array([0.3, -0.2]), model.member_ids)
         assert fuse(z, back) == fuse(z, model)
+
+
+class TestLogitsLogOdds:
+    def test_bit_identical_to_scalar_path(self):
+        rng = np.random.default_rng(0)
+        pairs = np.concatenate([rng.normal(size=(200, 2)) * 3,
+                                rng.normal(size=(200, 2)) * 40,
+                                [[0.0, 0.0], [50.0, 0.0], [0.0, 50.0], [-1e3, 1e3]]])
+        got = logits_log_odds(pairs)
+        want = [log_odds(*softmax2(ScorePair(a, b))) for a, b in pairs]
+        assert got.tolist() == want
+
+    def test_any_leading_shape(self):
+        pairs = np.random.default_rng(1).normal(size=(3, 4, 2))
+        assert logits_log_odds(pairs).shape == (3, 4)
+        np.testing.assert_array_equal(logits_log_odds(pairs)[1],
+                                      logits_log_odds(pairs[1]))
+
+
+def gru_member(kind, seed, hidden=16):
+    return make_scorer(init_gru_scorer(CLOUD, kind=kind, hidden=hidden, seed=seed),
+                       f"{kind}{seed}")
+
+
+def plug_in(member_id="plug"):
+    """A plug-in scorer that is no GRU: logits from the features' mean."""
+    return Scorer(member_id, CLOUD.config_id,
+                  lambda fm: ScorePair(float(fm.values.mean()), 0.25))
+
+
+class TestEnsemble:
+    def per_window(self, scorers, x):
+        """The per-window path: every scorer's fn on every window."""
+        return np.array([[log_odds(*softmax2(s.fn(FeatureMatrix(w, s.config_id))))
+                          for s in scorers] for w in x])
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_mixed_members_match_gru_cell_oracle(self, batch):
+        scorers = [gru_member("sgru", 0), plug_in(), gru_member("gru-max", 1),
+                   gru_member("sgru", 2)]
+        x = np.random.default_rng(batch).normal(size=(batch, 148, 40)).astype(np.float32)
+        got = Ensemble(scorers).log_odds({CLOUD.config_id: x})
+        assert got.shape == (batch, 4)
+        for b in range(batch):
+            for col, s in enumerate(scorers):
+                if s.weights is None:
+                    want = log_odds(*softmax2(s.fn(FeatureMatrix(x[b], 2))))
+                    assert got[b, col] == want  # plug-in column kept in place
+                else:
+                    pair = oracle_logits(s.weights, x[b])
+                    want = log_odds(*softmax2(ScorePair(*pair)))
+                    assert abs(got[b, col] - want) <= 1e-12
+
+    def test_stacks_same_shape_members_and_keeps_column_order(self):
+        scorers = [gru_member("sgru", 0), plug_in("a"), gru_member("gru-max", 1),
+                   gru_member("sgru", 2, hidden=8), plug_in("b"), gru_member("sgru", 3)]
+        core = Ensemble(scorers)
+        stacks = sorted(cols for cols, _ in core._stacks)
+        assert stacks == [[0, 2, 5], [3]]
+        assert core.member_ids == tuple(s.member_id for s in scorers)
+        x = np.random.default_rng(7).normal(size=(3, 30, 40))
+        np.testing.assert_allclose(core.log_odds({2: x}), self.per_window(scorers, x),
+                                   rtol=0, atol=1e-12)
+
+    def test_stacked_members_skip_fn(self):
+        ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
+
+        def never(fm):
+            raise AssertionError("a stacked member must not be called through fn")
+
+        core = Ensemble([Scorer("g", CLOUD.config_id, never, ws)])
+        x = np.random.default_rng(8).normal(size=(2, 10, 40)).astype(np.float32)
+        got = core.log_odds({2: x})
+        want = [log_odds(*softmax2(ScorePair(*oracle_logits(ws, w)))) for w in x]
+        np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-12)
+
+    def test_scorer_without_weights_goes_through_fn(self):
+        inner = gru_member("sgru", 0, hidden=8)
+        calls = []
+
+        def counted(fm):
+            calls.append(fm.values.shape)
+            return inner.fn(fm)
+
+        core = Ensemble([Scorer("traced", CLOUD.config_id, counted)])
+        x = np.random.default_rng(9).normal(size=(4, 10, 40))
+        got = core.log_odds({2: x})
+        assert calls == [(10, 40)] * 4
+        np.testing.assert_array_equal(got, self.per_window([inner], x))
+
+    def test_configs_are_fed_separately(self):
+        device = Scorer("device", DEVICE.config_id,
+                        lambda fm: ScorePair(float(fm.values.sum()), 0.0))
+        core = Ensemble([device, gru_member("sgru", 0, hidden=8)])
+        assert core.config_ids == (DEVICE.config_id, CLOUD.config_id)
+        rng = np.random.default_rng(10)
+        feats = {1: rng.normal(size=(2, 29, 13)), 2: rng.normal(size=(2, 148, 40))}
+        got = core.log_odds(feats)
+        assert got.shape == (2, 2)
+        with pytest.raises(ModelError):
+            core.log_odds({2: feats[2]})
+        with pytest.raises(DataError):
+            core.log_odds({1: feats[1], 2: feats[2][:1]})
+
+
+class TestFusionParams:
+    def test_cast_once_and_used_by_fuse(self):
+        rng = np.random.default_rng(11)
+        model = fusion_from_arrays(rng.normal(size=(4, 3)), rng.normal(size=4),
+                                   rng.normal(size=(2, 4)), rng.normal(size=2),
+                                   ("a", "b", "c"))
+        assert all(p.dtype == np.float64 for p in model.params)
+        z = LogOddsVector(rng.normal(size=3), ("a", "b", "c"))
+        want = mlp_forward([model.weights[n].astype(np.float64)
+                            for n in ("fc1.w", "fc1.b", "fc2.w", "fc2.b")], z.values[None])[0]
+        assert fuse(z, model) == ScorePair(float(want[0]), float(want[1]))

@@ -11,10 +11,12 @@ from wuw.errors import (
     WeightTruncatedError,
     WeightVersionError,
 )
+from wuw import nnet
 from wuw.features import CLOUD, DEVICE, FeatureMatrix
 from wuw.nnet import (
     Adam,
     GRUParams,
+    GRUStack,
     PlateauSchedule,
     ScorePair,
     TrainSpec,
@@ -22,6 +24,7 @@ from wuw.nnet import (
     cross_entropy,
     gru_cell,
     gru_max_forward,
+    gru_outputs,
     gru_scorer_param_count,
     gru_sequence,
     init_gru_scorer,
@@ -435,3 +438,95 @@ class TestAdam:
     def test_make_scorer_unknown_kind(self):
         with pytest.raises(ModelError):
             make_scorer(WeightStore({}, {"kind": "mystery", "config_id": 1}))
+
+
+def oracle_logits(ws: WeightStore, frames: np.ndarray) -> np.ndarray:
+    """A GRU scorer's (pos, neg) logits on one window, step by step through
+    the gru_cell oracle."""
+    seq = np.asarray(frames, dtype=np.float64)
+    for i in range(ws.metadata["hparams"]["layers"]):
+        params = GRUParams(*(ws[f"gru{i}.{n}"].astype(np.float64)
+                             for n in ("w_ih", "w_hh", "b_ih", "b_hh")))
+        seq = gru_outputs(seq, params)
+    pooled = seq[-1] if ws.kind == "sgru" else seq.max(axis=0)
+    return ws["head.w"].astype(np.float64) @ pooled + ws["head.b"].astype(np.float64)
+
+
+class TestGRUStack:
+    KINDS = ("sgru", "gru-max", "sgru")
+
+    def stores(self, hidden=16, layers=2):
+        return [init_gru_scorer(CLOUD, kind=k, hidden=hidden, layers=layers, seed=i)
+                for i, k in enumerate(self.KINDS)]
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_matches_gru_cell_oracle(self, batch):
+        stores = self.stores()
+        x = np.random.default_rng(batch).normal(size=(batch, 148, 40)).astype(np.float32)
+        got = GRUStack(stores).logits(x)
+        assert got.shape == (len(stores), batch, 2)
+        for m, ws in enumerate(stores):
+            for b in range(batch):
+                np.testing.assert_allclose(got[m, b], oracle_logits(ws, x[b]),
+                                           rtol=0, atol=1e-12)
+
+    def test_default_size_members_match_oracle(self):
+        stores = [init_gru_scorer(CLOUD, kind=k, seed=i) for i, k in enumerate(self.KINDS)]
+        x = np.random.default_rng(0).normal(size=(2, 20, 40)).astype(np.float32)
+        got = GRUStack(stores).logits(x)
+        for m, ws in enumerate(stores):
+            for b in range(2):
+                np.testing.assert_allclose(got[m, b], oracle_logits(ws, x[b]),
+                                           rtol=0, atol=1e-12)
+
+    def test_chunked_batch_matches_whole_batch(self, monkeypatch):
+        stores = self.stores(hidden=8)
+        x = np.random.default_rng(3).normal(size=(7, 30, 40))
+        whole = GRUStack(stores).logits(x)
+        monkeypatch.setattr(nnet, "_SCRATCH_BYTES", 1)  # one window per chunk
+        monkeypatch.setattr(nnet, "_GEMM_MAX_MNK", 1)   # one row per matmul
+        np.testing.assert_allclose(GRUStack(stores).logits(x), whole, rtol=0, atol=1e-12)
+
+    def test_single_layer(self):
+        stores = self.stores(hidden=8, layers=1)
+        x = np.random.default_rng(4).normal(size=(3, 12, 40))
+        got = GRUStack(stores).logits(x)
+        for m, ws in enumerate(stores):
+            for b in range(3):
+                np.testing.assert_allclose(got[m, b], oracle_logits(ws, x[b]),
+                                           rtol=0, atol=1e-12)
+
+    def test_forward_functions_are_views_of_the_kernel(self):
+        stores = self.stores()
+        fm = FeatureMatrix(np.random.default_rng(6).normal(size=(148, 40)), 2)
+        for ws in stores:
+            forward = sgru_forward if ws.kind == "sgru" else gru_max_forward
+            np.testing.assert_allclose(forward(fm, ws), oracle_logits(ws, fm.values),
+                                       rtol=0, atol=1e-12)
+            assert make_scorer(ws).fn(fm) == forward(fm, ws)
+
+    def test_wrong_input_width_rejected(self):
+        stack = GRUStack(self.stores())
+        with pytest.raises(DataError):
+            stack.logits(np.zeros((1, 148, 13)))
+        with pytest.raises(DataError):
+            stack.logits(np.zeros((1, 0, 40)))
+
+    def test_mixed_shapes_refused(self):
+        wide = init_gru_scorer(CLOUD, hidden=16, seed=0)
+        narrow = init_gru_scorer(CLOUD, hidden=8, seed=1)
+        with pytest.raises(ModelError):
+            GRUStack([wide, narrow])
+        with pytest.raises(ModelError):
+            GRUStack([])
+
+    def test_malformed_store_refused_by_make_scorer(self):
+        ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
+        tensors = dict(ws.tensors)
+        del tensors["gru1.w_hh"]
+        with pytest.raises(ModelError):
+            make_scorer(WeightStore(tensors, ws.metadata))
+
+    def test_make_scorer_keeps_weights(self):
+        ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
+        assert make_scorer(ws).weights is ws

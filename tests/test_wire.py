@@ -1,5 +1,8 @@
 import dataclasses
+import io
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,8 +19,15 @@ from wuw.errors import (
     ProtocolError,
 )
 from wuw.features import CLOUD, DEVICE, FeatureMatrix, mfcc
-from wuw.fusion import FusionModel
-from wuw.nnet import ScorePair, Scorer, WeightStore
+from wuw.fusion import FusionModel, LogOddsVector, fuse, log_odds
+from wuw.nnet import (
+    ScorePair,
+    Scorer,
+    WeightStore,
+    init_gru_scorer,
+    make_scorer,
+    softmax2,
+)
 from wuw.synth import make_stream
 from wuw.wire import (
     FLAG_OBFUSCATED,
@@ -32,6 +42,7 @@ from wuw.wire import (
     encode_request,
     encode_response,
     obfuscate,
+    read_frame,
     request_verification,
     verify_request,
 )
@@ -437,3 +448,157 @@ class TestVerification:
                             features=np.zeros((148, 40), dtype=np.float32))
         resp = verify_request(req, members, fusion, theta_cloud=0.5)
         assert resp.verdict is Verdict.ACCEPT
+
+
+def old_verify_response(req, members, fusion, theta_cloud=0.5):
+    """The per-member verification path that the ensemble core replaced:
+    each member's fn, clamped log-odds, fused one vector at a time."""
+    fm = FeatureMatrix(req.features, req.config_id)
+    values = [req.device_log_odds] + [log_odds(*softmax2(m.fn(fm))) for m in members]
+    z = LogOddsVector(np.array(values), ("device",) + tuple(m.member_id for m in members))
+    p_pos, _ = softmax2(fuse(z, fusion))
+    verdict = Verdict.ACCEPT if np.float32(p_pos) >= theta_cloud else Verdict.REJECT
+    return VerifyResponse(verdict, p_pos, z.values.astype(np.float32))
+
+
+def small_gru_server(**kwargs):
+    """A server with one real (small) GRU member that passes the device score through."""
+    member = make_scorer(init_gru_scorer(CLOUD, hidden=8, layers=1, seed=0), "g")
+    return VerificationServer([member], passthrough_fusion(["device", "g"]), **kwargs)
+
+
+class TestEnsembleCoreOnTheWire:
+    def test_zero_weight_responses_bit_identical(self):
+        members = [zero_weight_member("m0"), zero_weight_member("m1")]
+        rng = np.random.default_rng(12)
+        for weight_on in (0, 1):
+            fusion = passthrough_fusion(["device", "m0", "m1"], weight_on=weight_on)
+            server = VerificationServer(members, fusion)
+            for _ in range(20):
+                req = VerifyRequest(config_id=CLOUD.config_id,
+                                    device_log_odds=float(rng.normal() * 5),
+                                    features=rng.normal(size=(148, 40)))
+                want = encode_response(old_verify_response(req, members, fusion))
+                assert encode_response(verify_request(req, members, fusion)) == want
+                assert server.handle_frame(encode_request(req)) == (want, True)
+
+    def test_gru_member_matches_per_member_path(self):
+        server = small_gru_server()
+        rng = np.random.default_rng(13)
+        req = VerifyRequest(config_id=CLOUD.config_id, device_log_odds=0.7,
+                            features=rng.normal(size=(148, 40)))
+        got = server.verify(req)
+        want = old_verify_response(req, server.members, server.fusion)
+        assert got.verdict is want.verdict
+        assert abs(got.fused_p_pos - want.fused_p_pos) <= 1e-6
+        np.testing.assert_allclose(got.member_log_odds, want.member_log_odds, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(148, 13), (1480, 40), (147, 40), (0, 40)])
+    def test_wrong_request_shape_gets_error(self, shape):
+        server = small_gru_server()
+        assert server.input_shape == (148, 40)
+        req = VerifyRequest(config_id=CLOUD.config_id, device_log_odds=1.0,
+                            features=np.zeros(shape, dtype=np.float32))
+        response, keep = server.handle_frame(encode_request(req))
+        assert not keep
+        assert decode_response(response).verdict is Verdict.ERROR
+
+    def test_failing_member_gets_error(self):
+        def broken(fm):
+            raise RuntimeError("member crashed")
+
+        members = [Scorer("m0", CLOUD.config_id, broken)]
+        server = VerificationServer(members, passthrough_fusion(["device", "m0"]))
+        req = VerifyRequest(config_id=CLOUD.config_id, device_log_odds=1.0,
+                            features=np.zeros((148, 40), dtype=np.float32))
+        response, keep = server.handle_frame(encode_request(req))
+        assert not keep
+        assert decode_response(response).verdict is Verdict.ERROR
+
+    def test_concurrent_requests_share_the_core(self):
+        server = small_gru_server()
+        rng = np.random.default_rng(14)
+        reqs = [VerifyRequest(config_id=CLOUD.config_id, device_log_odds=float(i),
+                              features=rng.normal(size=(148, 40))) for i in range(8)]
+        want = [encode_response(server.verify(r)) for r in reqs]
+        got = [[] for _ in reqs]
+
+        def worker(k):
+            for _ in range(3):
+                got[k].append(server.handle_frame(encode_request(reqs[k]))[0])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(reqs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 3 for w in want]
+
+    def test_loopback_wrong_shapes_then_good_request(self):
+        server = small_gru_server()
+        addr = server.start()
+        try:
+            for shape in ((148, 13), (1480, 40)):
+                bad = VerifyRequest(config_id=CLOUD.config_id, device_log_odds=1.0,
+                                    features=np.zeros(shape, dtype=np.float32))
+                assert request_verification(addr, bad).verdict is Verdict.ERROR
+            good = VerifyRequest(config_id=CLOUD.config_id, device_log_odds=10.0,
+                                 features=np.zeros((148, 40), dtype=np.float32))
+            assert request_verification(addr, good).verdict is Verdict.ACCEPT
+        finally:
+            server.shutdown()
+
+
+class TrickleStream(io.RawIOBase):
+    """A byte stream that hands out at most ``step`` bytes per read."""
+
+    def __init__(self, data: bytes, step: int):
+        self.data, self.pos, self.step = data, 0, step
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = min(len(buf), self.step, len(self.data) - self.pos)
+        buf[:n] = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return n
+
+
+class TestReadFrame:
+    def frame(self):
+        req = VerifyRequest(config_id=2, device_log_odds=0.5,
+                            features=np.arange(12, dtype=np.float32).reshape(3, 4))
+        return encode_request(req)
+
+    @pytest.mark.parametrize("step", [1, 3, 1000])
+    def test_short_reads_assemble_the_frame(self, step):
+        frame = self.frame()
+        stream = TrickleStream(frame + frame, step)
+        assert read_frame(stream) == frame
+        assert read_frame(stream) == frame
+        with pytest.raises(EOFError):
+            read_frame(stream)
+
+    def test_truncated_body(self):
+        frame = self.frame()
+        with pytest.raises(FrameTruncatedError):
+            read_frame(io.BytesIO(frame[:-1]))
+        with pytest.raises(FrameTruncatedError):
+            read_frame(TrickleStream(frame[:-5], 2))
+
+    def test_truncated_header_and_bad_magic(self):
+        with pytest.raises(FrameTruncatedError):
+            read_frame(io.BytesIO(b"WUWP\x01"))
+        with pytest.raises(FrameMagicError):
+            read_frame(io.BytesIO(b"XXXX" + struct.pack("<I", 0)))
+
+    def test_declared_length_over_cap(self):
+        with pytest.raises(FrameLengthError):
+            read_frame(io.BytesIO(b"WUWP" + struct.pack("<I", MAX_BODY_BYTES + 1)))
