@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ def _pipeline_from_args(args) -> evaluation.ScoreFn:
     if args.fusion:
         if not args.device_weights:
             raise ModelError("ensemble evaluation needs --device-weights")
-        device = _load_scorer(args.device_weights, member_id="device")
+        device = _load_scorer(args.device_weights, member_id=fusion.DEVICE_MEMBER_ID)
         members = _load_members(args.member)
         model = fusion.load_fusion(args.fusion)
         return evaluation.ensemble_pipeline(device, members, model)
@@ -131,7 +132,7 @@ def cmd_train(args) -> int:
 def cmd_fuse_train(args) -> int:
     entries = evaluation.load_manifest(args.manifest, require_alignments=not args.allow_unaligned)
     base = Path(args.manifest).parent
-    device = _load_scorer(args.device_weights, member_id="device")
+    device = _load_scorer(args.device_weights, member_id=fusion.DEVICE_MEMBER_ID)
     members = _load_members(args.member)
     train = evaluation.build_score_dataset(
         entries, device, members, split="train", seed=args.seed,
@@ -149,7 +150,7 @@ def cmd_fuse_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    device = _load_scorer(args.device_weights, member_id="device")
+    device = _load_scorer(args.device_weights, member_id=fusion.DEVICE_MEMBER_ID)
     key = _parse_key(args.key)
     agent = wire.DeviceAgent(
         device,
@@ -230,7 +231,7 @@ def cmd_sweep(args) -> int:
         flag = "  *best" if p.best else ""
         print(f"{p.theta:7.3f}  {p.precision:6.4f}  {p.recall:6.4f}  {p.f1:6.4f}{flag}")
     if args.out:
-        payload = json.dumps([p.to_dict() for p in points], indent=2, sort_keys=True)
+        payload = json.dumps([asdict(p) for p in points], indent=2, sort_keys=True)
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
     return 0
 
@@ -243,7 +244,7 @@ def cmd_bench(args) -> int:
         ws = nnet.init_gru_scorer(config, seed=args.seed)
         scorer = nnet.make_scorer(ws, member_id="sgru")
     report = evaluation.bench_rtf(scorer, n_runs=args.runs, seed=args.seed)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return 0
 
 

@@ -7,8 +7,16 @@ Manifests are UTF-8 JSONL, one entry per line:
 
 Evaluation mixes every test sample against a randomly chosen noise entry at
 an SNR drawn inside each bucket, so each bucket scores the full test set at
-its own noise level. Reports are plain dicts underneath and serialize to
-stable JSON for reproducibility checks.
+its own noise level. Reports are dataclasses; ``dataclasses.asdict`` with
+sorted keys gives their stable JSON for reproducibility checks.
+
+Every loop selects its split through ``_split_pools``. Two samplers cut and
+mix windows, and their draw orders from the seeded generator differ:
+``_mixed_windows`` (``evaluate``, ``collect_scores``, ``build_score_dataset``)
+draws the SNR, the cut, then the noise index; ``build_feature_dataset`` draws
+the cut, the RIR coin and index, the noise index, then an SNR only for a
+window it can mix. They stay two because each order fixes what a seed gives:
+merging them would change the training windows, and so the device model.
 
 Level contract, shared with the streaming agent: every source file is
 peak-normalized once on load; windows cut from it, reverberated copies and
@@ -21,7 +29,8 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,6 +42,7 @@ from .audio import (
     AlignmentSpan,
     AudioClip,
     convolve_rir,
+    draw_snr,
     extract_window,
     measure_power,
     mix_at_snr,
@@ -41,7 +51,7 @@ from .audio import (
 )
 from .errors import DataError, ManifestError
 from .features import FeatureMatrix, mfcc, preset
-from .fusion import Ensemble, FusionModel, LogOddsVector, ScoreDataset, fuse
+from .fusion import DEVICE_MEMBER_ID, Ensemble, FusionModel, LogOddsVector, ScoreDataset, fuse
 from .nnet import Scorer, softmax2
 
 LABELS = ("wuw", "other", "noise", "rir")
@@ -52,6 +62,10 @@ ScoreFn = Callable[[AudioClip], float]
 # build_score_dataset holds the features of at most this many windows at a
 # time; the GRU kernel splits a batch further by its own memory budget.
 _SCORE_BATCH = 32
+
+# build_feature_dataset reverberates a speech window with this probability
+# when the split has RIR entries.
+_RIR_PROB = 0.5
 
 
 @dataclass(frozen=True)
@@ -116,17 +130,18 @@ def f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
+def _confusion(accepted: np.ndarray, is_pos: np.ndarray) -> tuple[int, int, int]:
+    """(tp, fp, fn) of boolean decision arrays against boolean truth arrays."""
+    return (int(np.sum(accepted & is_pos)), int(np.sum(accepted & ~is_pos)),
+            int(np.sum(~accepted & is_pos)))
+
+
 def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Mean of the positive-class and negative-class F1 scores."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    scores = []
-    for cls in (1, 0):
-        tp = int(np.sum((y_pred == cls) & (y_true == cls)))
-        fp = int(np.sum((y_pred == cls) & (y_true != cls)))
-        fn = int(np.sum((y_pred != cls) & (y_true == cls)))
-        scores.append(f1(tp, fp, fn))
-    return float(np.mean(scores))
+    return float(np.mean([f1(*_confusion(y_pred == cls, y_true == cls))
+                          for cls in (1, 0)]))
 
 
 def default_buckets(n: int = 6) -> list[tuple[float, float]]:
@@ -145,16 +160,6 @@ class BucketResult:
     fn: int
     f1: float | None  # None marks a bucket with no samples
 
-    def to_dict(self) -> dict:
-        return {
-            "snr_lo": self.snr_lo,
-            "snr_hi": self.snr_hi,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "f1": self.f1,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -163,16 +168,8 @@ class EvalReport:
     theta: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "seed": self.seed,
-            "overall_f1": self.overall_f1,
-            "buckets": [b.to_dict() for b in self.buckets],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_table(self) -> str:
         rows = [f"{'SNR range':>14}  {'tp':>5} {'fp':>5} {'fn':>5}  {'F1':>7}"]
@@ -216,14 +213,63 @@ def _mixed_window(
     return mix_at_snr(window, noise, snr_db)
 
 
-def _split_samples(
+def _mixed_windows(
+    samples: Sequence[ManifestEntry],
+    cache: _ClipCache,
+    noise_pool: Sequence[ManifestEntry],
+    rng: np.random.Generator,
+    snr_range: tuple[float, float],
+    copies: int = 1,
+):
+    """Yield (window, label) for each sample, ``copies`` times in a row: the
+    SNR is drawn from ``snr_range`` first, then ``_mixed_window`` cuts and
+    mixes. Label 1 marks a keyword."""
+    for entry in samples:
+        label = int(entry.label == "wuw")
+        for _ in range(copies):
+            snr = float(rng.uniform(*snr_range))
+            yield _mixed_window(entry, cache, noise_pool, snr, rng), label
+
+
+def _split_pools(
     entries: Sequence[ManifestEntry], split: str
 ) -> tuple[list[ManifestEntry], list[ManifestEntry], list[ManifestEntry]]:
+    """(samples, noise pool, RIR pool) of one split, each in manifest order.
+
+    The samples are the wuw, other and noise entries. A split with samples
+    but nothing to mix them with is refused.
+    """
     chosen = [e for e in entries if e.split == split]
-    positives = [e for e in chosen if e.label == "wuw"]
-    negatives = [e for e in chosen if e.label in ("other", "noise")]
+    samples = [e for e in chosen if e.label in ("wuw", "other", "noise")]
     noise_pool = [e for e in chosen if e.label == "noise"]
-    return positives, negatives, noise_pool
+    rir_pool = [e for e in chosen if e.label == "rir"]
+    if samples and not noise_pool:
+        raise DataError(f"no noise entries in split {split!r}")
+    return samples, noise_pool, rir_pool
+
+
+def _test_scores(
+    entries: Sequence[ManifestEntry],
+    score_fn: ScoreFn,
+    snr_ranges: Sequence[tuple[float, float]],
+    seed: int,
+    base_dir,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(scores, labels) of the whole test split once per SNR range.
+
+    Positives come first, each group in manifest order; one generator runs
+    across all ranges.
+    """
+    samples, noise_pool, _ = _split_pools(entries, "test")
+    samples.sort(key=lambda e: e.label != "wuw")
+    cache = _ClipCache(base_dir)
+    rng = np.random.default_rng(seed)
+    out = []
+    for snr_range in snr_ranges:
+        scored = [(score_fn(window), label) for window, label
+                  in _mixed_windows(samples, cache, noise_pool, rng, snr_range)]
+        out.append((np.array([s for s, _ in scored]), np.array([y for _, y in scored])))
+    return out
 
 
 def evaluate(
@@ -237,58 +283,26 @@ def evaluate(
     """Per-SNR-bucket F1 of a pipeline over a manifest's test split."""
     if buckets is None:
         buckets = default_buckets()
-    positives, negatives, noise_pool = _split_samples(entries, "test")
-    if (positives or negatives) and not noise_pool:
-        raise DataError("evaluation needs noise entries in the test split")
-
-    cache = _ClipCache(base_dir)
-    rng = np.random.default_rng(seed)
     results = []
     total = np.zeros(3, dtype=int)  # tp, fp, fn
-    for lo, hi in buckets:
-        tp = fp = fn = 0
-        for entry in positives + negatives:
-            is_pos = entry.label == "wuw"
-            snr = float(rng.uniform(lo, hi))
-            window = _mixed_window(entry, cache, noise_pool, snr, rng)
-            accepted = score_fn(window) >= theta
-            if accepted and is_pos:
-                tp += 1
-            elif accepted and not is_pos:
-                fp += 1
-            elif not accepted and is_pos:
-                fn += 1
-        empty = not (positives or negatives)
-        results.append(
-            BucketResult(lo, hi, tp, fp, fn, None if empty else f1(tp, fp, fn))
-        )
-        total += (tp, fp, fn)
-    return EvalReport(
-        tuple(results), f1(*(int(c) for c in total)), theta, seed
-    )
+    for (lo, hi), (scores, labels) in zip(
+        buckets, _test_scores(entries, score_fn, buckets, seed, base_dir)
+    ):
+        counts = _confusion(scores >= theta, labels == 1)
+        results.append(BucketResult(lo, hi, *counts, f1(*counts) if len(labels) else None))
+        total += counts
+    return EvalReport(tuple(results), f1(*(int(c) for c in total)), theta, seed)
 
 
 def collect_scores(
     entries: Sequence[ManifestEntry],
     score_fn: ScoreFn,
     seed: int = 0,
-    snr_range: tuple[float, float] = SNR_RANGE_DB,
     base_dir=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One scoring pass over the test split at SNRs drawn across the full
     range; returns (scores, labels) for threshold work."""
-    positives, negatives, noise_pool = _split_samples(entries, "test")
-    if (positives or negatives) and not noise_pool:
-        raise DataError("scoring needs noise entries in the test split")
-    cache = _ClipCache(base_dir)
-    rng = np.random.default_rng(seed)
-    scores, labels = [], []
-    for entry in positives + negatives:
-        snr = float(rng.uniform(*snr_range))
-        window = _mixed_window(entry, cache, noise_pool, snr, rng)
-        scores.append(score_fn(window))
-        labels.append(1 if entry.label == "wuw" else 0)
-    return np.array(scores), np.array(labels)
+    return _test_scores(entries, score_fn, [SNR_RANGE_DB], seed, base_dir)[0]
 
 
 @dataclass(frozen=True)
@@ -298,15 +312,6 @@ class SweepPoint:
     recall: float
     f1: float
     best: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "best": self.best,
-        }
 
 
 def threshold_sweep(
@@ -325,10 +330,7 @@ def threshold_sweep(
     scores, labels = collect_scores(entries, score_fn, seed=seed, base_dir=base_dir)
     points = []
     for theta in thetas:
-        accepted = scores >= theta
-        tp = int(np.sum(accepted & (labels == 1)))
-        fp = int(np.sum(accepted & (labels == 0)))
-        fn = int(np.sum(~accepted & (labels == 1)))
+        tp, fp, fn = _confusion(scores >= theta, labels == 1)
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         points.append(SweepPoint(float(theta), precision, recall, f1(tp, fp, fn), False))
@@ -356,7 +358,6 @@ def ensemble_pipeline(
     device_scorer: Scorer,
     members: Sequence[Scorer],
     fusion: FusionModel,
-    device_member_id: str = "device",
 ) -> ScoreFn:
     """Offline two-phase pipeline: device log-odds stacked with the members'
     verification-config log-odds, fused to one p_pos.
@@ -366,7 +367,7 @@ def ensemble_pipeline(
     """
     core = Ensemble([device_scorer, *members])
     configs = [preset(c) for c in core.config_ids]
-    ids = (device_member_id,) + core.member_ids[1:]
+    ids = (DEVICE_MEMBER_ID,) + core.member_ids[1:]
 
     def score(clip: AudioClip) -> float:
         feats = {cfg.config_id: mfcc(clip, cfg).values[None] for cfg in configs}
@@ -384,45 +385,41 @@ def build_feature_dataset(
     split: str,
     seed: int = 0,
     copies: int = 1,
-    snr_range: tuple[float, float] = SNR_RANGE_DB,
-    rir_prob: float = 0.5,
     base_dir=None,
 ) -> list[tuple[FeatureMatrix, int]]:
     """Windowed, noise-mixed features for one manifest split.
 
-    Each wuw/other/noise sample yields ``copies`` windows mixed at SNRs drawn
-    uniformly from ``snr_range``; speech windows pass through a random room
-    impulse response with probability ``rir_prob`` when RIR entries exist.
-    Sources are normalized on load; the mixture itself is not rescaled.
+    Each wuw/other/noise sample yields ``copies`` windows. Draws per window:
+    the cut; for speech, when the split has RIR entries, a coin that
+    reverberates with probability ``_RIR_PROB`` and on heads the RIR index;
+    the noise index; and the SNR (``draw_snr``) only when neither window nor
+    noise is silent. Unlike ``_mixed_windows`` the SNR comes last; the order
+    is kept because it fixes which training windows a seed gives. Sources
+    are normalized on load; the mixture itself is not rescaled.
     """
-    chosen = [e for e in entries if e.split == split]
-    samples = [e for e in chosen if e.label in ("wuw", "other", "noise")]
-    noise_pool = [e for e in chosen if e.label == "noise"]
-    rir_pool = [e for e in chosen if e.label == "rir"]
+    samples, noise_pool, rir_pool = _split_pools(entries, split)
     if not samples:
         raise DataError(f"no usable entries in split {split!r}")
-    if not noise_pool:
-        raise DataError(f"no noise entries in split {split!r}")
 
     cache = _ClipCache(base_dir)
     rng = np.random.default_rng(seed)
     dataset = []
     for entry in samples:
         clip = cache.get(entry.path)
+        span = entry.span if entry.label == "wuw" else None
+        label = int(entry.label == "wuw")
         for _ in range(copies):
-            span = entry.span if entry.label == "wuw" else None
             window = extract_window(clip, WINDOW_S, span=span, rng=rng)
             if (
                 rir_pool
                 and entry.label in ("wuw", "other")
-                and rng.uniform() < rir_prob
+                and rng.uniform() < _RIR_PROB
             ):
                 rir = cache.get(rir_pool[int(rng.integers(len(rir_pool)))].path)
                 window = convolve_rir(window, rir)
             noise = cache.get(noise_pool[int(rng.integers(len(noise_pool)))].path)
             if measure_power(window) > 0.0 and measure_power(noise) > 0.0:
-                window = mix_at_snr(window, noise, float(rng.uniform(*snr_range)))
-            label = 1 if entry.label == "wuw" else 0
+                window = mix_at_snr(window, noise, draw_snr(rng))
             dataset.append((mfcc(window, config), label))
     return dataset
 
@@ -434,44 +431,30 @@ def build_score_dataset(
     split: str,
     seed: int = 0,
     copies: int = 1,
-    device_member_id: str = "device",
     base_dir=None,
 ) -> ScoreDataset:
     """Member log-odds rows for fusion training, device column first.
 
-    Windows are scored as a batch, in chunks; each window's MFCC is computed
-    once per feature config.
+    Windows come from ``_mixed_windows`` over the full SNR range and are
+    scored in batches of ``_SCORE_BATCH``; each window's MFCC is computed
+    once per feature config, as the window is drawn, so a batch holds
+    features and not audio.
     """
     core = Ensemble([device_scorer, *members])
     configs = [preset(c) for c in core.config_ids]
-    ids = (device_member_id,) + core.member_ids[1:]
+    ids = (DEVICE_MEMBER_ID,) + core.member_ids[1:]
+    samples, noise_pool, _ = _split_pools(entries, split)
+    if not samples:
+        raise DataError(f"no usable entries in split {split!r}")
 
-    chosen = [e for e in entries if e.split == split]
-    samples = [e for e in chosen if e.label in ("wuw", "other", "noise")]
-    noise_pool = [e for e in chosen if e.label == "noise"]
-    if not samples or not noise_pool:
-        raise DataError(f"split {split!r} lacks samples or noise entries")
-
-    cache = _ClipCache(base_dir)
-    rng = np.random.default_rng(seed)
-    rows, labels, pending = [], [], []
-
-    def score_pending():
-        feats = {cfg.config_id: np.stack([w[i] for w in pending])
-                 for i, cfg in enumerate(configs)}
-        rows.append(core.log_odds(feats))
-        pending.clear()
-
-    for entry in samples:
-        for _ in range(copies):
-            snr = float(rng.uniform(*SNR_RANGE_DB))
-            window = _mixed_window(entry, cache, noise_pool, snr, rng)
-            pending.append([mfcc(window, cfg).values for cfg in configs])
-            labels.append(1 if entry.label == "wuw" else 0)
-            if len(pending) == _SCORE_BATCH:
-                score_pending()
-    if pending:
-        score_pending()
+    windows = _mixed_windows(samples, _ClipCache(base_dir), noise_pool,
+                             np.random.default_rng(seed), SNR_RANGE_DB, copies)
+    rows, labels = [], []
+    while batch := [([mfcc(window, cfg).values for cfg in configs], label)
+                    for window, label in islice(windows, _SCORE_BATCH)]:
+        rows.append(core.log_odds({cfg.config_id: np.stack([f[i] for f, _ in batch])
+                                   for i, cfg in enumerate(configs)}))
+        labels.extend(label for _, label in batch)
     log_odds = np.concatenate(rows) if rows else np.empty((0, len(ids)))
     return ScoreDataset(log_odds, np.array(labels), ids)
 
@@ -488,16 +471,6 @@ class RtfReport:
     median_forward_ms: float
     n_runs: int
     window_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "median_rtf": self.median_rtf,
-            "p95_rtf": self.p95_rtf,
-            "median_feature_ms": self.median_feature_ms,
-            "median_forward_ms": self.median_forward_ms,
-            "n_runs": self.n_runs,
-            "window_s": self.window_s,
-        }
 
 
 def rtf(elapsed_s: float, window_s: float = WINDOW_S) -> float:

@@ -16,15 +16,14 @@ import numpy as np
 from .errors import DataError, ModelError
 from .features import FeatureMatrix
 from .nnet import (
-    Adam,
     GRUStack,
-    PlateauSchedule,
     Scorer,
     ScorePair,
     TrainSpec,
     WeightStore,
     _ce_batch,
     _uniform,
+    fit,
     gru_stack_key,
     softmax2,
 )
@@ -34,6 +33,10 @@ from .nnet import (
 PROB_CLAMP = 1e-7
 
 FUSION_HIDDEN = 16
+
+# The id of the device's column in every stacked log-odds row: the device
+# score is always the first fusion input.
+DEVICE_MEMBER_ID = "device"
 
 
 @dataclass(eq=False)
@@ -287,24 +290,12 @@ def train_fusion(
         _uniform(rng, (2, hidden), hidden),
         _uniform(rng, 2, hidden),
     ]
-    adam = Adam(params, spec.lr0)
-    schedule = PlateauSchedule(spec)
-    best = [p.copy() for p in params]
-    n = len(dataset)
-    for _ in range(spec.max_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            idx = order[start : start + spec.batch_size]
-            _, grads = mlp_grads(params, dataset.log_odds[idx], dataset.labels[idx])
-            adam.step(grads)
-        val_loss, _ = _ce_batch(mlp_forward(params, valid.log_odds), valid.labels)
-        action = schedule.observe(val_loss)
-        if action == PlateauSchedule.IMPROVED:
-            best = [p.copy() for p in params]
-        elif action == PlateauSchedule.REDUCE:
-            adam.lr *= spec.lr_decay_factor
-        elif action == PlateauSchedule.STOP:
-            break
+    best = fit(
+        params,
+        lambda idx: mlp_grads(params, dataset.log_odds[idx], dataset.labels[idx])[1],
+        lambda: _ce_batch(mlp_forward(params, valid.log_odds), valid.labels)[0],
+        len(dataset), spec, rng,
+    )
 
     tensors = {"fc1.w": best[0], "fc1.b": best[1], "fc2.w": best[2], "fc2.b": best[3]}
     meta = {

@@ -697,6 +697,39 @@ class PlateauSchedule:
         return self.CONTINUE
 
 
+def fit(
+    params: list[np.ndarray],
+    grads: Callable[[np.ndarray], Sequence[np.ndarray]],
+    val_loss: Callable[[], float],
+    n: int,
+    spec: TrainSpec,
+    rng: np.random.Generator,
+) -> list[np.ndarray]:
+    """The training loop of ``train_classifier`` and ``train_fusion``: Adam
+    on ``params`` in place under the plateau schedule; returns copies of the
+    params at the best ``val_loss()``, which is observed after each epoch.
+
+    Draw order: one ``rng.permutation(n)`` per epoch, then an Adam step on
+    ``grads(idx)`` for each ``spec.batch_size`` slice of it; nothing else
+    draws from ``rng``.
+    """
+    adam = Adam(params, spec.lr0)
+    schedule = PlateauSchedule(spec)
+    best = [p.copy() for p in params]
+    for _ in range(spec.max_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, spec.batch_size):
+            adam.step(grads(order[start : start + spec.batch_size]))
+        action = schedule.observe(val_loss())
+        if action == PlateauSchedule.IMPROVED:
+            best = [p.copy() for p in params]
+        elif action == PlateauSchedule.REDUCE:
+            adam.lr *= spec.lr_decay_factor
+        elif action == PlateauSchedule.STOP:
+            break
+    return best
+
+
 def linear_grads(
     w: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -744,23 +777,12 @@ def train_classifier(
     w = _uniform(rng, (2, dim), dim)
     b = _uniform(rng, 2, dim)
 
-    adam = Adam([w, b], spec.lr0)
-    schedule = PlateauSchedule(spec)
-    best = (w.copy(), b.copy())
-    for _ in range(spec.max_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            idx = order[start : start + spec.batch_size]
-            _, dw, db = linear_grads(w, b, xt[idx], y_train[idx])
-            adam.step([dw, db])
-        val_loss, _ = _ce_batch(xv @ w.T + b, y_valid)
-        action = schedule.observe(val_loss)
-        if action == PlateauSchedule.IMPROVED:
-            best = (w.copy(), b.copy())
-        elif action == PlateauSchedule.REDUCE:
-            adam.lr *= spec.lr_decay_factor
-        elif action == PlateauSchedule.STOP:
-            break
+    best = fit(
+        [w, b],
+        lambda idx: linear_grads(w, b, xt[idx], y_train[idx])[1:],
+        lambda: _ce_batch(xv @ w.T + b, y_valid)[0],
+        n, spec, rng,
+    )
 
     tensors = {
         "norm.mean": mean,

@@ -37,7 +37,7 @@ from .errors import (
     ProtocolError,
 )
 from .features import CLOUD, DEVICE, FeatureConfig, FeatureMatrix, frame_count, mfcc, preset
-from .fusion import Ensemble, FusionModel, LogOddsVector, fuse, log_odds
+from .fusion import DEVICE_MEMBER_ID, Ensemble, FusionModel, LogOddsVector, fuse, log_odds
 from .nnet import Scorer, softmax2
 
 _log = logging.getLogger(__name__)
@@ -48,6 +48,9 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 FLAG_OBFUSCATED = 0x01
 
 _REQ_FIXED = struct.Struct("<BBBQfHH")
+
+# The device agent scores a WINDOW_S window every this many device hops.
+_STRIDE_HOPS = 2
 
 
 class Verdict(IntEnum):
@@ -273,7 +276,8 @@ def read_frame(stream: BinaryIO) -> bytes:
 class DeviceAgent:
     """Streaming first-phase detector.
 
-    Scores the trailing analysis window at a fixed stride; when the score
+    Scores the trailing ``WINDOW_S`` window every ``_STRIDE_HOPS`` device
+    hops, the window whose cloud features the server takes; when the score
     clears the threshold outside the refractory period, it emits a
     DetectionEvent plus a VerifyRequest carrying verification-resolution
     features of the same window. Audio older than the bounded buffer is
@@ -290,8 +294,6 @@ class DeviceAgent:
         scorer: Scorer,
         theta_device: float = 0.5,
         refractory_s: float = 1.0,
-        stride_hops: int = 2,
-        window_s: float = WINDOW_S,
         key: int | None = None,
         max_buffer_s: float = 10.0,
     ):
@@ -306,9 +308,8 @@ class DeviceAgent:
         self._cloud_cfg = CLOUD
         self._rate = device_cfg.sample_rate_hz
         self._threshold_lo = log_odds(theta_device, 1.0 - theta_device)
-        self._window = int(round(window_s * self._rate))
-        self._window_s = window_s
-        self._stride = stride_hops * device_cfg.hop_samples
+        self._window = int(round(WINDOW_S * self._rate))
+        self._stride = _STRIDE_HOPS * device_cfg.hop_samples
         self._refractory = int(round(refractory_s * self._rate))
         self._capacity = max(int(round(max_buffer_s * self._rate)), self._window)
         self._buf = np.zeros(0, dtype=np.float64)
@@ -377,38 +378,11 @@ def verify_request(
     members: Sequence[Scorer],
     fusion: FusionModel,
     theta_cloud: float = 0.5,
-    device_member_id: str = "device",
 ) -> VerifyResponse:
-    """Pure second-phase verification: run every member on the shipped
-    features, stack the device score first, fuse, and threshold.
-
-    The ensemble core is built for this one call; VerificationServer builds
-    it once and checks the request's shape first.
-    """
-    return _verify(req, Ensemble(members), fusion, theta_cloud, device_member_id)
-
-
-def _verify(
-    req: VerifyRequest,
-    core: Ensemble,
-    fusion: FusionModel,
-    theta_cloud: float,
-    device_member_id: str,
-) -> VerifyResponse:
-    fm = FeatureMatrix(req.features, req.config_id)
-    for member in core.scorers:
-        if member.config_id != req.config_id:
-            raise ModelError(
-                f"member {member.member_id!r} expects config {member.config_id}, "
-                f"request carries {req.config_id}"
-            )
-    values = core.log_odds({fm.config_id: fm.values[None]})[0]
-    ids = (device_member_id,) + core.member_ids
-    z = LogOddsVector(np.concatenate(([req.device_log_odds], values)), ids)
-    fused = fuse(z, fusion)
-    p_pos, _ = softmax2(fused)
-    verdict = Verdict.ACCEPT if np.float32(p_pos) >= theta_cloud else Verdict.REJECT
-    return VerifyResponse(verdict, p_pos, z.values.astype(np.float32))
+    """One-shot second-phase verification: ``VerificationServer.verify`` on
+    a server built for this one call, so it checks the same member, fusion
+    and request shape contract."""
+    return VerificationServer(members, fusion, theta_cloud).verify(req)
 
 
 def _window_shape(config: FeatureConfig) -> tuple[int, int]:
@@ -435,9 +409,8 @@ class VerificationServer:
         fusion: FusionModel,
         theta_cloud: float = 0.5,
         key: int | None = None,
-        device_member_id: str = "device",
     ):
-        expected = (device_member_id,) + tuple(m.member_id for m in members)
+        expected = (DEVICE_MEMBER_ID,) + tuple(m.member_id for m in members)
         if fusion.member_ids != expected:
             raise ModelError(
                 f"fusion members {fusion.member_ids} do not match {expected}"
@@ -451,7 +424,6 @@ class VerificationServer:
         self.fusion = fusion
         self.theta_cloud = theta_cloud
         self.key = key
-        self.device_member_id = device_member_id
         self.input_shape = _window_shape(CLOUD)
         self._core = Ensemble(self.members)
         self._tcp: socketserver.ThreadingTCPServer | None = None
@@ -471,13 +443,24 @@ class VerificationServer:
         return encode_response(resp), True
 
     def verify(self, req: VerifyRequest) -> VerifyResponse:
+        """Run every member on the shipped features, stack the device score
+        first, fuse, and threshold."""
         if (req.n_frames, req.n_coeffs) != self.input_shape:
             raise DataError(
                 f"request features are {req.n_frames} x {req.n_coeffs}, "
                 f"the server takes {self.input_shape[0]} x {self.input_shape[1]}"
             )
-        return _verify(req, self._core, self.fusion, self.theta_cloud,
-                       self.device_member_id)
+        if req.config_id != CLOUD.config_id:
+            raise ModelError(
+                f"members expect config {CLOUD.config_id}, request carries {req.config_id}"
+            )
+        fm = FeatureMatrix(req.features, req.config_id)
+        values = self._core.log_odds({fm.config_id: fm.values[None]})[0]
+        z = LogOddsVector(np.concatenate(([req.device_log_odds], values)),
+                          (DEVICE_MEMBER_ID,) + self._core.member_ids)
+        p_pos, _ = softmax2(fuse(z, self.fusion))
+        verdict = Verdict.ACCEPT if np.float32(p_pos) >= self.theta_cloud else Verdict.REJECT
+        return VerifyResponse(verdict, p_pos, z.values.astype(np.float32))
 
     # TCP wiring
 

@@ -1,0 +1,99 @@
+"""End to end through ``wuw``'s command line, in process, on a tiny corpus."""
+
+import json
+
+import numpy as np
+import pytest
+
+from wuw.audio import write_wav
+from wuw.cli import main
+from wuw.synth import make_chirp_task, make_stream
+
+TRAIN = ["--epochs", "5", "--seed", "1"]
+BUCKET_KEYS = {"snr_lo", "snr_hi", "tp", "fp", "fn", "f1"}
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli")
+    manifest = make_chirp_task(base / "corpus", n_train=10, n_valid=5, n_test=5, seed=2)
+    return base, str(manifest)
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    return code, capsys.readouterr().out
+
+
+class TestPipeline:
+    def test_train_fuse_eval_sweep_detect(self, work, capsys):
+        base, manifest = work
+        device, cloud, fused = base / "device.wuwm", base / "cloud.wuwm", base / "fusion.wuwm"
+        assert run(capsys, "train", "--manifest", manifest, "--out", device, *TRAIN)[0] == 0
+        assert run(capsys, "train", "--manifest", manifest, "--out", cloud,
+                   "--config", "cloud", *TRAIN)[0] == 0
+        assert run(capsys, "fuse-train", "--manifest", manifest, "--out", fused,
+                   "--device-weights", device, "--member", cloud, *TRAIN)[0] == 0
+
+        out = base / "eval.json"
+        assert run(capsys, "eval", "--manifest", manifest, "--device-weights", device,
+                   "--member", cloud, "--fusion", fused, "--buckets", "3",
+                   "--out", out)[0] == 0
+        report = json.loads(out.read_text())
+        assert set(report) == {"theta", "seed", "overall_f1", "buckets"}
+        assert len(report["buckets"]) == 3
+        assert all(set(b) == BUCKET_KEYS for b in report["buckets"])
+
+        out = base / "sweep.json"
+        assert run(capsys, "sweep", "--manifest", manifest, "--weights", device,
+                   "--steps", "5", "--out", out)[0] == 0
+        points = json.loads(out.read_text())
+        assert len(points) == 5
+        assert all(set(p) == {"theta", "precision", "recall", "f1", "best"} for p in points)
+        assert sum(p["best"] for p in points) == 1
+
+        stream, _ = make_stream(np.random.default_rng(4), n_keywords=2, gap_s=3.0)
+        wav = base / "stream.wav"
+        write_wav(stream, wav, encoding="float32")
+        dumps = base / "requests"
+        # theta 0 fires on every window outside the refractory period
+        code, text = run(capsys, "detect", wav, "--device-weights", device,
+                         "--theta-device", "0", "--refractory", "2",
+                         "--dump-requests", dumps)
+        assert code == 0
+        events = [json.loads(line) for line in text.splitlines()]
+        assert len(events) >= 2
+        assert all(set(e) == {"window_start_sample", "device_log_odds", "threshold"}
+                   for e in events)
+        assert len(list(dumps.glob("req_*.wuwp"))) == len(events)
+
+    def test_augment_writes_one_file_per_window(self, work, capsys):
+        base, manifest = work
+        out = base / "augmented"
+        assert run(capsys, "augment", "--manifest", manifest, "--out-dir", out,
+                   "--split", "valid", "--copies", "2")[0] == 0
+        lines = [json.loads(line)
+                 for line in (out / "features.jsonl").read_text().splitlines()]
+        assert len(lines) == 2 * 5
+        assert all(set(x) == {"path", "label"} and (out / x["path"]).exists()
+                   for x in lines)
+
+    def test_bench_prints_an_rtf_report(self, capsys):
+        code, text = run(capsys, "bench", "--runs", "10")
+        assert code == 0
+        assert set(json.loads(text)) == {
+            "median_rtf", "p95_rtf", "median_feature_ms", "median_forward_ms",
+            "n_runs", "window_s"}
+
+
+class TestExitCodes:
+    def test_missing_manifest_option_is_a_usage_error(self, capsys):
+        assert run(capsys, "eval", "--weights", "w.wuwm")[0] == 1
+
+    def test_missing_manifest_file_is_a_data_error(self, tmp_path, capsys):
+        assert run(capsys, "eval", "--manifest", tmp_path / "absent.jsonl",
+                   "--weights", "w.wuwm")[0] == 2
+
+    def test_fusion_without_device_weights_is_a_model_error(self, work, capsys):
+        _, manifest = work
+        assert run(capsys, "eval", "--manifest", manifest, "--fusion", "f.wuwm")[0] == 3

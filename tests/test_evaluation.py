@@ -6,6 +6,7 @@ from wuw.evaluation import (
     _ClipCache,
     _mixed_window,
     build_score_dataset,
+    collect_scores,
     ensemble_pipeline,
     evaluate,
     f1,
@@ -122,3 +123,58 @@ class TestBuildScoreDataset:
         assert len(data) == len(rows) > 32
         np.testing.assert_array_equal(data.labels, labels)
         np.testing.assert_allclose(data.log_odds, rows, rtol=0, atol=1e-12)
+
+
+def oracle_windows(entries, base, seed, ranges):
+    """The test-split windows, recomputed one by one: positives first, one
+    generator across all SNR ranges, the SNR drawn before the window."""
+    test = [e for e in entries if e.split == "test"]
+    samples = ([e for e in test if e.label == "wuw"]
+               + [e for e in test if e.label in ("other", "noise")])
+    noise_pool = [e for e in test if e.label == "noise"]
+    cache = _ClipCache(base)
+    rng = np.random.default_rng(seed)
+    windows = []
+    for lo, hi in ranges:
+        for entry in samples:
+            snr = float(rng.uniform(lo, hi))
+            windows.append((_mixed_window(entry, cache, noise_pool, snr, rng),
+                            int(entry.label == "wuw")))
+    return windows
+
+
+class TestWindowOrder:
+    def test_evaluate_scores_the_oracle_windows(self, corpus):
+        entries, base = corpus
+        seen = []
+
+        def score(clip):
+            seen.append(clip.samples)
+            return float(np.mean(np.abs(clip.samples)))
+
+        buckets = [(-10.0, 10.0), (10.0, 30.0), (30.0, 50.0)]
+        report = evaluate(entries, score, theta=0.1, buckets=buckets, seed=8,
+                          base_dir=base)
+        want = oracle_windows(entries, base, 8, buckets)
+        assert len(seen) == len(want)
+        for got, (window, _) in zip(seen, want):
+            np.testing.assert_array_equal(got, window.samples)
+        n = len(want) // len(buckets)
+        for b, bucket in enumerate(report.buckets):
+            rows = want[b * n : (b + 1) * n]
+            accepted = [score(w) >= 0.1 for w, _ in rows]
+            assert (bucket.tp, bucket.fp, bucket.fn) == (
+                sum(a and y for a, (_, y) in zip(accepted, rows)),
+                sum(a and not y for a, (_, y) in zip(accepted, rows)),
+                sum(not a and y for a, (_, y) in zip(accepted, rows)))
+
+    def test_collect_scores_scores_the_oracle_windows(self, corpus):
+        entries, base = corpus
+
+        def score(clip):
+            return float(np.mean(np.abs(clip.samples)))
+
+        scores, labels = collect_scores(entries, score, seed=9, base_dir=base)
+        want = oracle_windows(entries, base, 9, [SNR_RANGE_DB])
+        np.testing.assert_array_equal(scores, [score(w) for w, _ in want])
+        np.testing.assert_array_equal(labels, [y for _, y in want])
