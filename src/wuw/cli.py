@@ -26,10 +26,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_key(text: str | None) -> int | None:
-    if text is None:
-        return None
-    return int(text, 0) & 0xFFFFFFFFFFFFFFFF
+# argparse ``type=`` parsers: a malformed value is a usage error (exit 1).
+
+def _parse_key(text: str) -> int:
+    try:
+        return int(text, 0) & 0xFFFFFFFFFFFFFFFF
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an int: {text!r}") from None
+
+
+def _parse_server(text: str) -> tuple[str, int]:
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdigit() or not 0 < int(port) < 65536:
+        raise argparse.ArgumentTypeError(f"not host:port: {text!r}")
+    return host, int(port)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
 
 
 def _config_by_name(name: str) -> features.FeatureConfig:
@@ -151,19 +168,13 @@ def cmd_fuse_train(args) -> int:
 
 def cmd_detect(args) -> int:
     device = _load_scorer(args.device_weights, member_id=fusion.DEVICE_MEMBER_ID)
-    key = _parse_key(args.key)
     agent = wire.DeviceAgent(
         device,
         theta_device=args.theta_device,
         refractory_s=args.refractory,
-        key=key,
+        key=args.key,
     )
     clip = audio.read_wav(args.wav)
-    server_addr = None
-    if args.server:
-        host, _, port = args.server.rpartition(":")
-        server_addr = (host, int(port))
-
     chunk = int(args.chunk_ms * clip.sample_rate_hz / 1000)
     emitted = 0
     for start in range(0, len(clip), chunk):
@@ -174,17 +185,17 @@ def cmd_detect(args) -> int:
                 "device_log_odds": event.device_log_odds,
                 "threshold": event.threshold,
             }
-            if server_addr is not None:
-                resp = wire.request_verification(server_addr, request, key=key)
+            if args.server is not None:
+                resp = wire.request_verification(args.server, request, key=args.key)
                 record["verdict"] = resp.verdict.name.lower()
                 record["fused_p_pos"] = resp.fused_p_pos
             if args.dump_requests:
                 dump_dir = Path(args.dump_requests)
                 dump_dir.mkdir(parents=True, exist_ok=True)
-                frame = wire.encode_request(request, key=key)
+                frame = wire.encode_request(request, key=args.key)
                 (dump_dir / f"req_{event.window_start_sample}.wuwp").write_bytes(frame)
             print(json.dumps(record, sort_keys=True))
-    print(f"{emitted} events, {agent.dropped_windows} dropped windows", file=sys.stderr)
+    print(f"{emitted} events", file=sys.stderr)
     return 0
 
 
@@ -192,7 +203,7 @@ def cmd_serve(args) -> int:
     members = _load_members(args.member)
     model = fusion.load_fusion(args.fusion)
     server = wire.VerificationServer(
-        members, model, theta_cloud=args.theta_cloud, key=_parse_key(args.key)
+        members, model, theta_cloud=args.theta_cloud, key=args.key
     )
     server.serve_forever(args.host, args.port)
     return 0
@@ -233,18 +244,6 @@ def cmd_sweep(args) -> int:
     if args.out:
         payload = json.dumps([asdict(p) for p in points], indent=2, sort_keys=True)
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    if args.weights:
-        scorer = _load_scorer(args.weights)
-    else:
-        config = _config_by_name(args.config)
-        ws = nnet.init_gru_scorer(config, seed=args.seed)
-        scorer = nnet.make_scorer(ws, member_id="sgru")
-    report = evaluation.bench_rtf(scorer, n_runs=args.runs, seed=args.seed)
-    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return 0
 
 
@@ -302,9 +301,10 @@ def build_parser() -> _Parser:
     p.add_argument("--device-weights", required=True)
     p.add_argument("--theta-device", type=float, default=0.5)
     p.add_argument("--refractory", type=float, default=1.0)
-    p.add_argument("--chunk-ms", type=int, default=100)
-    p.add_argument("--server", help="host:port of a verification server")
-    p.add_argument("--key", help="pre-shared obfuscation key (int)")
+    p.add_argument("--chunk-ms", type=_positive_int, default=100)
+    p.add_argument("--server", type=_parse_server,
+                   help="host:port of a verification server")
+    p.add_argument("--key", type=_parse_key, help="pre-shared obfuscation key (int)")
     p.add_argument("--dump-requests", help="directory for raw request frames")
     p.set_defaults(func=cmd_detect)
 
@@ -314,7 +314,7 @@ def build_parser() -> _Parser:
     p.add_argument("--member", action="append", required=True)
     p.add_argument("--fusion", required=True)
     p.add_argument("--theta-cloud", type=float, default=0.5)
-    p.add_argument("--key", help="pre-shared obfuscation key (int)")
+    p.add_argument("--key", type=_parse_key, help="pre-shared obfuscation key (int)")
     p.set_defaults(func=cmd_serve)
 
     def common_eval(p):
@@ -339,13 +339,6 @@ def build_parser() -> _Parser:
     p.add_argument("--theta-max", type=float, default=0.95)
     p.add_argument("--steps", type=int, default=19)
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("bench", help="real-time-factor benchmark")
-    p.add_argument("--weights")
-    p.add_argument("--config", choices=("device", "cloud"), default="device")
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

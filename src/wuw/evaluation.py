@@ -1,5 +1,4 @@
-"""Dataset manifests, per-SNR-bucket F1 evaluation, threshold sweeps, and
-real-time-factor benchmarking.
+"""Dataset manifests, per-SNR-bucket F1 evaluation and threshold sweeps.
 
 Manifests are UTF-8 JSONL, one entry per line:
 ``{"path": ..., "label": "wuw|other|noise|rir", "split": "train|valid|test",
@@ -27,8 +26,6 @@ agent likewise scores its samples as fed.
 from __future__ import annotations
 
 import json
-import statistics
-import time
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
@@ -458,65 +455,3 @@ def build_score_dataset(
     log_odds = np.concatenate(rows) if rows else np.empty((0, len(ids)))
     return ScoreDataset(log_odds, np.array(labels), ids)
 
-
-# -- Benchmarking ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RtfReport:
-    """Real-time factor statistics for one scorer over the analysis window."""
-
-    median_rtf: float
-    p95_rtf: float
-    median_feature_ms: float
-    median_forward_ms: float
-    n_runs: int
-    window_s: float
-
-
-def rtf(elapsed_s: float, window_s: float = WINDOW_S) -> float:
-    """Real-time factor: processing time over audio duration."""
-    return elapsed_s / window_s
-
-
-def bench_rtf(
-    scorer: Scorer,
-    n_runs: int = 50,
-    warmup: int = 3,
-    clip: AudioClip | None = None,
-    seed: int = 0,
-) -> RtfReport:
-    """Time feature extraction plus one forward pass on a single window.
-
-    The timed region is strictly single-threaded; feature and forward times
-    are reported separately as well as combined.
-    """
-    if n_runs < 10:
-        raise ValueError("need at least 10 runs")
-    config = preset(scorer.config_id)
-    if clip is None:
-        rng = np.random.default_rng(seed)
-        clip = AudioClip(
-            rng.uniform(-0.5, 0.5, int(WINDOW_S * config.sample_rate_hz)),
-            config.sample_rate_hz,
-        )
-    for _ in range(warmup):
-        scorer.fn(mfcc(clip, config))
-
-    rtfs, feature_ms, forward_ms = [], [], []
-    for _ in range(n_runs):
-        t0 = time.perf_counter()
-        fm = mfcc(clip, config)
-        t1 = time.perf_counter()
-        scorer.fn(fm)
-        t2 = time.perf_counter()
-        rtfs.append(rtf(t2 - t0, clip.duration_s))
-        feature_ms.append((t1 - t0) * 1e3)
-        forward_ms.append((t2 - t1) * 1e3)
-    return RtfReport(
-        median_rtf=statistics.median(rtfs),
-        p95_rtf=float(np.percentile(rtfs, 95)),
-        median_feature_ms=statistics.median(feature_ms),
-        median_forward_ms=statistics.median(forward_ms),
-        n_runs=n_runs,
-        window_s=clip.duration_s,
-    )

@@ -611,12 +611,17 @@ def make_scorer(ws: WeightStore, member_id: str | None = None) -> Scorer:
 
 # -- Training --------------------------------------------------------------
 
+LR_DECAY_FACTOR = 0.1
+MIN_IMPROVEMENT = 1e-4
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class TrainSpec:
     """Optimization recipe: Adam, cross-entropy, and an LR plateau schedule.
 
-    The learning rate drops by ``lr_decay_factor`` whenever validation loss
-    has not improved by more than ``min_improvement`` for
+    The learning rate drops by ``LR_DECAY_FACTOR`` whenever validation loss
+    has not improved by more than ``MIN_IMPROVEMENT`` for
     ``plateau_patience`` epochs; training stops once ``max_lr_reductions``
     consecutive reductions have passed without a new best.
     """
@@ -624,10 +629,8 @@ class TrainSpec:
     batch_size: int = 128
     lr0: float = 1e-3
     max_epochs: int = 700
-    lr_decay_factor: float = 0.1
     plateau_patience: int = 5
     max_lr_reductions: int = 4
-    min_improvement: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
@@ -635,7 +638,6 @@ class TrainSpec:
             self.batch_size < 1
             or self.lr0 <= 0
             or self.max_epochs < 0
-            or not (0 < self.lr_decay_factor < 1)
             or self.plateau_patience < 1
             or self.max_lr_reductions < 1
         ):
@@ -645,18 +647,16 @@ class TrainSpec:
 class Adam:
     """Adam over a list of float64 parameter arrays, updated in place."""
 
-    def __init__(self, params: list[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             m *= b1
             m += (1 - b1) * g
@@ -664,7 +664,7 @@ class Adam:
             v += (1 - b2) * np.square(g)
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class PlateauSchedule:
@@ -682,7 +682,7 @@ class PlateauSchedule:
         self.reductions = 0
 
     def observe(self, loss: float) -> str:
-        if loss < self.best - self.spec.min_improvement:
+        if loss < self.best - MIN_IMPROVEMENT:
             self.best = loss
             self.epochs_since_improve = 0
             self.reductions = 0
@@ -724,7 +724,7 @@ def fit(
         if action == PlateauSchedule.IMPROVED:
             best = [p.copy() for p in params]
         elif action == PlateauSchedule.REDUCE:
-            adam.lr *= spec.lr_decay_factor
+            adam.lr *= LR_DECAY_FACTOR
         elif action == PlateauSchedule.STOP:
             break
     return best

@@ -276,12 +276,18 @@ def read_frame(stream: BinaryIO) -> bytes:
 class DeviceAgent:
     """Streaming first-phase detector.
 
-    Scores the trailing ``WINDOW_S`` window every ``_STRIDE_HOPS`` device
-    hops, the window whose cloud features the server takes; when the score
-    clears the threshold outside the refractory period, it emits a
-    DetectionEvent plus a VerifyRequest carrying verification-resolution
-    features of the same window. Audio older than the bounded buffer is
-    dropped and counted in ``dropped_windows``.
+    Scores every ``WINDOW_S`` window that starts on a ``_STRIDE_HOPS``
+    device-hop stride, the window whose cloud features the server takes;
+    when the score clears the threshold outside the refractory period, it
+    emits a DetectionEvent plus a VerifyRequest carrying
+    verification-resolution features of the same window.
+
+    Buffer rule: ``feed`` appends the chunk to the carried samples, scores
+    every complete window, then keeps a copy of the samples from the next
+    window's start onward, fewer than one window. So no window is ever
+    skipped and the events do not depend on how the stream is cut into
+    chunks. ``dropped_windows`` stays for callers that read it and is
+    always 0.
 
     There is no gain normalization anywhere in the device path: samples are
     scored as fed, and the device and cloud features of a window are both
@@ -295,7 +301,6 @@ class DeviceAgent:
         theta_device: float = 0.5,
         refractory_s: float = 1.0,
         key: int | None = None,
-        max_buffer_s: float = 10.0,
     ):
         device_cfg = preset(scorer.config_id)
         if device_cfg.config_id != DEVICE.config_id:
@@ -311,11 +316,8 @@ class DeviceAgent:
         self._window = int(round(WINDOW_S * self._rate))
         self._stride = _STRIDE_HOPS * device_cfg.hop_samples
         self._refractory = int(round(refractory_s * self._rate))
-        self._capacity = max(int(round(max_buffer_s * self._rate)), self._window)
         self._buf = np.zeros(0, dtype=np.float64)
-        self._buf_start = 0  # absolute index of _buf[0]
-        self._total = 0  # absolute count of samples consumed
-        self._next_eval = self._window  # absolute end index of the next window
+        self._buf_start = 0  # absolute index of _buf[0], the next window's start
         self._last_event_start: int | None = None
         self.dropped_windows = 0
 
@@ -326,25 +328,17 @@ class DeviceAgent:
         )
         if isinstance(chunk, AudioClip) and chunk.sample_rate_hz != self._rate:
             raise ModelError(f"agent runs at {self._rate} Hz")
-        self._total += samples.size
-        self._buf = np.concatenate([self._buf, samples])
-        if self._buf.size > self._capacity:
-            cut = self._buf.size - self._capacity
-            self._buf = self._buf[cut:]
-            self._buf_start += cut
-
+        buf = np.concatenate([self._buf, samples])
         fired = []
-        while self._next_eval <= self._total:
-            end = self._next_eval
-            start = end - self._window
-            self._next_eval += self._stride
-            if start < self._buf_start:
-                self.dropped_windows += 1
-                continue
-            window = self._buf[start - self._buf_start : end - self._buf_start]
-            result = self._score_window(window, start)
+        start = 0
+        while start + self._window <= buf.size:
+            result = self._score_window(buf[start : start + self._window],
+                                        self._buf_start + start)
             if result is not None:
                 fired.append(result)
+            start += self._stride
+        self._buf = buf[start:].copy()
+        self._buf_start += start
         return fired
 
     def _score_window(self, window, start):

@@ -78,17 +78,22 @@ class TestPipeline:
         assert all(set(x) == {"path", "label"} and (out / x["path"]).exists()
                    for x in lines)
 
-    def test_bench_prints_an_rtf_report(self, capsys):
-        code, text = run(capsys, "bench", "--runs", "10")
-        assert code == 0
-        assert set(json.loads(text)) == {
-            "median_rtf", "p95_rtf", "median_feature_ms", "median_forward_ms",
-            "n_runs", "window_s"}
-
 
 class TestExitCodes:
     def test_missing_manifest_option_is_a_usage_error(self, capsys):
         assert run(capsys, "eval", "--weights", "w.wuwm")[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--server", "nohost"),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--server", "host:port"),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--key", "zz"),
+        ("serve", "--member", "m.wuwm", "--fusion", "f.wuwm", "--key", "zz"),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--chunk-ms", "0"),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--chunk-ms", "-5"),
+        ("bench",),
+    ])
+    def test_malformed_value_is_a_usage_error(self, argv, capsys):
+        assert run(capsys, *argv)[0] == 1
 
     def test_missing_manifest_file_is_a_data_error(self, tmp_path, capsys):
         assert run(capsys, "eval", "--manifest", tmp_path / "absent.jsonl",

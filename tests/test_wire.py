@@ -299,7 +299,7 @@ class TestDeviceAgent:
         rng = np.random.default_rng(8)
         stream, _ = make_stream(rng, n_keywords=5, gap_s=3.0, snr_db=25.0)
         results = []
-        for chunk in (400, 1600, 7777):
+        for chunk in (400, 1600, 7777, len(stream)):
             agent = DeviceAgent(oracle_device_scorer(stream), refractory_s=1.5)
             events = []
             for i in range(0, len(stream), chunk):
@@ -308,7 +308,19 @@ class TestDeviceAgent:
                     for e, _ in agent.feed(stream.samples[i : i + chunk])
                 )
             results.append(events)
-        assert results[0] == results[1] == results[2]
+        assert len(results[0]) == 5
+        assert results[0] == results[1] == results[2] == results[3]
+
+    def test_carries_less_than_one_window_between_feeds(self):
+        quiet = Scorer("zero", DEVICE.config_id, lambda fm: ScorePair(0.0, 0.0))
+        agent = DeviceAgent(quiet)
+        window = int(WINDOW_S * 16000)
+        for size in (16000 * 20, 100, window, 7):
+            chunk = np.zeros(size)
+            agent.feed(chunk)
+            assert agent._buf.size < window
+            assert agent._buf.base is None and not np.shares_memory(agent._buf, chunk)
+        assert agent.dropped_windows == 0
 
     def test_windows_are_scored_and_shipped_as_fed(self):
         rng = np.random.default_rng(10)
@@ -334,12 +346,6 @@ class TestDeviceAgent:
             s = event.window_start_sample
             raw = AudioClip(stream.samples[s : s + window])
             assert req.features.tobytes() == mfcc(raw, CLOUD).values.tobytes()
-
-    def test_oversized_chunk_drops_windows(self):
-        quiet = Scorer("zero", DEVICE.config_id, lambda fm: ScorePair(0.0, 0.0))
-        agent = DeviceAgent(quiet, theta_device=0.9, max_buffer_s=2.0)
-        agent.feed(np.zeros(16000 * 8))
-        assert agent.dropped_windows > 0
 
     def test_wrong_config_scorer_rejected(self):
         cloudy = Scorer("c", CLOUD.config_id, lambda fm: ScorePair(0.0, 0.0))
