@@ -178,7 +178,8 @@ def cmd_detect(args) -> int:
     chunk = int(args.chunk_ms * clip.sample_rate_hz / 1000)
     emitted = 0
     for start in range(0, len(clip), chunk):
-        for event, request in agent.feed(clip.samples[start : start + chunk]):
+        piece = audio.AudioClip(clip.samples[start : start + chunk], clip.sample_rate_hz)
+        for event, request in agent.feed(piece):
             emitted += 1
             record = {
                 "window_start_sample": event.window_start_sample,

@@ -11,6 +11,15 @@ sum, not a mean, so it depends on the frame length (a 100 ms frame sits
 ln(100/30) above a 30 ms frame of the same signal) and moves by 2 ln g when
 the samples are scaled by g. Callers that want a fixed level must set it on
 the samples before extraction.
+
+The mel projection (frames x bins @ bins x filters) is issued in row blocks
+of at most ``_GEMM_MAX_MNK`` multiply-adds each. One 1.5 s window is above
+that at both presets (device 29 x 1025 x 40, cloud 148 x 257 x 40), and
+OpenBLAS would run such a gemm on every core and leave its workers spinning
+after it. A row's sums run over the bins in the same order whichever block
+it sits in, so the features are bit-identical to one whole-matrix product
+(the tests check this), and a frame's row does not depend on the clip it
+was cut from.
 """
 
 from __future__ import annotations
@@ -31,6 +40,16 @@ FEATURE_VERSION = 1
 
 # Floor added before every log so zero-energy frames stay finite.
 LOG_FLOOR = 1e-10
+
+# OpenBLAS, the BLAS numpy ships with, runs a gemm on every core once
+# m * n * k exceeds 2**18, and its idle workers then spin for tens of
+# milliseconds. A verification server sharing a two-core machine with a
+# scanning device would lose a core to that spin after every request, so the
+# MFCC mel projection and the GRU kernel in ``nnet`` issue each matmul below
+# this size. Measured on two cores, three 2x128 members over one 148-frame
+# window: 16.2 ms this way, 15.4 ms with threaded projections, whose CPU time
+# is then twice their wall time.
+_GEMM_MAX_MNK = 1 << 18
 
 _MEL_SCALE = 1127.0
 _MEL_BREAK_HZ = 700.0
@@ -179,6 +198,24 @@ def dct2_ortho(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return dct(x, type=2, norm="ortho", axis=axis)
 
 
+def _gemm_block_rows(k: int, n: int) -> int:
+    """Rows m of an (m, k) @ (k, n) product that keep m * k * n at most
+    ``_GEMM_MAX_MNK`` (at least 1)."""
+    return max(1, _GEMM_MAX_MNK // (k * n))
+
+
+def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a (..., R, K) @ w (..., K, N) -> (..., R, N), float64, issued in row
+    blocks of at most ``_GEMM_MAX_MNK`` multiply-adds each."""
+    k, n = w.shape[-2:]
+    rows = a.shape[-2]
+    block = _gemm_block_rows(k, n)
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], w.shape[:-2]) + (rows, n))
+    for s in range(0, rows, block):
+        np.matmul(a[..., s : s + block, :], w, out=out[..., s : s + block, :])
+    return out
+
+
 def mfcc(clip: AudioClip, config: FeatureConfig) -> FeatureMatrix:
     """Extract an MFCC matrix of shape (frame_count, n_mfcc)."""
     if clip.sample_rate_hz != config.sample_rate_hz:
@@ -192,7 +229,7 @@ def mfcc(clip: AudioClip, config: FeatureConfig) -> FeatureMatrix:
     frames = frames[:n_frames]
 
     spectra = np.square(np.abs(np.fft.rfft(frames, n=config.fft_len, axis=1)))
-    energies = spectra @ mel_filterbank(config).T
+    energies = _matmul_rows(spectra, mel_filterbank(config).T)
     cepstra = dct2_ortho(np.log(energies + LOG_FLOOR), axis=1)[:, : config.n_mfcc]
     cepstra[:, 0] = np.log(np.sum(np.square(frames), axis=1) + LOG_FLOOR)
     return FeatureMatrix(cepstra.astype(np.float32), config.config_id)

@@ -35,7 +35,7 @@ from .errors import (
     WeightTruncatedError,
     WeightVersionError,
 )
-from .features import FeatureMatrix
+from .features import FeatureMatrix, _gemm_block_rows, _matmul_rows
 
 WEIGHT_MAGIC = b"WUWM"
 WEIGHT_VERSION = 1
@@ -345,15 +345,6 @@ def init_gru_scorer(
 # large window batches in chunks.
 _SCRATCH_BYTES = 8 << 20
 
-# OpenBLAS, the BLAS numpy ships with, runs a gemm on every core once
-# m * n * k exceeds 2**18, and its idle workers then spin for tens of
-# milliseconds. A verification server sharing a two-core machine with a
-# scanning device would lose a core to that spin after every request, so the
-# kernel issues each matmul below this size. Measured on two cores, three
-# 2x128 members over one 148-frame window: 16.2 ms this way, 15.4 ms with
-# threaded projections, whose CPU time is then twice their wall time.
-_GEMM_MAX_MNK = 1 << 18
-
 _GRU_KINDS = ("sgru", "gru-max")
 
 
@@ -390,18 +381,6 @@ def _check_gru_store(ws: WeightStore) -> None:
         raise ModelError("GRU scorer has no layers")
     if head_w.shape != (2, size_in) or head_b.shape != (2,):
         raise ModelError("GRU scorer head does not match its last layer")
-
-
-def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a (R, K) or (M, R, K) @ w (M, K, N) -> (M, R, N), issued in row blocks
-    that each stay below ``_GEMM_MAX_MNK``."""
-    m, k, n = w.shape
-    rows = a.shape[-2]
-    block = max(1, _GEMM_MAX_MNK // (k * n))
-    out = np.empty((m, rows, n))
-    for s in range(0, rows, block):
-        np.matmul(a[..., s : s + block, :], w, out=out[:, s : s + block])
-    return out
 
 
 class GRUStack:
@@ -462,7 +441,7 @@ class GRUStack:
         # windows per chunk: within the scratch budget, and few enough that
         # the recurrent matmul (chunk, H) @ (H, 3H) stays a single-thread gemm
         chunk = max(1, min(_SCRATCH_BYTES // (8 * self.n_members * steps * 4 * hs),
-                           _GEMM_MAX_MNK // (hs * 3 * hs)))
+                           _gemm_block_rows(hs, 3 * hs)))
         out = np.empty((self.n_members, n, 2))
         for s in range(0, n, chunk):
             out[:, s : s + chunk] = self._run(x[s : s + chunk])

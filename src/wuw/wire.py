@@ -289,6 +289,22 @@ class DeviceAgent:
     chunks. ``dropped_windows`` stays for callers that read it and is
     always 0.
 
+    Frame carry: next to the samples, the agent keeps the device MFCC rows
+    of the frames that start at the carried samples' start plus a multiple
+    of the device hop. Each ``feed`` runs one ``mfcc`` call over only the
+    frames its samples complete (2 for a 100 ms chunk), a window's device
+    features are the 29 rows from its start, and the rows from the next
+    window's start onward are carried with the samples. So each device
+    frame of the stream is computed once, and exactly: a frame's MFCC
+    depends only on its own samples (nothing rescales a window, c0 is the
+    frame's own log energy, and the mel projection treats each row alone),
+    so a carried row is bit-identical to that frame computed inside any
+    window. Cloud features are computed only for a window that fires.
+
+    A chunk is checked once, on entry, as an ``AudioClip`` at the agent's
+    rate: another rate raises ModelError, and a chunk that is not 1-D or
+    holds a non-finite sample raises DataError, before any state changes.
+
     There is no gain normalization anywhere in the device path: samples are
     scored as fed, and the device and cloud features of a window are both
     computed from the same unscaled samples. Level is the caller's concern
@@ -315,36 +331,46 @@ class DeviceAgent:
         self._threshold_lo = log_odds(theta_device, 1.0 - theta_device)
         self._window = int(round(WINDOW_S * self._rate))
         self._stride = _STRIDE_HOPS * device_cfg.hop_samples
+        self._window_frames = frame_count(self._window, device_cfg.window_samples,
+                                          device_cfg.hop_samples)
         self._refractory = int(round(refractory_s * self._rate))
         self._buf = np.zeros(0, dtype=np.float64)
         self._buf_start = 0  # absolute index of _buf[0], the next window's start
+        # device MFCC rows of the frames starting at _buf_start + j * hop
+        self._frames = np.zeros((0, device_cfg.n_mfcc), dtype=np.float32)
         self._last_event_start: int | None = None
         self.dropped_windows = 0
 
     def feed(self, chunk) -> list[tuple[DetectionEvent, VerifyRequest]]:
         """Consume an audio chunk; return any (event, request) pairs it fired."""
-        samples = chunk.samples if isinstance(chunk, AudioClip) else np.asarray(
-            chunk, dtype=np.float64
-        )
-        if isinstance(chunk, AudioClip) and chunk.sample_rate_hz != self._rate:
+        clip = chunk if isinstance(chunk, AudioClip) else AudioClip(chunk, self._rate)
+        if clip.sample_rate_hz != self._rate:
             raise ModelError(f"agent runs at {self._rate} Hz")
-        buf = np.concatenate([self._buf, samples])
+        buf = np.concatenate([self._buf, clip.samples])
+        cfg = self._device_cfg
+        hop, win = cfg.hop_samples, cfg.window_samples
+        frames = self._frames
+        done, total = len(frames), max(0, (buf.size - win) // hop + 1)
+        if total > done:
+            new = mfcc(AudioClip(buf[done * hop : (total - 1) * hop + win], self._rate), cfg)
+            frames = np.concatenate([frames, new.values])
         fired = []
         start = 0
         while start + self._window <= buf.size:
+            f0 = start // hop
             result = self._score_window(buf[start : start + self._window],
+                                        frames[f0 : f0 + self._window_frames],
                                         self._buf_start + start)
             if result is not None:
                 fired.append(result)
             start += self._stride
         self._buf = buf[start:].copy()
+        self._frames = frames[start // hop :].copy()
         self._buf_start += start
         return fired
 
-    def _score_window(self, window, start):
-        clip = AudioClip(window, self._rate)
-        device_fm = mfcc(clip, self._device_cfg)
-        lo = float(self._core.log_odds({device_fm.config_id: device_fm.values[None]})[0, 0])
+    def _score_window(self, window, device_values, start):
+        lo = float(self._core.log_odds({self._device_cfg.config_id: device_values[None]})[0, 0])
         if lo < self._threshold_lo:
             return None
         if (
@@ -354,7 +380,7 @@ class DeviceAgent:
             return None
         self._last_event_start = start
         event = DetectionEvent(start, lo, self.theta_device)
-        cloud_fm = mfcc(clip, self._cloud_cfg)
+        cloud_fm = mfcc(AudioClip(window, self._rate), self._cloud_cfg)
         request = VerifyRequest(
             config_id=self._cloud_cfg.config_id,
             device_log_odds=lo,

@@ -7,6 +7,8 @@ import pytest
 
 from wuw.audio import write_wav
 from wuw.cli import main
+from wuw.features import DEVICE
+from wuw.nnet import init_gru_scorer, save_weights
 from wuw.synth import make_chirp_task, make_stream
 
 TRAIN = ["--epochs", "5", "--seed", "1"]
@@ -98,6 +100,17 @@ class TestExitCodes:
     def test_missing_manifest_file_is_a_data_error(self, tmp_path, capsys):
         assert run(capsys, "eval", "--manifest", tmp_path / "absent.jsonl",
                    "--weights", "w.wuwm")[0] == 2
+
+    def test_detect_on_a_wav_at_another_rate_is_a_model_error(self, tmp_path, capsys):
+        device = tmp_path / "device.wuwm"
+        save_weights(init_gru_scorer(DEVICE, hidden=4, layers=1), device)
+        stream, _ = make_stream(np.random.default_rng(4), n_keywords=1, gap_s=2.0, rate=8000)
+        wav = tmp_path / "stream8k.wav"
+        write_wav(stream, wav, encoding="float32")
+        code, text = run(capsys, "detect", wav, "--device-weights", device,
+                         "--theta-device", "0")
+        assert code == 3
+        assert text == ""
 
     def test_fusion_without_device_weights_is_a_model_error(self, work, capsys):
         _, manifest = work

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from wuw.audio import AudioClip
 from wuw.errors import DataError, FeatureFormatError
+from wuw import features
 from wuw.features import (
     CLOUD,
     DEVICE,
@@ -164,6 +165,39 @@ class TestMfcc:
         clip.samples[1000] = 1.0
         fm = mfcc(clip, DEVICE)
         assert np.all(np.isfinite(fm.values))
+
+
+class TestMelRowBlocks:
+    @pytest.mark.parametrize("config", list(PRESETS.values()), ids=lambda c: c.config_id)
+    @pytest.mark.parametrize("per_call", [1, 2, 7, 29])
+    def test_long_clip_equals_frame_aligned_sub_clips(self, config, per_call):
+        clip = random_clip(5, n=3 * 16000 + 123)
+        whole = mfcc(clip, config).values
+        hop, win = config.hop_samples, config.window_samples
+        parts = []
+        for f in range(0, len(whole), per_call):
+            n = min(per_call, len(whole) - f)
+            sub = AudioClip(clip.samples[f * hop : (f + n - 1) * hop + win])
+            parts.append(mfcc(sub, config).values)
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("config", [DEVICE, CLOUD], ids=lambda c: c.config_id)
+    def test_no_mel_matmul_reaches_the_blas_threading_size(self, config, monkeypatch):
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, w, **kwargs):
+            calls.append((a.shape, w.shape))
+            return matmul(a, w, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        fm = mfcc(random_clip(6), config)
+        k, n = config.fft_len // 2 + 1, config.n_filters
+        assert calls and all(w == (k, n) for _, w in calls)
+        assert sum(a[0] for a, _ in calls) == fm.n_frames
+        assert all(a[0] * k * n <= features._GEMM_MAX_MNK for a, _ in calls)
+        # the whole window in one product would be above it
+        assert fm.n_frames * k * n > features._GEMM_MAX_MNK
 
 
 class TestDctParseval:

@@ -11,7 +11,7 @@ from wuw.errors import (
     WeightTruncatedError,
     WeightVersionError,
 )
-from wuw import nnet
+from wuw import features, nnet
 from wuw.features import CLOUD, DEVICE, FeatureMatrix
 from wuw.nnet import (
     Adam,
@@ -484,7 +484,7 @@ class TestGRUStack:
         x = np.random.default_rng(3).normal(size=(7, 30, 40))
         whole = GRUStack(stores).logits(x)
         monkeypatch.setattr(nnet, "_SCRATCH_BYTES", 1)  # one window per chunk
-        monkeypatch.setattr(nnet, "_GEMM_MAX_MNK", 1)   # one row per matmul
+        monkeypatch.setattr(features, "_GEMM_MAX_MNK", 1)   # one row per matmul
         np.testing.assert_allclose(GRUStack(stores).logits(x), whole, rtol=0, atol=1e-12)
 
     def test_single_layer(self):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wuw import wire
 from wuw.audio import WINDOW_S, AudioClip
 from wuw.errors import (
+    DataError,
     FrameLengthError,
     FrameMagicError,
     FrameTruncatedError,
@@ -18,7 +20,7 @@ from wuw.errors import (
     ModelError,
     ProtocolError,
 )
-from wuw.features import CLOUD, DEVICE, FeatureMatrix, mfcc
+from wuw.features import CLOUD, DEVICE, FeatureMatrix, frame_count, mfcc
 from wuw.fusion import FusionModel, LogOddsVector, fuse, log_odds
 from wuw.nnet import (
     ScorePair,
@@ -310,6 +312,85 @@ class TestDeviceAgent:
             results.append(events)
         assert len(results[0]) == 5
         assert results[0] == results[1] == results[2] == results[3]
+
+    @pytest.mark.parametrize("chunk", [799, 1600, 7777, None])
+    def test_window_features_equal_mfcc_of_the_window(self, chunk):
+        # frame carry: each window's device rows are bit-equal to the MFCC
+        # of that window's own samples, whatever the chunk size
+        rng = np.random.default_rng(8)
+        stream, _ = make_stream(rng, n_keywords=2, gap_s=3.0, snr_db=25.0)
+        seen = []
+
+        def recording(fm: FeatureMatrix) -> ScorePair:
+            seen.append(fm.values)
+            return ScorePair(0.0, 0.0)
+
+        agent = DeviceAgent(Scorer("rec", DEVICE.config_id, recording), theta_device=0.73)
+        chunk = chunk or len(stream)
+        for i in range(0, len(stream), chunk):
+            assert agent.feed(stream.samples[i : i + chunk]) == []
+        window = int(WINDOW_S * stream.sample_rate_hz)
+        stride = 2 * DEVICE.hop_samples
+        assert len(seen) == (len(stream) - window) // stride + 1
+        for k, values in enumerate(seen):
+            raw = AudioClip(stream.samples[k * stride : k * stride + window])
+            assert np.array_equal(values, mfcc(raw, DEVICE).values)
+
+    @pytest.mark.parametrize("chunk", [799, 1600, None])
+    def test_each_device_frame_is_computed_once(self, chunk, monkeypatch):
+        rng = np.random.default_rng(8)
+        stream, _ = make_stream(rng, n_keywords=3, gap_s=3.0, snr_db=25.0)
+        device_rows = []
+
+        def spy(clip, config):
+            fm = mfcc(clip, config)
+            if config.config_id == DEVICE.config_id:
+                device_rows.append(fm.n_frames)
+            return fm
+
+        monkeypatch.setattr(wire, "mfcc", spy)
+        agent = DeviceAgent(oracle_device_scorer(stream), refractory_s=1.5)
+        chunk = chunk or len(stream)
+        fired = 0
+        for i in range(0, len(stream), chunk):
+            fired += len(agent.feed(stream.samples[i : i + chunk]))
+        assert fired == 3
+        hop, win = DEVICE.hop_samples, DEVICE.window_samples
+        assert sum(device_rows) == frame_count(len(stream), win, hop)
+
+    @pytest.mark.parametrize("bad", ["nan", "2-d"])
+    def test_bad_chunk_is_refused_before_any_state_changes(self, bad):
+        rng = np.random.default_rng(8)
+        stream, _ = make_stream(rng, n_keywords=5, gap_s=3.0, snr_db=25.0)
+        scorer = oracle_device_scorer(stream)
+
+        def run(agent, samples, chunk=1600):
+            out = []
+            for i in range(0, len(samples), chunk):
+                out.extend((e.window_start_sample, e.device_log_odds,
+                            encode_request(r, key=3))
+                           for e, r in agent.feed(samples[i : i + chunk]))
+            return out
+
+        expected = run(DeviceAgent(scorer, refractory_s=1.5), stream.samples)
+        assert len(expected) == 5
+        cut = 7 * 16000 + 333  # mid-frame, with a window scored and one pending
+        agent = DeviceAgent(scorer, refractory_s=1.5)
+        events = run(agent, stream.samples[:cut])
+        chunk = stream.samples[cut : cut + 1600].copy()
+        if bad == "nan":
+            chunk[-1] = np.nan  # in no complete frame yet: only the entry check sees it
+        else:
+            chunk = chunk.reshape(2, 800)
+        state = (agent._buf.copy(), agent._buf_start, agent._frames.copy(),
+                 agent._last_event_start)
+        with pytest.raises(DataError):
+            agent.feed(chunk)
+        assert np.array_equal(agent._buf, state[0]) and agent._buf_start == state[1]
+        assert np.array_equal(agent._frames, state[2])
+        assert agent._last_event_start == state[3]
+        events += run(agent, stream.samples[cut:])
+        assert events == expected
 
     def test_carries_less_than_one_window_between_feeds(self):
         quiet = Scorer("zero", DEVICE.config_id, lambda fm: ScorePair(0.0, 0.0))
