@@ -4,6 +4,13 @@ Phase one is an on-device streaming detector over low-resolution MFCC
 features; phase two is a server-side verification ensemble over
 high-resolution features, fused by a stacking MLP on log-odds. The phases
 talk over a binary feature-transport protocol that never carries raw audio.
+
+Import contract: importing ``wuw`` (or ``wuw.cli``) loads numpy and no
+scipy. ``scipy.fft`` is loaded by the first MFCC (``features.mfcc``) or RIR
+convolution (``audio.convolve_rir``); ``scipy.signal`` is loaded only by
+``wuw.synth``, the synthetic corpus generator, which no other module
+imports. Tests pin this, since one top-level import would cost every
+process about a second of start-up.
 """
 
 from .audio import (

@@ -5,6 +5,10 @@ All operations are pure functions of their inputs plus an explicit
 Samples are float64 in nominal range [-1, 1]; the canonical rate is 16 kHz.
 Noise mixtures are not rescaled, so a mixture at low SNR can exceed that
 range; nothing downstream clips.
+
+Importing this module loads numpy only. ``scipy.fft`` is imported by the
+first ``convolve_rir`` call, and ``scipy.signal`` by no runtime module (only
+the corpus generator ``wuw.synth`` uses it).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DataError, WavChannelError, WavEncodingError, WavFormatError
 
@@ -245,8 +248,21 @@ def convolve_rir(clip: AudioClip, rir: AudioClip) -> AudioClip:
         raise DataError("clip and RIR sample rates differ")
     if len(clip) == 0 or len(rir) == 0:
         raise DataError("clip and RIR must be non-empty")
-    wet = fftconvolve(clip.samples, rir.samples)[: len(clip)]
-    return peak_normalize(AudioClip(wet, clip.sample_rate_hz))
+    # Imported here so a process that convolves no RIR never loads scipy.
+    from scipy import fft as sp_fft
+
+    x, h = clip.samples, rir.samples
+    if len(x) == 1 or len(h) == 1:
+        # A length-1 operand is a scaling, which scipy.signal.fftconvolve
+        # multiplies directly; the first len(x) samples are x * h[0].
+        wet = x * h[0]
+    else:
+        # The FFT calls scipy.signal.fftconvolve makes for two real 1-D
+        # inputs, so the wet samples are bit-identical to it.
+        n = len(x) + len(h) - 1
+        shape = [sp_fft.next_fast_len(n, True)]
+        wet = sp_fft.irfftn(sp_fft.rfftn(x, shape) * sp_fft.rfftn(h, shape), shape)
+    return peak_normalize(AudioClip(wet[: len(x)], clip.sample_rate_hz))
 
 
 def draw_snr(rng: np.random.Generator) -> float:

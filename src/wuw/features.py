@@ -20,6 +20,10 @@ after it. A row's sums run over the bins in the same order whichever block
 it sits in, so the features are bit-identical to one whole-matrix product
 (the tests check this), and a frame's row does not depend on the clip it
 was cut from.
+
+Importing this module loads numpy only; ``scipy.fft`` (for the DCT) is
+imported by the first ``mfcc`` call, so the verification server, which
+decodes features but computes none, never loads scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dct
 
 from .audio import CANONICAL_RATE_HZ, AudioClip
 from .errors import DataError, FeatureFormatError
@@ -195,6 +198,9 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
 
 def dct2_ortho(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Orthonormal DCT-II, the decorrelating transform used by mfcc()."""
+    # Imported here so a process that computes no MFCC never loads scipy.
+    from scipy.fft import dct
+
     return dct(x, type=2, norm="ortho", axis=axis)
 
 

@@ -52,6 +52,11 @@ _REQ_FIXED = struct.Struct("<BBBQfHH")
 # The device agent scores a WINDOW_S window every this many device hops.
 _STRIDE_HOPS = 2
 
+# Seconds a server connection may wait on a read (or write) before it is
+# closed, so a half-sent frame cannot hold its thread forever. Matches the
+# default timeout of ``request_verification``.
+READ_TIMEOUT_S = 10.0
+
 
 class Verdict(IntEnum):
     REJECT = 0
@@ -421,6 +426,8 @@ class VerificationServer:
     (148 x 40), is refused before any member runs; this also bounds the work
     one request can ask for. Every frame gets a response: ACCEPT, REJECT, or
     ERROR for a malformed or refused request or a member that fails.
+    A connection whose next read or write waits longer than
+    ``READ_TIMEOUT_S`` is closed without a response.
     """
 
     def __init__(
@@ -491,22 +498,24 @@ class VerificationServer:
         logic = self
 
         class Handler(socketserver.StreamRequestHandler):
+            timeout = READ_TIMEOUT_S
+
             def handle(self):
-                while True:
-                    try:
-                        frame = read_frame(self.rfile)
-                    except EOFError:
-                        return
-                    except ProtocolError:
+                # A clean close, a timed-out read and a reset all end this
+                # connection quietly (socket.timeout is an OSError).
+                try:
+                    while True:
                         try:
+                            frame = read_frame(self.rfile)
+                        except ProtocolError:
                             self.wfile.write(_error_response())
-                        except OSError:
-                            pass
-                        return
-                    response, keep = logic.handle_frame(frame)
-                    self.wfile.write(response)
-                    if not keep:
-                        return
+                            return
+                        response, keep = logic.handle_frame(frame)
+                        self.wfile.write(response)
+                        if not keep:
+                            return
+                except (EOFError, OSError):
+                    return
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -541,7 +550,7 @@ def request_verification(
     addr: tuple[str, int],
     req: VerifyRequest,
     key: int | None = None,
-    timeout: float = 10.0,
+    timeout: float = READ_TIMEOUT_S,
 ) -> VerifyResponse:
     """Send one request over TCP and wait for the verdict."""
     with socket.create_connection(addr, timeout=timeout) as sock:

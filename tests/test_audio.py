@@ -254,6 +254,17 @@ class TestConvolveRir:
         oracle /= np.max(np.abs(oracle))
         np.testing.assert_allclose(out.samples, oracle, atol=1e-5)
 
+    def test_bit_identical_to_scipy_signal_fftconvolve(self):
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(7)
+        pairs = [(1, 1), (400, 1), (1, 400), (300, 2000), (997, 13), (1009, 1013)]
+        pairs += [tuple(int(v) for v in rng.integers(1, 4000, 2)) for _ in range(60)]
+        for n, m in pairs:
+            clip, rir = AudioClip(rng.normal(size=n)), AudioClip(rng.normal(size=m))
+            old = peak_normalize(AudioClip(fftconvolve(clip.samples, rir.samples)[:n]))
+            assert np.array_equal(convolve_rir(clip, rir).samples, old.samples), (n, m)
+
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             convolve_rir(AudioClip([]), AudioClip([1.0]))

@@ -523,6 +523,26 @@ class TestVerification:
         finally:
             server.shutdown()
 
+    def test_half_sent_header_times_out_quietly(self, monkeypatch, capsys):
+        import socket
+        import time
+
+        monkeypatch.setattr(wire, "READ_TIMEOUT_S", 0.2)
+        server = self.make_server()
+        addr = server.start()
+        try:
+            with socket.create_connection(addr, timeout=5) as sock:
+                sock.sendall(b"WUWP\x10")
+                t0 = time.monotonic()
+                assert sock.recv(4096) == b""  # closed, with no response
+                assert time.monotonic() - t0 < 1.0
+            req = VerifyRequest(config_id=CLOUD.config_id, device_log_odds=10.0,
+                                features=np.zeros((148, 40), dtype=np.float32))
+            assert request_verification(addr, req).verdict is Verdict.ACCEPT
+        finally:
+            server.shutdown()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_body_over_cap_never_allocated(self):
         frame = b"WUWP" + struct.pack("<I", MAX_BODY_BYTES + 1)
         with pytest.raises(FrameLengthError):
