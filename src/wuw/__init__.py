@@ -47,7 +47,6 @@ from .fusion import (
     fuse,
     load_fusion,
     log_odds,
-    stack_scores,
     synth_score_task,
     train_fusion,
 )
@@ -57,14 +56,11 @@ from .nnet import (
     TrainSpec,
     WeightStore,
     cross_entropy,
-    gru_max_forward,
     init_gru_scorer,
-    linear_classifier_forward,
     load_weights,
     make_scorer,
     param_count,
     save_weights,
-    sgru_forward,
     softmax2,
     train_classifier,
 )

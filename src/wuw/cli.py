@@ -49,11 +49,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _config_by_name(name: str) -> features.FeatureConfig:
-    try:
-        return {"device": features.DEVICE, "cloud": features.CLOUD}[name]
-    except KeyError:
-        raise DataError(f"unknown config name {name!r}") from None
+_CONFIGS = {"device": features.DEVICE, "cloud": features.CLOUD}
+
+
+def _read_manifest(args) -> tuple[list[evaluation.ManifestEntry], Path]:
+    """The manifest's entries and the directory their paths are relative to."""
+    entries = evaluation.load_manifest(args.manifest, require_alignments=not args.allow_unaligned)
+    return entries, Path(args.manifest).parent
 
 
 def _load_scorer(path, member_id=None) -> nnet.Scorer:
@@ -99,18 +101,17 @@ def cmd_features(args) -> int:
     clip = audio.read_wav(args.wav)
     if args.normalize:
         clip = audio.peak_normalize(clip)
-    fm = features.mfcc(clip, _config_by_name(args.config))
+    fm = features.mfcc(clip, _CONFIGS[args.config])
     features.save_features(fm, args.out)
     print(f"{args.out}: shape ({fm.n_frames}, {fm.n_coeffs}) config {fm.config_id}")
     return 0
 
 
 def cmd_augment(args) -> int:
-    entries = evaluation.load_manifest(args.manifest, require_alignments=not args.allow_unaligned)
-    base = Path(args.manifest).parent
+    entries, base = _read_manifest(args)
     dataset = evaluation.build_feature_dataset(
         entries,
-        _config_by_name(args.config),
+        _CONFIGS[args.config],
         split=args.split,
         seed=args.seed,
         copies=args.copies,
@@ -129,9 +130,8 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    entries = evaluation.load_manifest(args.manifest, require_alignments=not args.allow_unaligned)
-    base = Path(args.manifest).parent
-    config = _config_by_name(args.config)
+    entries, base = _read_manifest(args)
+    config = _CONFIGS[args.config]
     train = evaluation.build_feature_dataset(
         entries, config, split="train", seed=args.seed, copies=args.copies,
         base_dir=base,
@@ -147,8 +147,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_fuse_train(args) -> int:
-    entries = evaluation.load_manifest(args.manifest, require_alignments=not args.allow_unaligned)
-    base = Path(args.manifest).parent
+    entries, base = _read_manifest(args)
     device = _load_scorer(args.device_weights, member_id=fusion.DEVICE_MEMBER_ID)
     members = _load_members(args.member)
     train = evaluation.build_score_dataset(
@@ -211,14 +210,14 @@ def cmd_serve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    entries = evaluation.load_manifest(args.manifest, require_alignments=not args.allow_unaligned)
+    entries, base = _read_manifest(args)
     report = evaluation.evaluate(
         entries,
         _pipeline_from_args(args),
         theta=args.theta,
         buckets=evaluation.default_buckets(args.buckets),
         seed=args.seed,
-        base_dir=Path(args.manifest).parent,
+        base_dir=base,
     )
     print(report.to_table())
     if args.out:
@@ -229,14 +228,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    entries = evaluation.load_manifest(args.manifest, require_alignments=not args.allow_unaligned)
+    entries, base = _read_manifest(args)
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
     points = evaluation.threshold_sweep(
         entries,
         _pipeline_from_args(args),
         thetas,
         seed=args.seed,
-        base_dir=Path(args.manifest).parent,
+        base_dir=base,
     )
     print(f"{'theta':>7}  {'prec':>6}  {'recall':>6}  {'F1':>6}")
     for p in points:

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DataError, ModelError
 from .features import FeatureMatrix
 from .nnet import (
-    GRUStack,
     Scorer,
     ScorePair,
     TrainSpec,
@@ -24,8 +23,8 @@ from .nnet import (
     _ce_batch,
     _uniform,
     fit,
-    gru_stack_key,
-    softmax2,
+    make_stack,
+    stack_key,
 )
 
 # Probabilities are clamped here before the quotient, so log-odds stay finite
@@ -80,24 +79,17 @@ def logits_log_odds(logits) -> np.ndarray:
     return np.log(p[..., 0] / p[..., 1])
 
 
-def stack_scores(scores: Sequence[ScorePair], member_ids: Sequence[str]) -> LogOddsVector:
-    """Turn one ScorePair per member into the fusion input vector."""
-    if len(scores) != len(member_ids):
-        raise DataError(f"{len(scores)} scores for {len(member_ids)} members")
-    values = logits_log_odds(np.array(scores, dtype=np.float64).reshape(-1, 2))
-    return LogOddsVector(values, tuple(member_ids))
-
-
 class Ensemble:
     """The scoring core: every scorer's log-odds for a batch of windows.
 
     ``log_odds`` takes the windows' features per config id, each (B, T, C),
     and returns (B, N) log-odds, column j from scorer j: the rows that are
     stacked for the fusion model (Wolpert, 1992, "Stacked generalization").
-    Scorers whose ``weights`` are GRU stores of one shape and config are run
-    together, in lockstep, by one ``nnet.GRUStack``. Every other scorer (a
-    plug-in ``fn``, the linear kind, a Scorer without ``weights``) is called
-    through ``fn``, one window at a time, into its own column.
+    Scorers whose ``weights`` share one ``nnet.stack_key`` are run together,
+    in one call per batch, by the kernel ``nnet.make_stack`` builds for them.
+    Any other Scorer, such as a plug-in or a wrapped ``fn`` without
+    ``weights``, is called through ``fn``, one window at a time, into its
+    own column.
 
     Weights are cast and stacked here, once. The core keeps no per-call
     state, so threads may share one.
@@ -110,13 +102,13 @@ class Ensemble:
         groups: dict[tuple, list[int]] = {}
         self._singles: list[tuple[int, Scorer]] = []
         for col, s in enumerate(self.scorers):
-            key = None if s.weights is None else gru_stack_key(s.weights)
+            key = None if s.weights is None else stack_key(s.weights)
             if key is None or s.weights.config_id != s.config_id:
                 self._singles.append((col, s))
             else:
                 groups.setdefault(key, []).append(col)
         self._stacks = [
-            (cols, GRUStack([self.scorers[c].weights for c in cols]))
+            (cols, make_stack([self.scorers[c].weights for c in cols]))
             for cols in groups.values()
         ]
 

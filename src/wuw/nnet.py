@@ -5,16 +5,18 @@ Weight tensors are stored as float32 (the file format is float32), while all
 forward/backward math runs in float64 for numerically clean gradients. GRU
 scorers are inference-only; the trainable baseline is the linear classifier.
 
-GRU scorers run on one kernel, :class:`GRUStack`: M scorers of the same shape
-stepped in lockstep over a (member, window, time) batch of shape (M, B, T).
-Their weights are cast to float64, transposed and stacked once, when the
-stack is built (by the ensemble core in ``fusion``, or by a Scorer's ``fn``
-on its first call), never per call. Per layer, the input projection
+Each built-in model kind has exactly one forward pass, a batched stack
+kernel: :class:`GRUStack` for ``sgru`` and ``gru-max``, :class:`LinearStack`
+for ``linear``. A kernel runs M scorers of one shape over a window batch
+(B, T, C) and returns logits (M, B, 2). ``make_stack`` picks the kernel from
+the kind, and ``stack_key`` says which scorers may share one. Weights are
+cast to float64, transposed and stacked once, when the stack is built (by
+the ensemble core in ``fusion``, or by a Scorer's ``fn`` on its first call),
+never per call. ``Scorer.fn`` of a built-in kind is a one-window view of its
+own stack. In the GRU kernel, per layer, the input projection
 ``x @ W_ih.T`` is computed for all time steps before the recurrence; only
-``h @ W_hh.T`` stays inside the time loop. ``sgru_forward`` and
-``gru_max_forward`` are views of the kernel with one member and one window;
-``gru_cell`` and ``gru_outputs`` are the step-by-step oracle it is tested
-against.
+``h @ W_hh.T`` stays inside the time loop. ``gru_cell`` and ``gru_outputs``
+are the step-by-step oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -97,16 +99,6 @@ def _ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
     dlogits = probs.copy()
     dlogits[np.arange(n), target_col] -= 1.0
     return loss, dlogits / n
-
-
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map w @ x + b with explicit shape checks."""
-    x, w, b = np.asarray(x), np.asarray(w), np.asarray(b)
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ValueError("linear expects w (m,n), x (n,), b (m,)")
-    if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: w {w.shape}, x {x.shape}, b {b.shape}")
-    return w @ x + b
 
 
 # -- GRU -------------------------------------------------------------------
@@ -282,9 +274,10 @@ class Scorer:
     """A named classifier over one feature config.
 
     ``fn`` scores one window and is the plug-in point for external
-    architectures as well as the built-in ones. ``weights``, which
-    ``make_scorer`` sets, lets the ensemble core (``fusion.Ensemble``) find
-    GRU scorers of one shape and run them stacked in :class:`GRUStack`
+    architectures; for a built-in kind it is a one-window view of the kind's
+    stack kernel (``make_stack``). ``weights``, which ``make_scorer`` sets,
+    lets the ensemble core (``fusion.Ensemble``) find scorers that share a
+    ``stack_key`` and run them together in one kernel call per window batch
     instead of one ``fn`` call per window; a Scorer without it is always
     called through ``fn``.
     """
@@ -340,47 +333,44 @@ def init_gru_scorer(
     return WeightStore(tensors, meta)
 
 
-# The kernel's transient arrays (the hoisted input projection and the
+# The GRU kernel's transient arrays (the hoisted input projection and the
 # layer's hidden states, float64) are kept under this many bytes by running
 # large window batches in chunks.
 _SCRATCH_BYTES = 8 << 20
-
-_GRU_KINDS = ("sgru", "gru-max")
 
 
 def _gru_layer_count(ws: WeightStore) -> int:
     return ws.metadata.get("hparams", {}).get("layers", 2)
 
 
-def gru_stack_key(ws: WeightStore) -> tuple | None:
-    """What must match for GRU scorers to share one :class:`GRUStack`: the
-    feature config, the layer count and every tensor shape. None for a store
-    that is not a GRU scorer."""
-    if ws.kind not in _GRU_KINDS:
+def stack_key(ws: WeightStore) -> tuple | None:
+    """What must match for scorers to share one stack (``make_stack``): the
+    kernel their kind runs on, the feature config, the GRU layer count and
+    every tensor shape. None for a kind with no built-in kernel."""
+    kernel = _KERNELS.get(ws.kind)
+    if kernel is None:
         return None
-    return (
-        ws.config_id,
-        _gru_layer_count(ws),
-        tuple((name, t.shape) for name, t in ws.tensors.items()),
-    )
+    shapes = tuple((name, t.shape) for name, t in ws.tensors.items())
+    return kernel, ws.config_id, _gru_layer_count(ws), shapes
 
 
-def _check_gru_store(ws: WeightStore) -> None:
-    """Raise ModelError unless ws holds a well-formed GRU scorer."""
-    size_in = None
-    try:
-        for i in range(_gru_layer_count(ws)):
-            p = GRUParams(*(ws[f"gru{i}.{n}"] for n in ("w_ih", "w_hh", "b_ih", "b_hh")))
-            if size_in is not None and p.input_size != size_in:
-                raise ModelError(f"GRU layer {i} input does not match layer {i - 1}")
-            size_in = p.hidden_size
-        head_w, head_b = ws["head.w"], ws["head.b"]
-    except (KeyError, ValueError) as exc:
-        raise ModelError(f"malformed GRU scorer: {exc!r}") from None
-    if size_in is None:
-        raise ModelError("GRU scorer has no layers")
-    if head_w.shape != (2, size_in) or head_b.shape != (2,):
-        raise ModelError("GRU scorer head does not match its last layer")
+def _check_stack(kernel, stores: Sequence[WeightStore]) -> None:
+    """Raise ModelError unless ``stores`` are well-formed scorers that share
+    one ``stack_key`` whose kernel is ``kernel``."""
+    key = stack_key(stores[0]) if stores else None
+    if key is None or key[0] is not kernel or any(stack_key(ws) != key for ws in stores):
+        raise ModelError(f"a {kernel.__name__} needs scorers of its kinds, one shape and config")
+    kernel.check(stores[0])
+
+
+def _stacked(stores: Sequence[WeightStore], name: str, transpose: bool = False) -> np.ndarray:
+    """Tensor ``name`` of every store as one C-contiguous float64 array
+    (M, ...), each transposed first when asked."""
+    first = stores[0][name].T if transpose else stores[0][name]
+    out = np.empty((len(stores),) + first.shape)
+    for j, ws in enumerate(stores):
+        out[j] = ws[name].T if transpose else ws[name]
+    return out
 
 
 class GRUStack:
@@ -394,33 +384,38 @@ class GRUStack:
     per-call state, so threads may share it.
     """
 
+    @staticmethod
+    def check(ws: WeightStore) -> None:
+        """Raise ModelError unless ws holds a well-formed GRU scorer."""
+        size_in = None
+        try:
+            for i in range(_gru_layer_count(ws)):
+                p = GRUParams(*(ws[f"gru{i}.{n}"] for n in ("w_ih", "w_hh", "b_ih", "b_hh")))
+                if size_in is not None and p.input_size != size_in:
+                    raise ModelError(f"GRU layer {i} input does not match layer {i - 1}")
+                size_in = p.hidden_size
+            head_w, head_b = ws["head.w"], ws["head.b"]
+        except (KeyError, ValueError) as exc:
+            raise ModelError(f"malformed GRU scorer: {exc!r}") from None
+        if size_in is None:
+            raise ModelError("GRU scorer has no layers")
+        if head_w.shape != (2, size_in) or head_b.shape != (2,):
+            raise ModelError("GRU scorer head does not match its last layer")
+
     def __init__(self, stores: Sequence[WeightStore]):
-        if not stores:
-            raise ModelError("a GRU stack needs at least one scorer")
-        key = gru_stack_key(stores[0])
-        if key is None or any(gru_stack_key(ws) != key for ws in stores):
-            raise ModelError("stacked scorers must be GRU scorers of one shape and config")
-        _check_gru_store(stores[0])
+        _check_stack(GRUStack, stores)
         self.config_id = stores[0].config_id
-
-        def stacked(name, transpose=False):
-            first = stores[0][name].T if transpose else stores[0][name]
-            out = np.empty((len(stores),) + first.shape)
-            for j, ws in enumerate(stores):
-                out[j] = ws[name].T if transpose else ws[name]
-            return out
-
         self.layers = [
             (
-                stacked(f"gru{i}.w_ih", transpose=True),  # (M, I, 3H)
-                stacked(f"gru{i}.w_hh", transpose=True),  # (M, H, 3H)
-                stacked(f"gru{i}.b_ih")[:, None, :],      # (M, 1, 3H)
-                stacked(f"gru{i}.b_hh")[:, None, :],
+                _stacked(stores, f"gru{i}.w_ih", transpose=True),  # (M, I, 3H)
+                _stacked(stores, f"gru{i}.w_hh", transpose=True),  # (M, H, 3H)
+                _stacked(stores, f"gru{i}.b_ih")[:, None, :],      # (M, 1, 3H)
+                _stacked(stores, f"gru{i}.b_hh")[:, None, :],
             )
             for i in range(_gru_layer_count(stores[0]))
         ]
-        self.head_w = stacked("head.w", transpose=True)   # (M, H, 2)
-        self.head_b = stacked("head.b")[:, None, :]       # (M, 1, 2)
+        self.head_w = _stacked(stores, "head.w", transpose=True)   # (M, H, 2)
+        self.head_b = _stacked(stores, "head.b")[:, None, :]       # (M, 1, 2)
         self.max_pool = np.array([ws.kind == "gru-max" for ws in stores])
         self.input_size = self.layers[0][0].shape[1]
         self.hidden_size = self.head_w.shape[1]
@@ -504,86 +499,96 @@ def _gru_layer(seq, params, steps, n, last=False):
     return (h, h_max) if last else states
 
 
-def _check_config(features: FeatureMatrix, ws: WeightStore) -> None:
-    if ws.config_id != features.config_id:
-        raise ModelError(
-            f"features config {features.config_id} != model config {ws.config_id}"
-        )
+class LinearStack:
+    """M linear scorers of one shape, run over a window batch.
+
+    ``logits`` maps features (B, T, C) to (pos, neg) logits (M, B, 2): each
+    member standardizes every coefficient column with its ``norm.mean`` and
+    ``norm.std``, flattens the window row-major and applies ``w @ x + b``,
+    with the windows as the columns of x: so one window is one matrix-vector
+    product. Weights are cast to float64 and stacked here, once. The object
+    holds no per-call state, so threads may share it.
+    """
+
+    @staticmethod
+    def check(ws: WeightStore) -> None:
+        """Raise ModelError unless ws holds a well-formed linear scorer:
+        ``norm.mean`` and ``norm.std`` (C,), ``w`` (2, D) with D a multiple
+        of C, ``b`` (2,), and every ``norm.std`` above zero."""
+        try:
+            mean, std, w, b = (ws[n] for n in ("norm.mean", "norm.std", "w", "b"))
+        except KeyError as exc:
+            raise ModelError(f"malformed linear scorer: no tensor {exc}") from None
+        c = mean.size
+        shapes = (mean.shape, std.shape, w.shape[:1], w.ndim, b.shape)
+        if c == 0 or shapes != ((c,), (c,), (2,), 2, (2,)) or w.shape[1] % c or not w.shape[1]:
+            raise ModelError(
+                f"malformed linear scorer: norm.mean {mean.shape}, norm.std {std.shape}, "
+                f"w {w.shape} and b {b.shape} do not agree"
+            )
+        if not np.all(std > 0):
+            raise ModelError("malformed linear scorer: norm.std must be positive")
+
+    def __init__(self, stores: Sequence[WeightStore]):
+        _check_stack(LinearStack, stores)
+        self.config_id = stores[0].config_id
+        self.mean = _stacked(stores, "norm.mean")[:, None, None, :]  # (M, 1, 1, C)
+        self.std = _stacked(stores, "norm.std")[:, None, None, :]
+        self.w = _stacked(stores, "w")                               # (M, 2, D)
+        self.b = _stacked(stores, "b")[:, :, None]                   # (M, 2, 1)
+
+    def logits(self, x) -> np.ndarray:
+        """Features (B, T, C) -> logits (M, B, 2), float64."""
+        x = np.asarray(x)
+        m, width, coeffs = self.w.shape[0], self.w.shape[2], self.mean.shape[-1]
+        if x.ndim != 3 or x.shape[2] != coeffs or x.shape[1] * coeffs != width:
+            raise DataError(
+                f"linear stack needs (B, {width // coeffs}, {coeffs}) features, got {x.shape}"
+            )
+        z = ((x.astype(np.float64) - self.mean) / self.std).reshape(m, x.shape[0], width)
+        return (self.w @ z.transpose(0, 2, 1) + self.b).transpose(0, 2, 1)
 
 
-def _gru_forward(ws: WeightStore) -> Callable[[FeatureMatrix], ScorePair]:
-    _check_gru_store(ws)
-    # Built on the first call: a scorer that only ever runs inside an
-    # ensemble core's stack never needs a float64 copy of its own.
+# The one kernel of each built-in model kind.
+_KERNELS = {"sgru": GRUStack, "gru-max": GRUStack, "linear": LinearStack}
+
+
+def make_stack(stores: Sequence[WeightStore]) -> GRUStack | LinearStack:
+    """The batched kernel of scorers that share one ``stack_key``: the only
+    place a model kind chooses its forward pass."""
+    key = stack_key(stores[0]) if stores else None
+    if key is None:
+        raise ModelError(f"no stack kernel for model kinds {[ws.kind for ws in stores]}")
+    return key[0](stores)
+
+
+def make_scorer(ws: WeightStore, member_id: str | None = None) -> Scorer:
+    """Wrap a weight store as a Scorer over its kind's stack kernel.
+
+    The store is checked here and kept on the Scorer as ``weights``. ``fn``
+    is a one-window view of ``make_stack([ws])``, built on its first call:
+    a scorer that only ever runs inside an ensemble core's stack never needs
+    a float64 copy of its own.
+    """
+    key = stack_key(ws)
+    if key is None:
+        raise ModelError(f"no forward pass for model kind {ws.kind!r}")
+    key[0].check(ws)
+    if ws.config_id is None:
+        raise ModelError("weight store metadata lacks a config_id")
     stack = None
 
     def forward(features: FeatureMatrix) -> ScorePair:
         nonlocal stack
-        _check_config(features, ws)
+        if features.config_id != ws.config_id:
+            raise ModelError(
+                f"features config {features.config_id} != model config {ws.config_id}"
+            )
         if stack is None:
-            stack = GRUStack([ws])
+            stack = make_stack([ws])
         logits = stack.logits(features.values[None])[0, 0]
         return ScorePair(float(logits[0]), float(logits[1]))
 
-    return forward
-
-
-def _linear_forward(ws: WeightStore) -> Callable[[FeatureMatrix], ScorePair]:
-    mean, std, w, b = (ws[n].astype(np.float64) for n in ("norm.mean", "norm.std", "w", "b"))
-
-    def forward(features: FeatureMatrix) -> ScorePair:
-        _check_config(features, ws)
-        x = (np.asarray(features.values, dtype=np.float64) - mean) / std
-        flat = x.reshape(-1)
-        if w.shape[1] != flat.shape[0]:
-            raise ModelError(
-                f"feature shape {features.values.shape} does not match model input "
-                f"width {w.shape[1]}"
-            )
-        logits = linear(flat, w, b)
-        return ScorePair(float(logits[0]), float(logits[1]))
-
-    return forward
-
-
-def _prepare(ws: WeightStore) -> Callable[[FeatureMatrix], ScorePair]:
-    """The forward pass of a store, with its weights cast once."""
-    if ws.kind in _GRU_KINDS:
-        return _gru_forward(ws)
-    if ws.kind == "linear":
-        return _linear_forward(ws)
-    raise ModelError(f"no forward pass for model kind {ws.kind!r}")
-
-
-def sgru_forward(features: FeatureMatrix, ws: WeightStore) -> ScorePair:
-    """Stacked GRU scorer pooled with the last hidden state."""
-    if ws.kind != "sgru":
-        raise ModelError(f"expected an sgru store, got kind {ws.kind!r}")
-    return _prepare(ws)(features)
-
-
-def gru_max_forward(features: FeatureMatrix, ws: WeightStore) -> ScorePair:
-    """Stacked GRU scorer pooled with the elementwise max over time."""
-    if ws.kind != "gru-max":
-        raise ModelError(f"expected a gru-max store, got kind {ws.kind!r}")
-    return _prepare(ws)(features)
-
-
-def linear_classifier_forward(features: FeatureMatrix, ws: WeightStore) -> ScorePair:
-    """Standardize per coefficient column, flatten row-major, affine to 2 logits."""
-    return _linear_forward(ws)(features)
-
-
-def make_scorer(ws: WeightStore, member_id: str | None = None) -> Scorer:
-    """Wrap a weight store as a Scorer, dispatching on its model kind.
-
-    The store is checked here and kept on the Scorer as ``weights``. The
-    forward pass casts the weights once: the linear kind here, a GRU scorer
-    on its first ``fn`` call.
-    """
-    forward = _prepare(ws)
-    if ws.config_id is None:
-        raise ModelError("weight store metadata lacks a config_id")
     name = member_id if member_id is not None else ws.metadata.get("name", ws.kind)
     return Scorer(name, ws.config_id, forward, ws)
 

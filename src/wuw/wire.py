@@ -528,8 +528,8 @@ class VerificationServer:
 
     def serve_forever(self, host: str = "127.0.0.1", port: int = 0) -> None:
         addr = self.start(host, port)
-        print(f"verification server listening on {addr[0]}:{addr[1]}", flush=True)
         try:
+            print(f"verification server listening on {addr[0]}:{addr[1]}", flush=True)
             self._thread.join()
         except KeyboardInterrupt:
             self.shutdown()

@@ -8,7 +8,7 @@ import pytest
 from wuw.audio import write_wav
 from wuw.cli import main
 from wuw.features import DEVICE
-from wuw.nnet import init_gru_scorer, save_weights
+from wuw.nnet import WeightStore, init_gru_scorer, save_weights
 from wuw.synth import make_chirp_task, make_stream
 
 TRAIN = ["--epochs", "5", "--seed", "1"]
@@ -111,6 +111,13 @@ class TestExitCodes:
                          "--theta-device", "0")
         assert code == 3
         assert text == ""
+
+    def test_malformed_device_weights_are_a_model_error(self, tmp_path, capsys):
+        device = tmp_path / "bad.wuwm"
+        tensors = {"norm.mean": np.zeros(13), "w": np.zeros((2, 29 * 13)), "b": np.zeros(2)}
+        save_weights(WeightStore(tensors, {"kind": "linear", "config_id": DEVICE.config_id}),
+                     device)
+        assert run(capsys, "detect", tmp_path / "s.wav", "--device-weights", device)[0] == 3
 
     def test_fusion_without_device_weights_is_a_model_error(self, work, capsys):
         _, manifest = work

@@ -18,7 +18,6 @@ from wuw.fusion import (
     logits_log_odds,
     mlp_forward,
     mlp_grads,
-    stack_scores,
     synth_score_task,
     train_fusion,
 )
@@ -33,7 +32,7 @@ from wuw.nnet import (
     softmax2,
 )
 
-from test_nnet import oracle_logits
+from test_nnet import linear_oracle, linear_store, oracle_logits
 
 
 def fusion_from_arrays(w1, b1, w2, b2, member_ids):
@@ -69,24 +68,15 @@ class TestLogOdds:
 
 
 class TestStackScores:
-    def test_all_even_scores_give_zero_vector(self):
-        z = stack_scores([ScorePair(0.0, 0.0)] * 3, ["a", "b", "c"])
-        np.testing.assert_array_equal(z.values, np.zeros(3))
-        assert z.member_ids == ("a", "b", "c")
-
-    def test_single_member_identity(self):
-        z = stack_scores([ScorePair(2.0, 0.0)], ["only"])
-        assert z.values[0] == pytest.approx(2.0, abs=1e-5)
-
     def test_count_mismatch_rejected(self):
         with pytest.raises(DataError):
-            stack_scores([ScorePair(0.0, 0.0)], ["a", "b"])
+            LogOddsVector(np.zeros(1), ("a", "b"))
 
     def test_permuted_member_order_rejected_by_fuse(self):
         model = fusion_from_arrays(
             np.ones((2, 2)), np.zeros(2), np.ones((2, 2)), np.zeros(2), ["a", "b"]
         )
-        z = stack_scores([ScorePair(1.0, 0.0), ScorePair(0.0, 1.0)], ["b", "a"])
+        z = LogOddsVector(np.array([1.0, -1.0]), ("b", "a"))
         with pytest.raises(ModelError):
             fuse(z, model)
 
@@ -338,6 +328,22 @@ class TestEnsemble:
         got = core.log_odds({2: x})
         want = [log_odds(*softmax2(ScorePair(*oracle_logits(ws, w)))) for w in x]
         np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-12)
+
+    def test_linear_members_skip_fn(self):
+        stores = [linear_store(frames=29, coeffs=13, seed=i) for i in range(2)]
+
+        def never(fm):
+            raise AssertionError("a stacked member must not be called through fn")
+
+        scorers = [Scorer(f"lin{i}", DEVICE.config_id, never, ws) for i, ws in enumerate(stores)]
+        core = Ensemble([*scorers, gru_member("sgru", 0, hidden=8)])
+        assert sorted(cols for cols, _ in core._stacks) == [[0, 1], [2]]
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 29, 13)).astype(np.float32)
+        got = core.log_odds({1: x, 2: rng.normal(size=(3, 20, 40))})
+        for col, ws in enumerate(stores):
+            want = [log_odds(*softmax2(ScorePair(*linear_oracle(ws, w)))) for w in x]
+            np.testing.assert_allclose(got[:, col], want, rtol=0, atol=1e-12)
 
     def test_scorer_without_weights_goes_through_fn(self):
         inner = gru_member("sgru", 0, hidden=8)

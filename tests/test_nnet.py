@@ -17,51 +17,27 @@ from wuw.nnet import (
     Adam,
     GRUParams,
     GRUStack,
+    LinearStack,
     PlateauSchedule,
     ScorePair,
     TrainSpec,
     WeightStore,
     cross_entropy,
     gru_cell,
-    gru_max_forward,
     gru_outputs,
     gru_scorer_param_count,
     gru_sequence,
     init_gru_scorer,
-    linear,
-    linear_classifier_forward,
     linear_grads,
     load_weights,
     make_scorer,
+    make_stack,
     param_count,
     save_weights,
-    sgru_forward,
     softmax2,
+    stack_key,
     train_classifier,
 )
-
-
-class TestLinear:
-    def test_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        out = linear(x, np.eye(3), np.zeros(3))
-        np.testing.assert_array_equal(out, x)
-
-    def test_zero_weights_give_bias(self):
-        out = linear(np.ones(4), np.zeros((2, 4)), np.array([3.0, -1.0]))
-        np.testing.assert_array_equal(out, [3.0, -1.0])
-
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        w, x, b = rng.normal(size=(8, 8)), rng.normal(size=8), rng.normal(size=8)
-        oracle = np.array(
-            [sum(w[i, j] * x[j] for j in range(8)) + b[i] for i in range(8)]
-        )
-        np.testing.assert_allclose(linear(x, w, b), oracle, rtol=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            linear(np.ones(3), np.ones((2, 4)), np.ones(2))
 
 
 def zero_gru(i=3, h=4):
@@ -154,26 +130,24 @@ class TestSgruScorer:
             {k: np.zeros_like(v) for k, v in ws.tensors.items()}, ws.metadata
         )
         fm = FeatureMatrix(np.random.default_rng(5).normal(size=(29, 13)), 1)
-        assert sgru_forward(fm, zeroed) == ScorePair(0.0, 0.0)
+        assert make_scorer(zeroed).fn(fm) == ScorePair(0.0, 0.0)
 
     def test_deterministic(self):
         ws = init_gru_scorer(DEVICE, seed=7)
         fm = FeatureMatrix(np.random.default_rng(6).normal(size=(29, 13)), 1)
-        assert sgru_forward(fm, ws) == sgru_forward(fm, ws)
+        assert make_scorer(ws).fn(fm) == make_scorer(ws).fn(fm)
 
     def test_config_mismatch_rejected(self):
         ws = init_gru_scorer(DEVICE, seed=0)
         fm = FeatureMatrix(np.zeros((148, 40)), CLOUD.config_id)
         with pytest.raises(ModelError):
-            sgru_forward(fm, ws)
+            make_scorer(ws).fn(fm)
 
     def test_gru_max_kind(self):
         ws = init_gru_scorer(CLOUD, kind="gru-max", hidden=8, layers=1, seed=1)
         fm = FeatureMatrix(np.random.default_rng(7).normal(size=(148, 40)), 2)
-        out = gru_max_forward(fm, ws)
+        out = make_scorer(ws).fn(fm)
         assert np.isfinite(out.logit_pos) and np.isfinite(out.logit_neg)
-        with pytest.raises(ModelError):
-            sgru_forward(fm, ws)
 
 
 class TestSoftmax2:
@@ -306,7 +280,7 @@ class TestLinearClassifier:
             {"kind": "linear", "config_id": 1},
         )
         fm = FeatureMatrix(np.random.default_rng(11).normal(size=(4, 3)), 1)
-        assert linear_classifier_forward(fm, ws) == ScorePair(0.0, 0.0)
+        assert make_scorer(ws).fn(fm) == ScorePair(0.0, 0.0)
 
     def test_single_feature_sign(self):
         ws = WeightStore(
@@ -315,7 +289,7 @@ class TestLinearClassifier:
             {"kind": "linear", "config_id": 1},
         )
         fm = FeatureMatrix(np.array([[2.5]]), 1)
-        out = linear_classifier_forward(fm, ws)
+        out = make_scorer(ws).fn(fm)
         assert out.logit_pos == pytest.approx(2.5)
         assert out.logit_neg == pytest.approx(-2.5)
 
@@ -323,9 +297,10 @@ class TestLinearClassifier:
         train = separable_dataset(200, seed=12)
         valid = separable_dataset(50, seed=13)
         ws = train_classifier(train, valid, TrainSpec(max_epochs=120, seed=0))
+        score = make_scorer(ws).fn
         correct = 0
         for fm, label in train:
-            s = linear_classifier_forward(fm, ws)
+            s = score(fm)
             correct += int((s.logit_pos >= s.logit_neg) == bool(label))
         assert correct / len(train) >= 0.99
 
@@ -333,9 +308,10 @@ class TestLinearClassifier:
         train = separable_dataset(200, seed=14)
         valid = separable_dataset(80, seed=15)
         ws = train_classifier(train, valid, TrainSpec(max_epochs=200, seed=1))
+        score = make_scorer(ws).fn
         losses = []
         for fm, label in valid:
-            losses.append(cross_entropy(linear_classifier_forward(fm, ws), label)[0])
+            losses.append(cross_entropy(score(fm), label)[0])
         assert np.mean(losses) < 0.1
 
     def test_zero_epochs_returns_init(self):
@@ -500,10 +476,9 @@ class TestGRUStack:
         stores = self.stores()
         fm = FeatureMatrix(np.random.default_rng(6).normal(size=(148, 40)), 2)
         for ws in stores:
-            forward = sgru_forward if ws.kind == "sgru" else gru_max_forward
-            np.testing.assert_allclose(forward(fm, ws), oracle_logits(ws, fm.values),
-                                       rtol=0, atol=1e-12)
-            assert make_scorer(ws).fn(fm) == forward(fm, ws)
+            got = make_scorer(ws).fn(fm)
+            np.testing.assert_allclose(got, oracle_logits(ws, fm.values), rtol=0, atol=1e-12)
+            assert got == tuple(GRUStack([ws]).logits(fm.values[None])[0, 0])
 
     def test_wrong_input_width_rejected(self):
         stack = GRUStack(self.stores())
@@ -530,3 +505,79 @@ class TestGRUStack:
     def test_make_scorer_keeps_weights(self):
         ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
         assert make_scorer(ws).weights is ws
+
+
+def linear_store(frames=4, coeffs=3, seed=0, config_id=DEVICE.config_id):
+    rng = np.random.default_rng(seed)
+    return WeightStore(
+        {"norm.mean": rng.normal(size=coeffs), "norm.std": rng.uniform(0.5, 2.0, size=coeffs),
+         "w": rng.normal(size=(2, frames * coeffs)), "b": rng.normal(size=2)},
+        {"kind": "linear", "config_id": config_id},
+    )
+
+
+def linear_oracle(ws: WeightStore, frames: np.ndarray) -> np.ndarray:
+    """A linear scorer's (pos, neg) logits on one window, term by term:
+    standardize each coefficient column, flatten row-major, w @ x + b."""
+    mean, std, w, b = (ws[n].astype(np.float64) for n in ("norm.mean", "norm.std", "w", "b"))
+    n_frames, n_coeffs = frames.shape
+    x = [(float(frames[t, c]) - mean[c]) / std[c]
+         for t in range(n_frames) for c in range(n_coeffs)]
+    return np.array([sum(w[k, j] * x[j] for j in range(len(x))) + b[k] for k in range(2)])
+
+
+class TestLinearStack:
+    @pytest.mark.parametrize("members", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_matches_per_window_loop(self, batch, members):
+        stores = [linear_store(seed=i) for i in range(members)]
+        x = np.random.default_rng(batch).normal(size=(batch, 4, 3)).astype(np.float32)
+        got = LinearStack(stores).logits(x)
+        assert got.shape == (members, batch, 2)
+        for m, ws in enumerate(stores):
+            for b in range(batch):
+                np.testing.assert_allclose(got[m, b], linear_oracle(ws, x[b]), rtol=0, atol=1e-12)
+                fm = FeatureMatrix(x[b], DEVICE.config_id)
+                np.testing.assert_allclose(make_scorer(ws).fn(fm), linear_oracle(ws, x[b]),
+                                           rtol=0, atol=1e-12)
+
+    def test_wrong_input_shape_rejected(self):
+        stack = LinearStack([linear_store()])
+        for shape in [(1, 5, 3), (1, 6, 2), (4, 3)]:
+            with pytest.raises(DataError):
+                stack.logits(np.zeros(shape))
+
+    @pytest.mark.parametrize("case", ["missing", "bias", "width", "norm", "zero_std"])
+    def test_malformed_store_refused_by_make_scorer(self, case):
+        ws = linear_store()
+        tensors = dict(ws.tensors)
+        if case == "missing":
+            del tensors["norm.std"]
+        elif case == "bias":
+            tensors["b"] = np.zeros(3)
+        elif case == "width":
+            tensors["w"] = np.zeros((2, 13))
+        elif case == "norm":
+            tensors["norm.std"] = np.ones(4)
+        else:
+            tensors["norm.std"][1] = 0.0
+        with pytest.raises(ModelError):
+            make_scorer(WeightStore(tensors, ws.metadata))
+
+
+class TestMakeStack:
+    def test_kernel_follows_the_kind(self):
+        gru_max = init_gru_scorer(CLOUD, kind="gru-max", hidden=4, layers=1)
+        assert isinstance(make_stack([linear_store()]), LinearStack)
+        assert isinstance(make_stack([gru_max]), GRUStack)
+        sgru = init_gru_scorer(CLOUD, kind="sgru", hidden=4, layers=1, seed=1)
+        assert stack_key(sgru) == stack_key(gru_max)
+        assert stack_key(linear_store()) != stack_key(linear_store(frames=5))
+
+    def test_mixed_or_unknown_kinds_refused(self):
+        gru = init_gru_scorer(DEVICE, hidden=4, layers=1)
+        mystery = WeightStore({}, {"kind": "mystery", "config_id": 1})
+        assert stack_key(mystery) is None
+        for stores in ([], [mystery], [linear_store(), gru], [gru, linear_store()]):
+            with pytest.raises(ModelError):
+                make_stack(stores)

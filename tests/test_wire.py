@@ -543,6 +543,16 @@ class TestVerification:
             server.shutdown()
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_interrupt_while_announcing_shuts_down(self, monkeypatch):
+        server = self.make_server()
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("builtins.print", interrupted)
+        server.serve_forever()
+        assert server._tcp is None and server._thread is None
+
     def test_body_over_cap_never_allocated(self):
         frame = b"WUWP" + struct.pack("<I", MAX_BODY_BYTES + 1)
         with pytest.raises(FrameLengthError):
