@@ -5,12 +5,11 @@ features; phase two is a server-side verification ensemble over
 high-resolution features, fused by a stacking MLP on log-odds. The phases
 talk over a binary feature-transport protocol that never carries raw audio.
 
-Import contract: importing ``wuw`` (or ``wuw.cli``) loads numpy and no
-scipy. ``scipy.fft`` is loaded by the first MFCC (``features.mfcc``) or RIR
-convolution (``audio.convolve_rir``); ``scipy.signal`` is loaded only by
-``wuw.synth``, the synthetic corpus generator, which no other module
-imports. Tests pin this, since one top-level import would cost every
-process about a second of start-up.
+Import contract: no wuw module imports scipy; numpy is the only runtime
+dependency. The MFCC's DCT, the RIR convolution and the synthetic corpus's
+chirp and noise filter are numpy code, checked against scipy in the tests.
+``tests/test_imports.py`` pins this, since scipy.fft alone would add 85
+modules and about 27 MiB to every process that computes a feature.
 """
 
 from .audio import (

@@ -6,9 +6,8 @@ Samples are float64 in nominal range [-1, 1]; the canonical rate is 16 kHz.
 Noise mixtures are not rescaled, so a mixture at low SNR can exceed that
 range; nothing downstream clips.
 
-Importing this module loads numpy only. ``scipy.fft`` is imported by the
-first ``convolve_rir`` call, and ``scipy.signal`` by no runtime module (only
-the corpus generator ``wuw.synth`` uses it).
+This module, like every ``wuw`` module, imports no scipy: numpy is the only
+runtime dependency.
 """
 
 from __future__ import annotations
@@ -242,26 +241,38 @@ def mix_at_snr(signal: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
     return AudioClip(signal.samples + gain * tiled, signal.sample_rate_hz)
 
 
+def _fast_rfft_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, the length that
+    ``scipy.fft.next_fast_len(n, real=True)`` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2**a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def convolve_rir(clip: AudioClip, rir: AudioClip) -> AudioClip:
     """Convolve with a room impulse response, keep the original length, renormalize."""
     if clip.sample_rate_hz != rir.sample_rate_hz:
         raise DataError("clip and RIR sample rates differ")
     if len(clip) == 0 or len(rir) == 0:
         raise DataError("clip and RIR must be non-empty")
-    # Imported here so a process that convolves no RIR never loads scipy.
-    from scipy import fft as sp_fft
-
     x, h = clip.samples, rir.samples
     if len(x) == 1 or len(h) == 1:
         # A length-1 operand is a scaling, which scipy.signal.fftconvolve
         # multiplies directly; the first len(x) samples are x * h[0].
         wet = x * h[0]
     else:
-        # The FFT calls scipy.signal.fftconvolve makes for two real 1-D
-        # inputs, so the wet samples are bit-identical to it.
-        n = len(x) + len(h) - 1
-        shape = [sp_fft.next_fast_len(n, True)]
-        wet = sp_fft.irfftn(sp_fft.rfftn(x, shape) * sp_fft.rfftn(h, shape), shape)
+        # The FFT length and the calls that scipy.signal.fftconvolve makes
+        # for two real 1-D inputs. numpy.fft (numpy >= 2) runs the same
+        # pocketfft code as scipy.fft, so the wet samples are bit-identical.
+        n = _fast_rfft_len(len(x) + len(h) - 1)
+        wet = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(h, n), n)
     return peak_normalize(AudioClip(wet[: len(x)], clip.sample_rate_hz))
 
 

@@ -21,9 +21,10 @@ it sits in, so the features are bit-identical to one whole-matrix product
 (the tests check this), and a frame's row does not depend on the clip it
 was cut from.
 
-Importing this module loads numpy only; ``scipy.fft`` (for the DCT) is
-imported by the first ``mfcc`` call, so the verification server, which
-decodes features but computes none, never loads scipy.
+The DCT is a product with a cached orthonormal DCT-II matrix, issued through
+the same row blocks, so a row's coefficients do not depend on how many rows
+share the call either. This module, like every ``wuw`` module, imports no
+scipy.
 """
 
 from __future__ import annotations
@@ -196,12 +197,29 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     return fb
 
 
-def dct2_ortho(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Orthonormal DCT-II, the decorrelating transform used by mfcc()."""
-    # Imported here so a process that computes no MFCC never loads scipy.
-    from scipy.fft import dct
+@lru_cache(maxsize=None)
+def _dct_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II as an (n, n) matrix D, so that ``x @ D`` is
+    the transform of rows x: D[i, k] = s_k cos(pi k (2i + 1) / 2n), with
+    s_0 = sqrt(1/n) and s_k = sqrt(2/n) otherwise. The angle is reduced
+    modulo 2 pi in integers before the cosine. Cached per length and safe
+    to share read-only.
+    """
+    i = np.arange(n)
+    turns = np.outer(2 * i + 1, i) % (4 * n)  # angle / (pi / 2n), mod 2 pi
+    d = np.cos(np.pi * turns / (2 * n)) * np.sqrt(2.0 / n)
+    d[:, 0] = np.sqrt(1.0 / n)
+    d.flags.writeable = False
+    return d
 
-    return dct(x, type=2, norm="ortho", axis=axis)
+
+def dct2_ortho(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II over the last axis, the decorrelating transform
+    used by mfcc(). Each row is one product with ``_dct_matrix``, so its
+    coefficients do not depend on the other rows of the call."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    return _matmul_rows(x.reshape(-1, n), _dct_matrix(n)).reshape(x.shape)
 
 
 def _gemm_block_rows(k: int, n: int) -> int:
@@ -236,7 +254,7 @@ def mfcc(clip: AudioClip, config: FeatureConfig) -> FeatureMatrix:
 
     spectra = np.square(np.abs(np.fft.rfft(frames, n=config.fft_len, axis=1)))
     energies = _matmul_rows(spectra, mel_filterbank(config).T)
-    cepstra = dct2_ortho(np.log(energies + LOG_FLOOR), axis=1)[:, : config.n_mfcc]
+    cepstra = dct2_ortho(np.log(energies + LOG_FLOOR))[:, : config.n_mfcc]
     cepstra[:, 0] = np.log(np.sum(np.square(frames), axis=1) + LOG_FLOOR)
     return FeatureMatrix(cepstra.astype(np.float32), config.config_id)
 

@@ -2,7 +2,8 @@
 
 Generates WAV files plus a JSONL manifest so the full pipeline (training,
 evaluation, streaming detection, verification) can run without a speech
-corpus. Everything is driven by one seed and fully reproducible.
+corpus. Everything is driven by one seed and fully reproducible. Like every
+``wuw`` module, this one imports no scipy.
 """
 
 from __future__ import annotations
@@ -12,19 +13,45 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import chirp as chirp_sweep
-from scipy.signal import lfilter
 
 from .audio import CANONICAL_RATE_HZ, AudioClip, write_wav
+from .features import _matmul_rows
 
 CHIRP_F0_HZ = 1000.0
 CHIRP_F1_HZ = 4000.0
 
+# Samples per block of the one-pole filter's in-block GEMM.
+_POLE_BLOCK = 16
+
+
+def _one_pole(x: np.ndarray, a: float) -> np.ndarray:
+    """y[n] = x[n] + a * y[n - 1] from y[-1] = 0, for 1-D x.
+
+    The samples are cut into rows of ``_POLE_BLOCK``. The last output of
+    each row, from a zero state, is one product with the filter's step row;
+    those outputs obey the same recursion with pole a**_POLE_BLOCK, solved
+    the same way, which gives every row's true last output. Each row then
+    gets its outputs from one GEMM over [previous row's last output, row].
+    Sums run in another order than a sequential loop, so outputs differ
+    from it by a few ulp of the peak.
+    """
+    n = x.size
+    full, rem = divmod(n, _POLE_BLOCK)
+    rows = np.zeros((full + (rem > 0), 1 + _POLE_BLOCK))
+    rows[:full, 1:] = x[: full * _POLE_BLOCK].reshape(full, _POLE_BLOCK)
+    rows[full:, 1 : 1 + rem] = x[full * _POLE_BLOCK :]
+    lag = np.subtract.outer(np.arange(_POLE_BLOCK), np.arange(_POLE_BLOCK))
+    step = np.tril(a ** np.abs(lag))  # step[i, j] = a**(i - j) for j <= i
+    if len(rows) > 1:
+        last = _matmul_rows(rows[:, 1:], step[-1:].T)[:, 0]
+        rows[1:, 0] = _one_pole(last, a**_POLE_BLOCK)[:-1]
+    gains = np.vstack([a ** np.arange(1, _POLE_BLOCK + 1), step.T])
+    return _matmul_rows(rows, gains).reshape(-1)[:n]
+
 
 def _shaped_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     """Low-frequency-weighted noise; the negative/background texture."""
-    white = rng.standard_normal(n)
-    colored = lfilter([1.0], [1.0, -0.9], white)
+    colored = _one_pole(rng.standard_normal(n), 0.9)
     return colored / np.max(np.abs(colored))
 
 
@@ -35,7 +62,11 @@ def chirp_keyword(
 ) -> np.ndarray:
     """The synthetic wake word: a rising sweep under a Hann envelope."""
     t = np.arange(int(duration_s * rate)) / rate
-    tone = chirp_sweep(t, f0=CHIRP_F0_HZ, f1=CHIRP_F1_HZ, t1=duration_s)
+    # A linear sweep from f0 at t = 0 to f1 at duration_s. The phase is
+    # written term for term as scipy.signal.chirp writes it, so the samples
+    # are bit-identical to that function's.
+    beta = (CHIRP_F1_HZ - CHIRP_F0_HZ) / duration_s
+    tone = np.cos(2 * np.pi * (CHIRP_F0_HZ * t + 0.5 * beta * t * t))
     envelope = np.hanning(t.size)
     return tone * envelope * rng.uniform(0.6, 0.9)
 

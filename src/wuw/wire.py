@@ -57,6 +57,10 @@ _STRIDE_HOPS = 2
 # default timeout of ``request_verification``.
 READ_TIMEOUT_S = 10.0
 
+# Connections the verification server handles at once, one thread each. A
+# connection beyond them is answered with one ERROR frame and closed.
+MAX_CONNECTIONS = 64
+
 
 class Verdict(IntEnum):
     REJECT = 0
@@ -427,7 +431,9 @@ class VerificationServer:
     one request can ask for. Every frame gets a response: ACCEPT, REJECT, or
     ERROR for a malformed or refused request or a member that fails.
     A connection whose next read or write waits longer than
-    ``READ_TIMEOUT_S`` is closed without a response.
+    ``READ_TIMEOUT_S`` is closed without a response. At most
+    ``MAX_CONNECTIONS`` connections are handled at once; one more gets a
+    single ERROR frame and is closed without being read.
     """
 
     def __init__(
@@ -517,9 +523,31 @@ class VerificationServer:
                 except (EOFError, OSError):
                     return
 
+        slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
             daemon_threads = True
+
+            def process_request(self, request, client_address):
+                if not slots.acquire(blocking=False):
+                    try:
+                        request.sendall(_error_response())
+                    except OSError:
+                        pass
+                    self.shutdown_request(request)
+                    return
+                try:
+                    super().process_request(request, client_address)
+                except BaseException:
+                    slots.release()  # no handler thread started to release it
+                    raise
+
+            def process_request_thread(self, request, client_address):
+                try:
+                    super().process_request_thread(request, client_address)
+                finally:
+                    slots.release()
 
         self._tcp = Server((host, port), Handler)
         self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)

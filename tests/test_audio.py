@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from wuw import audio
 from wuw.audio import (
     SNR_RANGE_DB,
     AlignmentSpan,
@@ -264,6 +265,12 @@ class TestConvolveRir:
             clip, rir = AudioClip(rng.normal(size=n)), AudioClip(rng.normal(size=m))
             old = peak_normalize(AudioClip(fftconvolve(clip.samples, rir.samples)[:n]))
             assert np.array_equal(convolve_rir(clip, rir).samples, old.samples), (n, m)
+
+    def test_fast_length_is_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        ours = [audio._fast_rfft_len(n) for n in range(1, 20_001)]
+        assert ours == [next_fast_len(n, True) for n in range(1, 20_001)]
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):

@@ -191,13 +191,38 @@ class TestMelRowBlocks:
             return matmul(a, w, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
-        fm = mfcc(random_clip(6), config)
         k, n = config.fft_len // 2 + 1, config.n_filters
-        assert calls and all(w == (k, n) for _, w in calls)
-        assert sum(a[0] for a, _ in calls) == fm.n_frames
-        assert all(a[0] * k * n <= features._GEMM_MAX_MNK for a, _ in calls)
-        # the whole window in one product would be above it
-        assert fm.n_frames * k * n > features._GEMM_MAX_MNK
+        dct = (n, n)
+        # one 1.5 s window, then a 60 s clip
+        for clip in (random_clip(6), random_clip(7, n=60 * 16000)):
+            calls.clear()
+            fm = mfcc(clip, config)
+            mel = [a for a, w in calls if w == (k, n)]
+            assert mel and all(w in ((k, n), dct) for _, w in calls)
+            assert sum(a[0] for a in mel) == fm.n_frames
+            assert sum(a[0] for a, w in calls if w == dct) == fm.n_frames
+            assert all(a[0] * w[0] * w[1] <= features._GEMM_MAX_MNK for a, w in calls)
+        # the whole window in one mel product would be above the bound
+        assert mfcc(random_clip(6), config).n_frames * k * n > features._GEMM_MAX_MNK
+
+
+class TestDctOracle:
+    @pytest.mark.parametrize("n", [1, 2, 13, 40, 63])
+    @pytest.mark.parametrize("shape", [(), (9,)], ids=["1-D", "2-D"])
+    def test_matches_scipy_fft_dct(self, n, shape):
+        from scipy.fft import dct
+
+        x = np.random.default_rng(n).normal(scale=30.0, size=shape + (n,))
+        scale = np.max(np.abs(x))
+        np.testing.assert_allclose(
+            dct2_ortho(x), dct(x, type=2, norm="ortho"), rtol=0, atol=1e-12 * scale
+        )
+
+    def test_matrix_is_cached_and_read_only(self):
+        d = features._dct_matrix(40)
+        assert features._dct_matrix(40) is d
+        with pytest.raises(ValueError):
+            d[0, 0] = 0.0
 
 
 class TestDctParseval:

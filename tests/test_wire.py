@@ -543,6 +543,28 @@ class TestVerification:
             server.shutdown()
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_connection_over_the_limit_gets_error_until_a_slot_frees(self, monkeypatch):
+        import socket
+        import time
+
+        monkeypatch.setattr(wire, "MAX_CONNECTIONS", 1)
+        server = self.make_server()
+        addr = server.start()
+        req = VerifyRequest(config_id=CLOUD.config_id, device_log_odds=10.0,
+                            features=np.zeros((148, 40), dtype=np.float32))
+        try:
+            # Accepted first, the idle connection takes the only slot.
+            with socket.create_connection(addr, timeout=5):
+                assert request_verification(addr, req).verdict is Verdict.ERROR
+            # Its handler reads EOF and frees the slot, soon but not at once.
+            deadline = time.monotonic() + 5.0
+            while (verdict := request_verification(addr, req).verdict) is Verdict.ERROR:
+                assert time.monotonic() < deadline, "the slot was never released"
+                time.sleep(0.01)
+            assert verdict in (Verdict.ACCEPT, Verdict.REJECT)
+        finally:
+            server.shutdown()
+
     def test_interrupt_while_announcing_shuts_down(self, monkeypatch):
         server = self.make_server()
 
