@@ -43,7 +43,7 @@ class AudioClip:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise DataError(f"clip must be mono 1-D, got shape {self.samples.shape}")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        if self.samples.size and not np.isfinite(self.samples).all():
             raise DataError("clip contains non-finite samples")
         if self.sample_rate_hz <= 0:
             raise DataError(f"sample rate must be positive, got {self.sample_rate_hz}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -46,6 +47,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1]: {text!r}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0: {text!r}")
     return value
 
 
@@ -299,8 +314,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", help="stream a wav through the device agent")
     p.add_argument("wav")
     p.add_argument("--device-weights", required=True)
-    p.add_argument("--theta-device", type=float, default=0.5)
-    p.add_argument("--refractory", type=float, default=1.0)
+    p.add_argument("--theta-device", type=_probability, default=0.5)
+    p.add_argument("--refractory", type=_seconds, default=1.0)
     p.add_argument("--chunk-ms", type=_positive_int, default=100)
     p.add_argument("--server", type=_parse_server,
                    help="host:port of a verification server")
@@ -313,7 +328,7 @@ def build_parser() -> _Parser:
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--member", action="append", required=True)
     p.add_argument("--fusion", required=True)
-    p.add_argument("--theta-cloud", type=float, default=0.5)
+    p.add_argument("--theta-cloud", type=_probability, default=0.5)
     p.add_argument("--key", type=_parse_key, help="pre-shared obfuscation key (int)")
     p.set_defaults(func=cmd_serve)
 

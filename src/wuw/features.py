@@ -21,9 +21,17 @@ it sits in, so the features are bit-identical to one whole-matrix product
 (the tests check this), and a frame's row does not depend on the clip it
 was cut from.
 
-The DCT is a product with a cached orthonormal DCT-II matrix, issued through
-the same row blocks, so a row's coefficients do not depend on how many rows
-share the call either. This module, like every ``wuw`` module, imports no
+Frames are a read-only strided view of the clip's samples (frame i starts
+at sample i * hop); nothing is copied to cut them.
+
+The DCT is one product with the first ``n_mfcc`` columns of the cached
+orthonormal DCT-II matrix, issued through the same row blocks, so a row's
+coefficients do not depend on how many rows share the call either. Each
+coefficient is the same sum over the same filters as in the full transform,
+and the features are bit-identical to slicing it (the tests check this);
+``dct2_ortho`` stays the full transform. A product that fits in one block
+is a single ``np.matmul``, so the few frames of a streaming feed pay no
+blocking overhead. This module, like every ``wuw`` module, imports no
 scipy.
 """
 
@@ -142,7 +150,7 @@ class FeatureMatrix:
         self.values = np.asarray(self.values, dtype=np.float32)
         if self.values.ndim != 2:
             raise DataError(f"feature matrix must be 2-D, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise DataError("feature matrix contains non-finite values")
 
     @property
@@ -213,6 +221,15 @@ def _dct_matrix(n: int) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=None)
+def _dct_columns(n: int, m: int) -> np.ndarray:
+    """The first m columns of ``_dct_matrix(n)``, (n, m) C-contiguous: the
+    coefficients mfcc() keeps. Cached and safe to share read-only."""
+    d = np.ascontiguousarray(_dct_matrix(n)[:, :m])
+    d.flags.writeable = False
+    return d
+
+
 def dct2_ortho(x: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II over the last axis, the decorrelating transform
     used by mfcc(). Each row is one product with ``_dct_matrix``, so its
@@ -230,10 +247,13 @@ def _gemm_block_rows(k: int, n: int) -> int:
 
 def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """a (..., R, K) @ w (..., K, N) -> (..., R, N), float64, issued in row
-    blocks of at most ``_GEMM_MAX_MNK`` multiply-adds each."""
+    blocks of at most ``_GEMM_MAX_MNK`` multiply-adds each. Rows that fit in
+    one block are one plain ``np.matmul``, the same call the loop makes."""
     k, n = w.shape[-2:]
     rows = a.shape[-2]
     block = _gemm_block_rows(k, n)
+    if rows <= block:
+        return np.matmul(a, w)
     out = np.empty(np.broadcast_shapes(a.shape[:-2], w.shape[:-2]) + (rows, n))
     for s in range(0, rows, block):
         np.matmul(a[..., s : s + block, :], w, out=out[..., s : s + block, :])
@@ -249,13 +269,18 @@ def mfcc(clip: AudioClip, config: FeatureConfig) -> FeatureMatrix:
     window, hop = config.window_samples, config.hop_samples
     n_frames = frame_count(len(clip), window, hop)
 
-    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, window)[::hop]
-    frames = frames[:n_frames]
+    x = clip.samples
+    step = x.strides[0]
+    frames = np.lib.stride_tricks.as_strided(
+        x, (n_frames, window), (hop * step, step), writeable=False
+    )
 
     spectra = np.square(np.abs(np.fft.rfft(frames, n=config.fft_len, axis=1)))
     energies = _matmul_rows(spectra, mel_filterbank(config).T)
-    cepstra = dct2_ortho(np.log(energies + LOG_FLOOR))[:, : config.n_mfcc]
-    cepstra[:, 0] = np.log(np.sum(np.square(frames), axis=1) + LOG_FLOOR)
+    energies += LOG_FLOOR
+    log_energies = np.log(energies, out=energies)
+    cepstra = _matmul_rows(log_energies, _dct_columns(config.n_filters, config.n_mfcc))
+    cepstra[:, 0] = np.log(np.add.reduce(np.square(frames), axis=1) + LOG_FLOOR)
     return FeatureMatrix(cepstra.astype(np.float32), config.config_id)
 
 

@@ -16,6 +16,7 @@ real transport-security layer in production.
 from __future__ import annotations
 
 import logging
+import math
 import socket
 import socketserver
 import struct
@@ -282,6 +283,15 @@ def read_frame(stream: BinaryIO) -> bytes:
 
 # -- Device agent ------------------------------------------------------------
 
+def _check_operating_point(theta: float, refractory_s: float = 0.0) -> None:
+    """ValueError unless theta is a probability in [0, 1] and refractory_s
+    a finite number of seconds >= 0 (NaN fails both)."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {theta!r}")
+    if not 0.0 <= refractory_s < math.inf:
+        raise ValueError(f"refractory period must be finite and >= 0 s, got {refractory_s!r}")
+
+
 class DeviceAgent:
     """Streaming first-phase detector.
 
@@ -291,28 +301,33 @@ class DeviceAgent:
     emits a DetectionEvent plus a VerifyRequest carrying
     verification-resolution features of the same window.
 
-    Buffer rule: ``feed`` appends the chunk to the carried samples, scores
-    every complete window, then keeps a copy of the samples from the next
-    window's start onward, fewer than one window. So no window is ever
-    skipped and the events do not depend on how the stream is cut into
-    chunks. ``dropped_windows`` stays for callers that read it and is
-    always 0.
+    Sample store: the agent owns one float64 array two windows long, and
+    the carried samples, those from the next window's start onward, are
+    ``_store[_lo:_hi]``: always fewer than one window. ``feed`` copies the
+    chunk in after them; when it does not fit, the carried samples first move
+    to the front. A chunk longer than one window goes in as pieces of at most
+    one window, each scored before the next is copied, so every chunk size
+    takes the same path and the store never grows. No window is ever skipped,
+    and the events do not depend on how the stream is cut into chunks.
+    ``dropped_windows`` stays for callers that read it and is always 0.
 
     Frame carry: next to the samples, the agent keeps the device MFCC rows
-    of the frames that start at the carried samples' start plus a multiple
-    of the device hop. Each ``feed`` runs one ``mfcc`` call over only the
-    frames its samples complete (2 for a 100 ms chunk), a window's device
-    features are the 29 rows from its start, and the rows from the next
-    window's start onward are carried with the samples. So each device
-    frame of the stream is computed once, and exactly: a frame's MFCC
-    depends only on its own samples (nothing rescales a window, c0 is the
-    frame's own log energy, and the mel projection treats each row alone),
-    so a carried row is bit-identical to that frame computed inside any
-    window. Cloud features are computed only for a window that fires.
+    of the frames that start at ``_lo`` plus a multiple of the device hop.
+    Each piece runs one ``mfcc`` call over only the frames its samples
+    complete (2 for a 100 ms chunk), a window's device features are the 29
+    rows from its start, and the rows from the next window's start onward
+    are carried with the samples. So each device frame of the stream is
+    computed once, and exactly: a frame's MFCC depends only on its own
+    samples (nothing rescales a window, c0 is the frame's own log energy,
+    and the mel projection treats each row alone), so a carried row is
+    bit-identical to that frame computed inside any window. Cloud features
+    are computed only for a window that fires.
 
     A chunk is checked once, on entry, as an ``AudioClip`` at the agent's
     rate: another rate raises ModelError, and a chunk that is not 1-D or
     holds a non-finite sample raises DataError, before any state changes.
+    If scoring raises, the chunk counts as not fed: the carry, the stream
+    position and the refractory state are those from before it.
 
     There is no gain normalization anywhere in the device path: samples are
     scored as fed, and the device and cloud features of a window are both
@@ -327,6 +342,7 @@ class DeviceAgent:
         refractory_s: float = 1.0,
         key: int | None = None,
     ):
+        _check_operating_point(theta_device, refractory_s)
         device_cfg = preset(scorer.config_id)
         if device_cfg.config_id != DEVICE.config_id:
             raise ModelError("device agent needs a scorer over the device config")
@@ -339,12 +355,13 @@ class DeviceAgent:
         self._rate = device_cfg.sample_rate_hz
         self._threshold_lo = log_odds(theta_device, 1.0 - theta_device)
         self._window = int(round(WINDOW_S * self._rate))
-        self._stride = _STRIDE_HOPS * device_cfg.hop_samples
-        self._window_frames = frame_count(self._window, device_cfg.window_samples,
-                                          device_cfg.hop_samples)
+        self._hop, self._frame_len = device_cfg.hop_samples, device_cfg.window_samples
+        self._stride = _STRIDE_HOPS * self._hop
+        self._window_frames = frame_count(self._window, self._frame_len, self._hop)
         self._refractory = int(round(refractory_s * self._rate))
-        self._buf = np.zeros(0, dtype=np.float64)
-        self._buf_start = 0  # absolute index of _buf[0], the next window's start
+        self._store = np.empty(2 * self._window)
+        self._lo = self._hi = 0  # the carried samples are _store[_lo:_hi]
+        self._buf_start = 0  # absolute index of _store[_lo], the next window's start
         # device MFCC rows of the frames starting at _buf_start + j * hop
         self._frames = np.zeros((0, device_cfg.n_mfcc), dtype=np.float32)
         self._last_event_start: int | None = None
@@ -355,28 +372,54 @@ class DeviceAgent:
         clip = chunk if isinstance(chunk, AudioClip) else AudioClip(chunk, self._rate)
         if clip.sample_rate_hz != self._rate:
             raise ModelError(f"agent runs at {self._rate} Hz")
-        buf = np.concatenate([self._buf, clip.samples])
-        cfg = self._device_cfg
-        hop, win = cfg.hop_samples, cfg.window_samples
-        frames = self._frames
-        done, total = len(frames), max(0, (buf.size - win) // hop + 1)
+        x, store, window = clip.samples, self._store, self._window
+        lo, hi, frames = self._lo, self._hi, self._frames
+        # a chunk of more than one piece overwrites the carry: keep it until scored
+        saved = store[lo:hi].copy() if x.size > window else None
+        last_event = self._last_event_start
+        pos, start, fired = 0, self._buf_start, []
+        try:
+            while True:
+                n = min(x.size - pos, window)
+                if hi + n > store.size:
+                    store[: hi - lo] = store[lo:hi]
+                    lo, hi = 0, hi - lo
+                    if pos == 0:
+                        self._lo, self._hi = lo, hi  # the same carry, moved
+                store[hi : hi + n] = x[pos : pos + n]
+                hi, pos = hi + n, pos + n
+                lo, start, frames = self._scan(lo, hi, start, frames, fired)
+                if pos == x.size:
+                    break
+        except BaseException:
+            if saved is not None:
+                store[: saved.size] = saved
+                self._lo, self._hi = 0, saved.size
+            self._last_event_start = last_event
+            raise
+        self._lo, self._hi, self._buf_start, self._frames = lo, hi, start, frames
+        return fired
+
+    def _scan(self, lo, hi, start, frames, fired):
+        """Score every complete window of ``_store[lo:hi]``, whose first
+        sample is stream sample ``start`` and whose first frames' rows are
+        ``frames``; returns (lo, start, frames) from the next window's start."""
+        hop, win = self._hop, self._frame_len
+        done, total = len(frames), max(0, (hi - lo - win) // hop + 1)
         if total > done:
-            new = mfcc(AudioClip(buf[done * hop : (total - 1) * hop + win], self._rate), cfg)
-            frames = np.concatenate([frames, new.values])
-        fired = []
-        start = 0
-        while start + self._window <= buf.size:
-            f0 = start // hop
-            result = self._score_window(buf[start : start + self._window],
+            piece = AudioClip(self._store[lo + done * hop : lo + (total - 1) * hop + win],
+                              self._rate)
+            frames = np.concatenate([frames, mfcc(piece, self._device_cfg).values])
+        w = lo
+        while w + self._window <= hi:
+            f0 = (w - lo) // hop
+            result = self._score_window(self._store[w : w + self._window],
                                         frames[f0 : f0 + self._window_frames],
-                                        self._buf_start + start)
+                                        start + w - lo)
             if result is not None:
                 fired.append(result)
-            start += self._stride
-        self._buf = buf[start:].copy()
-        self._frames = frames[start // hop :].copy()
-        self._buf_start += start
-        return fired
+            w += self._stride
+        return w, start + w - lo, frames[(w - lo) // hop :]
 
     def _score_window(self, window, device_values, start):
         lo = float(self._core.log_odds({self._device_cfg.config_id: device_values[None]})[0, 0])
@@ -443,6 +486,7 @@ class VerificationServer:
         theta_cloud: float = 0.5,
         key: int | None = None,
     ):
+        _check_operating_point(theta_cloud)
         expected = (DEVICE_MEMBER_ID,) + tuple(m.member_id for m in members)
         if fusion.member_ids != expected:
             raise ModelError(

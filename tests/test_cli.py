@@ -93,6 +93,14 @@ class TestExitCodes:
         ("detect", "s.wav", "--device-weights", "d.wuwm", "--chunk-ms", "0"),
         ("detect", "s.wav", "--device-weights", "d.wuwm", "--chunk-ms", "-5"),
         ("bench",),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--theta-device", "nan"),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--theta-device", "1.5"),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--theta-device", "-0.1"),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--refractory", "-1"),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--refractory", "nan"),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--refractory", "inf"),
+        ("serve", "--member", "m.wuwm", "--fusion", "f.wuwm", "--theta-cloud", "nan"),
+        ("serve", "--member", "m.wuwm", "--fusion", "f.wuwm", "--theta-cloud", "2"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, capsys):
         assert run(capsys, *argv)[0] == 1

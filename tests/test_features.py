@@ -192,7 +192,7 @@ class TestMelRowBlocks:
 
         monkeypatch.setattr(np, "matmul", spy)
         k, n = config.fft_len // 2 + 1, config.n_filters
-        dct = (n, n)
+        dct = (n, config.n_mfcc)  # only the kept columns of the DCT
         # one 1.5 s window, then a 60 s clip
         for clip in (random_clip(6), random_clip(7, n=60 * 16000)):
             calls.clear()
@@ -204,6 +204,72 @@ class TestMelRowBlocks:
             assert all(a[0] * w[0] * w[1] <= features._GEMM_MAX_MNK for a, w in calls)
         # the whole window in one mel product would be above the bound
         assert mfcc(random_clip(6), config).n_frames * k * n > features._GEMM_MAX_MNK
+
+
+def blocked_matmul(a, w, block):
+    """Row-blocked product into a preallocated output, one ``np.matmul``
+    per block of ``block`` rows: the loop ``_matmul_rows`` runs above one
+    block."""
+    rows = a.shape[-2]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], w.shape[:-2]) + (rows, w.shape[-1]))
+    for s in range(0, rows, block):
+        np.matmul(a[..., s : s + block, :], w, out=out[..., s : s + block, :])
+    return out
+
+
+def mfcc_oracle(clip, config):
+    """MFCC cut and transformed the plain way: ``sliding_window_view``
+    framing, every product row-blocked into a preallocated output, the full
+    DCT-II, then the first n_mfcc columns."""
+    window, hop = config.window_samples, config.hop_samples
+    n_frames = frame_count(len(clip), window, hop)
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, window)[::hop][:n_frames]
+    spectra = np.square(np.abs(np.fft.rfft(frames, n=config.fft_len, axis=1)))
+    fb = mel_filterbank(config).T
+    energies = blocked_matmul(spectra, fb, features._gemm_block_rows(*fb.shape))
+    d = features._dct_matrix(config.n_filters)
+    cepstra = blocked_matmul(np.log(energies + LOG_FLOOR), d,
+                             features._gemm_block_rows(*d.shape))[:, : config.n_mfcc]
+    cepstra[:, 0] = np.log(np.sum(np.square(frames), axis=1) + LOG_FLOOR)
+    return cepstra.astype(np.float32)
+
+
+class TestMfccOracle:
+    @pytest.mark.parametrize("config", list(PRESETS.values()), ids=lambda c: c.config_id)
+    @pytest.mark.parametrize("length", ["window", "window+hop", "1.5s", "1.5s+333", "7s+5"])
+    def test_bit_equal_to_the_plain_way(self, config, length):
+        n = {"window": config.window_samples,
+             "window+hop": config.window_samples + config.hop_samples,
+             "1.5s": 24000, "1.5s+333": 24333, "7s+5": 7 * 16000 + 5}[length]
+        rng = np.random.default_rng(n)
+        samples = rng.normal(scale=0.3, size=n)
+        samples[n // 3 : n // 2] = 0.0  # silent frames sit on the log floor
+        clip = AudioClip(samples)
+        assert np.array_equal(mfcc(clip, config).values, mfcc_oracle(clip, config))
+
+    @pytest.mark.parametrize("step", [2, -1])
+    def test_strided_samples_give_the_features_of_their_copy(self, step):
+        samples = np.random.default_rng(4).uniform(-0.9, 0.9, 2 * 24000)[::step]
+        strided = mfcc(AudioClip(samples), CLOUD).values
+        assert np.array_equal(strided, mfcc(AudioClip(samples.copy()), CLOUD).values)
+
+
+class TestMatmulRows:
+    @pytest.mark.parametrize("a_shape,w_shape", [
+        ((2, 1025), (1025, 40)),     # a 100 ms device feed's mel product
+        ((29, 40), (40, 13)),        # one window's DCT
+        ((1, 40), (40, 40)),
+        ((3, 20, 40), (3, 40, 48)),  # stacked members' input projection
+        ((5, 65), (65, 1)),          # synth's one-pole row products
+    ])
+    def test_one_block_path_equals_the_blocked_loop(self, a_shape, w_shape):
+        rng = np.random.default_rng(len(a_shape) * 100 + a_shape[-2])
+        a, w = rng.normal(size=a_shape), rng.normal(size=w_shape)
+        rows, (k, n) = a_shape[-2], w_shape[-2:]
+        assert rows <= features._gemm_block_rows(k, n)  # the one-block path
+        got = features._matmul_rows(a, w)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == blocked_matmul(a, w, rows).tobytes()
 
 
 class TestDctOracle:
@@ -223,6 +289,11 @@ class TestDctOracle:
         assert features._dct_matrix(40) is d
         with pytest.raises(ValueError):
             d[0, 0] = 0.0
+        cols = features._dct_columns(40, 13)  # the columns mfcc() keeps
+        assert features._dct_columns(40, 13) is cols and cols.flags.c_contiguous
+        assert np.array_equal(cols, d[:, :13])
+        with pytest.raises(ValueError):
+            cols[0, 0] = 0.0
 
 
 class TestDctParseval:

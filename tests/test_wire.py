@@ -256,6 +256,13 @@ def oracle_device_scorer(stream, gap_s=3.0, margin=1.0):
     return Scorer("oracle", DEVICE.config_id, fn)
 
 
+def agent_state(agent):
+    """Everything a feed may change: the carried samples and frame rows,
+    where they sit, the stream position and the refractory state."""
+    return (agent._store[agent._lo : agent._hi].tobytes(), agent._lo, agent._hi,
+            agent._buf_start, agent._frames.tobytes(), agent._last_event_start)
+
+
 class TestDeviceAgent:
     def test_silent_stream_no_events(self):
         quiet = Scorer("zero", DEVICE.config_id, lambda fm: ScorePair(0.0, 0.0))
@@ -336,10 +343,22 @@ class TestDeviceAgent:
             raw = AudioClip(stream.samples[k * stride : k * stride + window])
             assert np.array_equal(values, mfcc(raw, DEVICE).values)
 
-    @pytest.mark.parametrize("chunk", [799, 1600, None])
+    # 7 and 799 move the carry to the front of the store many times, 24000
+    # is one window, and 100000 and the whole stream go in as pieces
+    @pytest.mark.parametrize("chunk", [7, 799, 1600, 24000, 100000, None])
     def test_each_device_frame_is_computed_once(self, chunk, monkeypatch):
         rng = np.random.default_rng(8)
         stream, _ = make_stream(rng, n_keywords=3, gap_s=3.0, snr_db=25.0)
+        scorer = oracle_device_scorer(stream)
+
+        def run(size):
+            agent = DeviceAgent(scorer, refractory_s=1.5, key=3)
+            return [(e, encode_request(r, key=3))
+                    for i in range(0, len(stream), size)
+                    for e, r in agent.feed(stream.samples[i : i + size])]
+
+        # events and request frames do not depend on the chunk size either
+        expected = run(len(stream))
         device_rows = []
 
         def spy(clip, config):
@@ -349,12 +368,8 @@ class TestDeviceAgent:
             return fm
 
         monkeypatch.setattr(wire, "mfcc", spy)
-        agent = DeviceAgent(oracle_device_scorer(stream), refractory_s=1.5)
-        chunk = chunk or len(stream)
-        fired = 0
-        for i in range(0, len(stream), chunk):
-            fired += len(agent.feed(stream.samples[i : i + chunk]))
-        assert fired == 3
+        fired = run(chunk or len(stream))
+        assert len(fired) == 3 and fired == expected
         hop, win = DEVICE.hop_samples, DEVICE.window_samples
         assert sum(device_rows) == frame_count(len(stream), win, hop)
 
@@ -382,13 +397,10 @@ class TestDeviceAgent:
             chunk[-1] = np.nan  # in no complete frame yet: only the entry check sees it
         else:
             chunk = chunk.reshape(2, 800)
-        state = (agent._buf.copy(), agent._buf_start, agent._frames.copy(),
-                 agent._last_event_start)
+        state = agent_state(agent)
         with pytest.raises(DataError):
             agent.feed(chunk)
-        assert np.array_equal(agent._buf, state[0]) and agent._buf_start == state[1]
-        assert np.array_equal(agent._frames, state[2])
-        assert agent._last_event_start == state[3]
+        assert agent_state(agent) == state
         events += run(agent, stream.samples[cut:])
         assert events == expected
 
@@ -396,11 +408,13 @@ class TestDeviceAgent:
         quiet = Scorer("zero", DEVICE.config_id, lambda fm: ScorePair(0.0, 0.0))
         agent = DeviceAgent(quiet)
         window = int(WINDOW_S * 16000)
-        for size in (16000 * 20, 100, window, 7):
+        store = agent._store
+        for size in (16000 * 20, 100, window, 7, window + 1, 2 * window):
             chunk = np.zeros(size)
             agent.feed(chunk)
-            assert agent._buf.size < window
-            assert agent._buf.base is None and not np.shares_memory(agent._buf, chunk)
+            assert agent._hi - agent._lo < window
+            assert agent._store is store and store.size <= 2 * window
+            assert store.base is None and not np.shares_memory(store, chunk)
         assert agent.dropped_windows == 0
 
     def test_windows_are_scored_and_shipped_as_fed(self):
@@ -433,6 +447,53 @@ class TestDeviceAgent:
         with pytest.raises(ModelError):
             DeviceAgent(cloudy)
 
+    def test_operating_point_is_validated(self):
+        quiet = Scorer("zero", DEVICE.config_id, lambda fm: ScorePair(0.0, 0.0))
+        for theta in (np.nan, -0.1, 1.5, np.inf):
+            with pytest.raises(ValueError):
+                DeviceAgent(quiet, theta_device=theta)
+        for refractory in (np.nan, -1.0, np.inf):
+            with pytest.raises(ValueError):
+                DeviceAgent(quiet, refractory_s=refractory)
+        DeviceAgent(quiet, theta_device=0.0, refractory_s=0.0)
+        DeviceAgent(quiet, theta_device=1.0)
+
+    # 1600 fails in a feed of one window, 24000 in one that moves the carry
+    # to the front of the store, 100000 in its second piece
+    @pytest.mark.parametrize("chunk", [1600, 24000, 100000])
+    def test_a_failed_feed_leaves_the_agent_as_before(self, chunk):
+        rng = np.random.default_rng(8)
+        stream, _ = make_stream(rng, n_keywords=5, gap_s=3.0, snr_db=25.0)
+        oracle = oracle_device_scorer(stream)
+        calls = {"n": 0, "fail_at": None}
+
+        def flaky(fm: FeatureMatrix) -> ScorePair:
+            calls["n"] += 1
+            if calls["n"] == calls["fail_at"]:
+                raise RuntimeError("scorer failed")
+            return oracle.fn(fm)
+
+        def run(agent, samples):
+            return [(e, encode_request(r)) for i in range(0, len(samples), chunk)
+                    for e, r in agent.feed(samples[i : i + chunk])]
+
+        scorer = Scorer("flaky", DEVICE.config_id, flaky)
+        expected = run(DeviceAgent(scorer, refractory_s=1.5), stream.samples)
+        assert len(expected) == 5
+        cut = 5 * 16000
+        agent = DeviceAgent(scorer, refractory_s=1.5)
+        events = run(agent, stream.samples[:cut])
+        state = agent_state(agent)
+        # the long chunk fails mid-way, after pieces were scored and moved
+        calls["fail_at"] = calls["n"] + {1600: 1, 24000: 10, 100000: 40}[chunk]
+        with pytest.raises(RuntimeError):
+            agent.feed(stream.samples[cut : cut + chunk])
+        after = agent_state(agent)  # the carry may sit elsewhere in the store
+        assert after[0] == state[0] and after[3:] == state[3:]
+        assert (after[1] != state[1]) == (chunk > 1600)
+        events += run(agent, stream.samples[cut:])
+        assert events == expected
+
 
 class TestVerification:
     def make_server(self, key=None, theta=0.5):
@@ -460,6 +521,14 @@ class TestVerification:
         wrong = passthrough_fusion(["device", "other"], weight_on=0)
         with pytest.raises(ModelError):
             VerificationServer(members, wrong)
+
+    def test_cloud_threshold_is_validated(self):
+        for theta in (np.nan, -0.5, 1.01, np.inf):
+            with pytest.raises(ValueError):
+                self.make_server(theta=theta)
+        assert self.make_server(theta=0.0).verify(VerifyRequest(
+            config_id=CLOUD.config_id, device_log_odds=-10.0,
+            features=np.zeros((148, 40), dtype=np.float32))).verdict is Verdict.ACCEPT
 
     def test_member_with_non_cloud_config_refused(self):
         bad = Scorer("m0", DEVICE.config_id, lambda fm: ScorePair(0.0, 0.0))
