@@ -173,6 +173,11 @@ def extract_window(
     that fully contain the span; a span longer than the window centers the
     window on the span midpoint. Without a span, placement is uniform.
     Clips shorter than the window are zero-padded symmetrically.
+
+    A random placement draws from ``rng`` and raises ValueError when it is
+    None, so no call draws hidden entropy. The placements that draw nothing
+    need no ``rng``: a clip of exactly the window's length, a padded clip,
+    a span longer than the window, and a single valid start.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
@@ -211,7 +216,7 @@ def extract_window(
         lo, hi = 0, n - target
     if hi > lo:
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("a random window placement needs an rng")
         start = int(rng.integers(lo, hi + 1))
     else:
         start = lo

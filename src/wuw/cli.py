@@ -43,25 +43,25 @@ def _parse_server(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
-    return value
+def _ranged(parse, ok, rule: str):
+    """An argparse type: ``parse`` the text, then refuse a value not ``ok``
+    (every comparison with NaN is false, so NaN is refused too)."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}: {text!r}")
+        return value
+
+    check.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return check
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1]: {text!r}")
-    return value
-
-
-def _seconds(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0: {text!r}")
-    return value
+_positive_int = _ranged(int, lambda v: v >= 1, "at least 1")
+_non_negative_int = _ranged(int, lambda v: v >= 0, "at least 0")
+_port = _ranged(int, lambda v: 0 <= v < 65536, "a port in 0-65535")
+_probability = _ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_seconds = _ranged(float, lambda v: 0.0 <= v < math.inf, "finite and at least 0")
+_positive_float = _ranged(float, lambda v: 0.0 < v < math.inf, "finite and above 0")
 
 
 _CONFIGS = {"device": features.DEVICE, "cloud": features.CLOUD}
@@ -97,11 +97,19 @@ def _train_spec(args) -> nnet.TrainSpec:
     )
 
 
+def _train_valid(args, entries, base, build, *models):
+    """``build`` over the train split at ``--seed`` and over the valid split
+    at ``--seed + 1``."""
+    return tuple(build(entries, *models, split=split, seed=args.seed + i,
+                       copies=args.copies, base_dir=base)
+                 for i, split in enumerate(("train", "valid")))
+
+
 def _pipeline_from_args(args) -> evaluation.ScoreFn:
     if args.fusion:
         if not args.device_weights:
             raise ModelError("ensemble evaluation needs --device-weights")
-        device = _load_scorer(args.device_weights, member_id=fusion.DEVICE_MEMBER_ID)
+        device = _load_scorer(args.device_weights)
         members = _load_members(args.member)
         model = fusion.load_fusion(args.fusion)
         return evaluation.ensemble_pipeline(device, members, model)
@@ -146,15 +154,8 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     entries, base = _read_manifest(args)
-    config = _CONFIGS[args.config]
-    train = evaluation.build_feature_dataset(
-        entries, config, split="train", seed=args.seed, copies=args.copies,
-        base_dir=base,
-    )
-    valid = evaluation.build_feature_dataset(
-        entries, config, split="valid", seed=args.seed + 1, copies=args.copies,
-        base_dir=base,
-    )
+    train, valid = _train_valid(args, entries, base, evaluation.build_feature_dataset,
+                                _CONFIGS[args.config])
     ws = nnet.train_classifier(train, valid, _train_spec(args))
     nnet.save_weights(ws, args.out)
     print(f"saved {nnet.param_count(ws)} parameters to {args.out}")
@@ -163,16 +164,10 @@ def cmd_train(args) -> int:
 
 def cmd_fuse_train(args) -> int:
     entries, base = _read_manifest(args)
-    device = _load_scorer(args.device_weights, member_id=fusion.DEVICE_MEMBER_ID)
+    device = _load_scorer(args.device_weights)
     members = _load_members(args.member)
-    train = evaluation.build_score_dataset(
-        entries, device, members, split="train", seed=args.seed,
-        copies=args.copies, base_dir=base,
-    )
-    valid = evaluation.build_score_dataset(
-        entries, device, members, split="valid", seed=args.seed + 1,
-        copies=args.copies, base_dir=base,
-    )
+    train, valid = _train_valid(args, entries, base, evaluation.build_score_dataset,
+                                device, members)
     model = fusion.train_fusion(train, _train_spec(args), valid=valid,
                                 hidden=args.hidden)
     nnet.save_weights(model.weights, args.out)
@@ -181,7 +176,7 @@ def cmd_fuse_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    device = _load_scorer(args.device_weights, member_id=fusion.DEVICE_MEMBER_ID)
+    device = _load_scorer(args.device_weights)
     agent = wire.DeviceAgent(
         device,
         theta_device=args.theta_device,
@@ -269,12 +264,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_train(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epochs", type=int, default=700)
-        p.add_argument("--batch-size", type=int, default=128)
-        p.add_argument("--lr", type=float, default=1e-3)
-        p.add_argument("--patience", type=int, default=5)
-        p.add_argument("--copies", type=int, default=1)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
+        p.add_argument("--epochs", type=_non_negative_int, default=700)
+        p.add_argument("--batch-size", type=_positive_int, default=128)
+        p.add_argument("--lr", type=_positive_float, default=1e-3)
+        p.add_argument("--patience", type=_positive_int, default=5)
+        p.add_argument("--copies", type=_positive_int, default=1)
         p.add_argument("--allow-unaligned", action="store_true")
 
     p = sub.add_parser("features", help="wav -> feature dump")
@@ -289,8 +284,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", choices=("device", "cloud"), default="device")
     p.add_argument("--split", choices=evaluation.SPLITS, default="train")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--copies", type=int, default=1)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--copies", type=_positive_int, default=1)
     p.add_argument("--allow-unaligned", action="store_true")
     p.set_defaults(func=cmd_augment)
 
@@ -307,7 +302,7 @@ def build_parser() -> _Parser:
     p.add_argument("--device-weights", required=True)
     p.add_argument("--member", action="append", required=True,
                    help="member weight file (repeatable, order matters)")
-    p.add_argument("--hidden", type=int, default=fusion.FUSION_HIDDEN)
+    p.add_argument("--hidden", type=_positive_int, default=fusion.FUSION_HIDDEN)
     common_train(p)
     p.set_defaults(func=cmd_fuse_train)
 
@@ -325,7 +320,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("serve", help="run the verification server")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
+    p.add_argument("--port", type=_port, default=0)
     p.add_argument("--member", action="append", required=True)
     p.add_argument("--fusion", required=True)
     p.add_argument("--theta-cloud", type=_probability, default=0.5)
@@ -338,21 +333,21 @@ def build_parser() -> _Parser:
         p.add_argument("--device-weights")
         p.add_argument("--member", action="append")
         p.add_argument("--fusion")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         p.add_argument("--out")
         p.add_argument("--allow-unaligned", action="store_true")
 
     p = sub.add_parser("eval", help="per-SNR-bucket F1 report")
     common_eval(p)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--buckets", type=int, default=6)
+    p.add_argument("--theta", type=_probability, default=0.5)
+    p.add_argument("--buckets", type=_positive_int, default=6)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="threshold sweep over cached scores")
     common_eval(p)
-    p.add_argument("--theta-min", type=float, default=0.05)
-    p.add_argument("--theta-max", type=float, default=0.95)
-    p.add_argument("--steps", type=int, default=19)
+    p.add_argument("--theta-min", type=_probability, default=0.05)
+    p.add_argument("--theta-max", type=_probability, default=0.95)
+    p.add_argument("--steps", type=_positive_int, default=19)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -26,7 +26,7 @@ agent likewise scores its samples as fed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
@@ -131,14 +131,6 @@ def _confusion(accepted: np.ndarray, is_pos: np.ndarray) -> tuple[int, int, int]
     """(tp, fp, fn) of boolean decision arrays against boolean truth arrays."""
     return (int(np.sum(accepted & is_pos)), int(np.sum(accepted & ~is_pos)),
             int(np.sum(~accepted & is_pos)))
-
-
-def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean of the positive-class and negative-class F1 scores."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    return float(np.mean([f1(*_confusion(y_pred == cls, y_true == cls))
-                          for cls in (1, 0)]))
 
 
 def default_buckets(n: int = 6) -> list[tuple[float, float]]:
@@ -332,10 +324,7 @@ def threshold_sweep(
         recall = tp / (tp + fn) if tp + fn else 0.0
         points.append(SweepPoint(float(theta), precision, recall, f1(tp, fp, fn), False))
     best = max(range(len(points)), key=lambda i: points[i].f1)
-    points[best] = SweepPoint(
-        points[best].theta, points[best].precision, points[best].recall,
-        points[best].f1, True,
-    )
+    points[best] = replace(points[best], best=True)
     return points
 
 
@@ -351,6 +340,14 @@ def scorer_pipeline(scorer: Scorer) -> ScoreFn:
     return score
 
 
+def _row_core(device_scorer: Scorer, members: Sequence[Scorer]):
+    """(core, feature configs, row ids) of the stacked fusion row: the core
+    scores the device and then the members, and the row names the device
+    column ``DEVICE_MEMBER_ID`` whatever its scorer's own id."""
+    core = Ensemble([device_scorer, *members])
+    return core, [preset(c) for c in core.config_ids], (DEVICE_MEMBER_ID,) + core.member_ids[1:]
+
+
 def ensemble_pipeline(
     device_scorer: Scorer,
     members: Sequence[Scorer],
@@ -362,9 +359,7 @@ def ensemble_pipeline(
     Each window's MFCC is computed once per feature config, whatever the
     number of scorers on it.
     """
-    core = Ensemble([device_scorer, *members])
-    configs = [preset(c) for c in core.config_ids]
-    ids = (DEVICE_MEMBER_ID,) + core.member_ids[1:]
+    core, configs, ids = _row_core(device_scorer, members)
 
     def score(clip: AudioClip) -> float:
         feats = {cfg.config_id: mfcc(clip, cfg).values[None] for cfg in configs}
@@ -437,9 +432,7 @@ def build_score_dataset(
     once per feature config, as the window is drawn, so a batch holds
     features and not audio.
     """
-    core = Ensemble([device_scorer, *members])
-    configs = [preset(c) for c in core.config_ids]
-    ids = (DEVICE_MEMBER_ID,) + core.member_ids[1:]
+    core, configs, ids = _row_core(device_scorer, members)
     samples, noise_pool, _ = _split_pools(entries, split)
     if not samples:
         raise DataError(f"no usable entries in split {split!r}")

@@ -302,11 +302,3 @@ def load_fusion(path) -> FusionModel:
     from .nnet import load_weights
 
     return FusionModel(load_weights(path))
-
-
-def fusion_predictions(model: FusionModel, data: ScoreDataset) -> np.ndarray:
-    """Hard labels the fused model assigns to every row of a dataset."""
-    if data.member_ids != model.member_ids:
-        raise ModelError("dataset member ids do not match the fusion model")
-    logits = mlp_forward(model.params, data.log_odds)
-    return (logits[:, 0] >= logits[:, 1]).astype(np.int64)

@@ -293,17 +293,6 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def gru_scorer_param_count(n_inputs: int, hidden: int = 128, layers: int = 2) -> int:
-    """Closed-form parameter total: 3(H*I + H^2 + 2H) per layer plus the
-    (H -> 2) output head."""
-    total = 0
-    size_in = n_inputs
-    for _ in range(layers):
-        total += 3 * (hidden * size_in + hidden * hidden + 2 * hidden)
-        size_in = hidden
-    return total + 2 * hidden + 2
-
-
 def init_gru_scorer(
     config,
     kind: str = "sgru",

@@ -160,14 +160,21 @@ def _frame(body: bytes) -> bytes:
     return PROTOCOL_MAGIC + struct.pack("<I", len(body)) + body
 
 
+def _body_length(header, max_body: int = MAX_BODY_BYTES) -> int:
+    """The body length an 8-byte frame header declares, after checking its
+    magic and that the length is at most ``max_body``."""
+    if header[:4] != PROTOCOL_MAGIC:
+        raise FrameMagicError("bad frame magic")
+    (body_len,) = struct.unpack_from("<I", header, 4)
+    if body_len > max_body:
+        raise FrameLengthError(f"declared body of {body_len} bytes exceeds cap")
+    return body_len
+
+
 def _unframe(frame: bytes) -> bytes:
     if len(frame) < 8:
         raise FrameTruncatedError("frame shorter than header")
-    if frame[:4] != PROTOCOL_MAGIC:
-        raise FrameMagicError("bad frame magic")
-    (body_len,) = struct.unpack_from("<I", frame, 4)
-    if body_len > MAX_BODY_BYTES:
-        raise FrameLengthError(f"declared body of {body_len} bytes exceeds cap")
+    body_len = _body_length(frame)
     if len(frame) != 8 + body_len:
         raise FrameTruncatedError(
             f"frame has {len(frame) - 8} body bytes, header declares {body_len}"
@@ -256,12 +263,14 @@ def _read_into(stream: BinaryIO, view: memoryview) -> int:
     return got
 
 
-def read_frame(stream: BinaryIO) -> bytes:
+def read_frame(stream: BinaryIO, max_body: int = MAX_BODY_BYTES) -> bytes:
     """Read one complete frame from a blocking byte stream.
 
     Raises EOFError on a clean end-of-stream before any header byte, and
-    ProtocolError subclasses on anything malformed. The body is read into
-    one buffer of the declared length.
+    ProtocolError subclasses on anything malformed. A header that declares
+    more than ``max_body`` bytes raises FrameLengthError before any body
+    byte is read; otherwise the body is read into one buffer of the
+    declared length.
     """
     header = bytearray(8)
     got = _read_into(stream, memoryview(header))
@@ -269,11 +278,7 @@ def read_frame(stream: BinaryIO) -> bytes:
         raise EOFError
     if got < 8:
         raise FrameTruncatedError("stream ended inside the frame header")
-    if header[:4] != PROTOCOL_MAGIC:
-        raise FrameMagicError("bad frame magic")
-    (body_len,) = struct.unpack_from("<I", header, 4)
-    if body_len > MAX_BODY_BYTES:
-        raise FrameLengthError(f"declared body of {body_len} bytes exceeds cap")
+    body_len = _body_length(header, max_body)
     frame = bytearray(8 + body_len)
     frame[:8] = header
     if _read_into(stream, memoryview(frame)[8:]) < body_len:
@@ -290,6 +295,12 @@ def _check_operating_point(theta: float, refractory_s: float = 0.0) -> None:
         raise ValueError(f"threshold must be in [0, 1], got {theta!r}")
     if not 0.0 <= refractory_s < math.inf:
         raise ValueError(f"refractory period must be finite and >= 0 s, got {refractory_s!r}")
+
+
+def _window_shape(config: FeatureConfig) -> tuple[int, int]:
+    """(n_frames, n_coeffs) of the features of one WINDOW_S analysis window."""
+    n_samples = int(round(WINDOW_S * config.sample_rate_hz))
+    return frame_count(n_samples, config.window_samples, config.hop_samples), config.n_mfcc
 
 
 class DeviceAgent:
@@ -357,7 +368,7 @@ class DeviceAgent:
         self._window = int(round(WINDOW_S * self._rate))
         self._hop, self._frame_len = device_cfg.hop_samples, device_cfg.window_samples
         self._stride = _STRIDE_HOPS * self._hop
-        self._window_frames = frame_count(self._window, self._frame_len, self._hop)
+        self._window_frames, _ = _window_shape(device_cfg)
         self._refractory = int(round(refractory_s * self._rate))
         self._store = np.empty(2 * self._window)
         self._lo = self._hi = 0  # the carried samples are _store[_lo:_hi]
@@ -457,12 +468,6 @@ def verify_request(
     return VerificationServer(members, fusion, theta_cloud).verify(req)
 
 
-def _window_shape(config: FeatureConfig) -> tuple[int, int]:
-    """(n_frames, n_coeffs) of the features of one WINDOW_S analysis window."""
-    n_samples = int(round(WINDOW_S * config.sample_rate_hz))
-    return frame_count(n_samples, config.window_samples, config.hop_samples), config.n_mfcc
-
-
 class VerificationServer:
     """Stateless per-request verification over a TCP loopback or any stream.
 
@@ -476,7 +481,11 @@ class VerificationServer:
     A connection whose next read or write waits longer than
     ``READ_TIMEOUT_S`` is closed without a response. At most
     ``MAX_CONNECTIONS`` connections are handled at once; one more gets a
-    single ERROR frame and is closed without being read.
+    single ERROR frame and is closed without being read. A connection
+    buffers at most one body of ``max_body`` bytes, the one request size
+    that ``input_shape`` admits (23,699 bytes for 148 x 40): a header that
+    declares more gets one ERROR frame, and the connection is closed
+    without its body being read.
     """
 
     def __init__(
@@ -502,6 +511,7 @@ class VerificationServer:
         self.theta_cloud = theta_cloud
         self.key = key
         self.input_shape = _window_shape(CLOUD)
+        self.max_body = _REQ_FIXED.size + 4 * self.input_shape[0] * self.input_shape[1]
         self._core = Ensemble(self.members)
         self._tcp: socketserver.ThreadingTCPServer | None = None
         self._thread: threading.Thread | None = None
@@ -556,7 +566,7 @@ class VerificationServer:
                 try:
                     while True:
                         try:
-                            frame = read_frame(self.rfile)
+                            frame = read_frame(self.rfile, logic.max_body)
                         except ProtocolError:
                             self.wfile.write(_error_response())
                             return

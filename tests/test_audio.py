@@ -154,6 +154,16 @@ class TestExtractWindow:
         with pytest.raises(DataError):
             extract_window(AudioClip([]), 1.5)
 
+    def test_random_placement_needs_an_rng(self):
+        with pytest.raises(ValueError, match="rng"):
+            extract_window(AudioClip(np.ones(30000)), 1.5)
+        marker = AudioClip(np.arange(48000, dtype=float))
+        with pytest.raises(ValueError, match="rng"):
+            extract_window(marker, 1.5, span=AlignmentSpan(0.2, 1.0))
+        # a span that fits only one placement draws nothing
+        one = extract_window(marker, 1.5, span=AlignmentSpan(0.0, 1.5))
+        np.testing.assert_array_equal(one.samples, marker.samples[:24000])
+
 
 class TestMeasurePower:
     def test_constant(self):

@@ -101,6 +101,26 @@ class TestExitCodes:
         ("detect", "s.wav", "--device-weights", "d.wuwm", "--refractory", "inf"),
         ("serve", "--member", "m.wuwm", "--fusion", "f.wuwm", "--theta-cloud", "nan"),
         ("serve", "--member", "m.wuwm", "--fusion", "f.wuwm", "--theta-cloud", "2"),
+        ("serve", "--member", "m.wuwm", "--fusion", "f.wuwm", "--port", "65536"),
+        ("serve", "--member", "m.wuwm", "--fusion", "f.wuwm", "--port", "-1"),
+        ("eval", "--manifest", "m.jsonl", "--weights", "w.wuwm", "--theta", "nan"),
+        ("eval", "--manifest", "m.jsonl", "--weights", "w.wuwm", "--theta", "1.5"),
+        ("eval", "--manifest", "m.jsonl", "--weights", "w.wuwm", "--buckets", "0"),
+        ("eval", "--manifest", "m.jsonl", "--weights", "w.wuwm", "--buckets", "-2"),
+        ("eval", "--manifest", "m.jsonl", "--weights", "w.wuwm", "--seed", "-1"),
+        ("sweep", "--manifest", "m.jsonl", "--weights", "w.wuwm", "--steps", "0"),
+        ("sweep", "--manifest", "m.jsonl", "--weights", "w.wuwm", "--theta-min", "2"),
+        ("sweep", "--manifest", "m.jsonl", "--weights", "w.wuwm", "--theta-max", "nan"),
+        ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--epochs", "-1"),
+        ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--batch-size", "0"),
+        ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--patience", "0"),
+        ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--copies", "0"),
+        ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--lr", "0"),
+        ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--lr", "nan"),
+        ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--lr", "inf"),
+        ("augment", "--manifest", "m.jsonl", "--out-dir", "o", "--copies", "0"),
+        ("fuse-train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--device-weights",
+         "d.wuwm", "--member", "m.wuwm", "--hidden", "0"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, capsys):
         assert run(capsys, *argv)[0] == 1

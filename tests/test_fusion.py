@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wuw.errors import DataError, ModelError
-from wuw.evaluation import macro_f1
+from wuw.evaluation import _confusion, f1
 from wuw.features import CLOUD, DEVICE, FeatureMatrix
 from wuw.fusion import (
     Ensemble,
@@ -12,7 +12,6 @@ from wuw.fusion import (
     LogOddsVector,
     ScoreDataset,
     fuse,
-    fusion_predictions,
     load_fusion,
     log_odds,
     logits_log_odds,
@@ -150,6 +149,20 @@ class TestMlpGradients:
                     np.testing.assert_allclose(
                         flat_grad[flat_i], num, rtol=1e-4, atol=1e-7
                     )
+
+
+def macro_f1(y_true, y_pred):
+    """Mean of the positive-class and negative-class F1 scores."""
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+    return float(np.mean([f1(*_confusion(y_pred == cls, y_true == cls)) for cls in (1, 0)]))
+
+
+def fusion_predictions(model, data):
+    """Hard labels the fused model assigns to every row of a dataset."""
+    if data.member_ids != model.member_ids:
+        raise ModelError("dataset member ids do not match the fusion model")
+    logits = mlp_forward(model.params, data.log_odds)
+    return (logits[:, 0] >= logits[:, 1]).astype(np.int64)
 
 
 def heldout_macro_f1(model, data):

@@ -634,6 +634,90 @@ class TestVerification:
         finally:
             server.shutdown()
 
+    def good_request(self, device_log_odds=10.0):
+        return VerifyRequest(config_id=CLOUD.config_id, device_log_odds=device_log_odds,
+                             features=np.zeros((148, 40), dtype=np.float32))
+
+    def good_frame(self, device_log_odds=10.0):
+        return encode_request(self.good_request(device_log_odds))
+
+    def test_two_frames_on_one_connection_get_two_answers_in_order(self):
+        import socket
+
+        server = self.make_server()
+        addr = server.start()
+        try:
+            with socket.create_connection(addr, timeout=5) as sock, \
+                    sock.makefile("rb") as reader:
+                sock.sendall(self.good_frame(10.0) + self.good_frame(-10.0))
+                first = decode_response(read_frame(reader))
+                second = decode_response(read_frame(reader))
+                assert (first.verdict, second.verdict) == (Verdict.ACCEPT, Verdict.REJECT)
+                assert first.member_log_odds[0] == np.float32(10.0)
+                assert second.member_log_odds[0] == np.float32(-10.0)
+                # the connection stays open for a third
+                sock.sendall(self.good_frame(10.0))
+                assert decode_response(read_frame(reader)).verdict is Verdict.ACCEPT
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize("bad", ["magic", "version"])
+    def test_malformed_second_frame_gets_error_and_closes(self, bad, monkeypatch):
+        import socket
+        import time
+
+        monkeypatch.setattr(wire, "MAX_CONNECTIONS", 1)
+        server = self.make_server()
+        addr = server.start()
+        if bad == "magic":  # refused by the frame reader
+            second = b"GARBAGE!"  # a whole header, so nothing is left unread
+        else:  # read whole, then refused by the request decoder
+            frame = bytearray(self.good_frame())
+            frame[8] = wire.PROTOCOL_VERSION + 1
+            second = bytes(frame)
+        try:
+            with socket.create_connection(addr, timeout=5) as sock, \
+                    sock.makefile("rb") as reader:
+                sock.sendall(self.good_frame() + second)
+                assert decode_response(read_frame(reader)).verdict is Verdict.ACCEPT
+                assert decode_response(read_frame(reader)).verdict is Verdict.ERROR
+                with pytest.raises(EOFError):  # closed by the server
+                    read_frame(reader)
+            # the only slot frees once the handler returns
+            deadline = time.monotonic() + 5.0
+            while (verdict := request_verification(addr, self.good_request()).verdict) \
+                    is Verdict.ERROR:
+                assert time.monotonic() < deadline, "the slot was never released"
+                time.sleep(0.01)
+            assert verdict is Verdict.ACCEPT
+        finally:
+            server.shutdown()
+
+    def test_read_bound_is_the_one_request_size(self):
+        server = self.make_server()
+        assert server.max_body == len(self.good_frame()) - 8 == 23699
+
+    @pytest.mark.parametrize("over", ["bound", "cap"])
+    def test_header_over_the_read_bound_gets_error_unread(self, over):
+        import socket
+        import time
+
+        server = self.make_server()
+        declared = server.max_body + 1 if over == "bound" else MAX_BODY_BYTES
+        addr = server.start()
+        try:
+            with socket.create_connection(addr, timeout=5) as sock:
+                t0 = time.monotonic()
+                sock.sendall(b"WUWP" + struct.pack("<I", declared))
+                with sock.makefile("rb") as reader:
+                    assert decode_response(read_frame(reader)).verdict is Verdict.ERROR
+                    assert time.monotonic() - t0 < wire.READ_TIMEOUT_S / 5
+                    with pytest.raises(EOFError):  # closed, body never awaited
+                        read_frame(reader)
+            assert request_verification(addr, self.good_request()).verdict is Verdict.ACCEPT
+        finally:
+            server.shutdown()
+
     def test_interrupt_while_announcing_shuts_down(self, monkeypatch):
         server = self.make_server()
 
@@ -810,3 +894,11 @@ class TestReadFrame:
     def test_declared_length_over_cap(self):
         with pytest.raises(FrameLengthError):
             read_frame(io.BytesIO(b"WUWP" + struct.pack("<I", MAX_BODY_BYTES + 1)))
+
+    def test_declared_length_one_byte_over_the_bound(self):
+        frame = self.frame()
+        stream = io.BytesIO(frame)
+        with pytest.raises(FrameLengthError):
+            read_frame(stream, max_body=len(frame) - 9)
+        assert stream.tell() == 8  # no body byte read
+        assert read_frame(io.BytesIO(frame), max_body=len(frame) - 8) == frame
