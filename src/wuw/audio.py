@@ -78,13 +78,15 @@ def read_wav(path) -> AudioClip:
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
+    # Chunk bodies are views into the file bytes, not copies of them.
+    view = memoryview(data)
     fmt = None
     payload = None
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise WavFormatError(f"{path}: truncated '{chunk_id!r}' chunk")
         if chunk_id == b"fmt ":
@@ -105,7 +107,8 @@ def read_wav(path) -> AudioClip:
     if format_code == _WAV_FMT_PCM and bits == 16:
         if len(payload) % 2:
             raise WavFormatError(f"{path}: PCM16 data chunk has odd byte length")
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64)
+        samples /= 32768.0
     elif format_code == _WAV_FMT_FLOAT and bits == 32:
         if len(payload) % 4:
             raise WavFormatError(f"{path}: float32 data chunk length not a multiple of 4")

@@ -29,7 +29,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -172,27 +172,35 @@ class EvalReport:
 
 
 class _ClipCache:
-    """Loads, peak-normalizes per file, and memoizes manifest audio."""
+    """Loads and peak-normalizes manifest audio, memoizing only the entries in
+    ``keep``. Every other path is read again on each ``get``, so a caller that
+    reads a sample once holds it only while it uses it."""
 
-    def __init__(self, base_dir=None):
+    def __init__(self, base_dir, keep: Iterable[ManifestEntry]):
         self.base = Path(base_dir) if base_dir else None
+        self._keep = {e.path for e in keep}
         self._clips: dict[str, AudioClip] = {}
 
     def get(self, path: str) -> AudioClip:
-        if path not in self._clips:
+        clip = self._clips.get(path)
+        if clip is None:
             full = self.base / path if self.base else Path(path)
-            self._clips[path] = peak_normalize(read_wav(full))
-        return self._clips[path]
+            clip = peak_normalize(read_wav(full))
+            if path in self._keep:
+                self._clips[path] = clip
+        return clip
 
 
 def _mixed_window(
     entry: ManifestEntry,
+    clip: AudioClip,
     cache: _ClipCache,
     noise_pool: Sequence[ManifestEntry],
     snr_db: float,
     rng: np.random.Generator,
 ) -> AudioClip:
-    clip = cache.get(entry.path)
+    """One window of ``entry``, whose audio is ``clip``, mixed at ``snr_db``
+    with a noise entry drawn after the cut."""
     span = entry.span if entry.label == "wuw" else None
     window = extract_window(clip, WINDOW_S, span=span, rng=rng)
     noise = cache.get(noise_pool[int(rng.integers(len(noise_pool)))].path)
@@ -212,12 +220,14 @@ def _mixed_windows(
 ):
     """Yield (window, label) for each sample, ``copies`` times in a row: the
     SNR is drawn from ``snr_range`` first, then ``_mixed_window`` cuts and
-    mixes. Label 1 marks a keyword."""
+    mixes. Each sample is read once for all its copies. Label 1 marks a
+    keyword."""
     for entry in samples:
+        clip = cache.get(entry.path)
         label = int(entry.label == "wuw")
         for _ in range(copies):
             snr = float(rng.uniform(*snr_range))
-            yield _mixed_window(entry, cache, noise_pool, snr, rng), label
+            yield _mixed_window(entry, clip, cache, noise_pool, snr, rng), label
 
 
 def _split_pools(
@@ -251,7 +261,8 @@ def _test_scores(
     """
     samples, noise_pool, _ = _split_pools(entries, "test")
     samples.sort(key=lambda e: e.label != "wuw")
-    cache = _ClipCache(base_dir)
+    # Every range mixes every sample again, so the whole split is kept.
+    cache = _ClipCache(base_dir, samples + noise_pool)
     rng = np.random.default_rng(seed)
     out = []
     for snr_range in snr_ranges:
@@ -269,7 +280,12 @@ def evaluate(
     seed: int = 0,
     base_dir=None,
 ) -> EvalReport:
-    """Per-SNR-bucket F1 of a pipeline over a manifest's test split."""
+    """Per-SNR-bucket F1 of a pipeline over a manifest's test split.
+
+    Every bucket mixes every test sample again, so the whole test split (its
+    samples and noise pool) stays in memory for the call, each clip read
+    once; ``collect_scores`` and ``threshold_sweep`` hold the same.
+    """
     if buckets is None:
         buckets = default_buckets()
     results = []
@@ -388,12 +404,16 @@ def build_feature_dataset(
     noise is silent. Unlike ``_mixed_windows`` the SNR comes last; the order
     is kept because it fixes which training windows a seed gives. Sources
     are normalized on load; the mixture itself is not rescaled.
+
+    Memory: the split's noise and RIR pools stay loaded for the call. Each
+    sample is read once, cut into its ``copies`` windows and dropped, so
+    besides the pools only one sample clip and the features are held.
     """
     samples, noise_pool, rir_pool = _split_pools(entries, split)
     if not samples:
         raise DataError(f"no usable entries in split {split!r}")
 
-    cache = _ClipCache(base_dir)
+    cache = _ClipCache(base_dir, noise_pool + rir_pool)
     rng = np.random.default_rng(seed)
     dataset = []
     for entry in samples:
@@ -430,14 +450,15 @@ def build_score_dataset(
     Windows come from ``_mixed_windows`` over the full SNR range and are
     scored in batches of ``_SCORE_BATCH``; each window's MFCC is computed
     once per feature config, as the window is drawn, so a batch holds
-    features and not audio.
+    features and not audio. Only the split's noise pool stays loaded; each
+    sample is read once for all its ``copies`` windows and then dropped.
     """
     core, configs, ids = _row_core(device_scorer, members)
     samples, noise_pool, _ = _split_pools(entries, split)
     if not samples:
         raise DataError(f"no usable entries in split {split!r}")
 
-    windows = _mixed_windows(samples, _ClipCache(base_dir), noise_pool,
+    windows = _mixed_windows(samples, _ClipCache(base_dir, noise_pool), noise_pool,
                              np.random.default_rng(seed), SNR_RANGE_DB, copies)
     rows, labels = [], []
     while batch := [([mfcc(window, cfg).values for cfg in configs], label)

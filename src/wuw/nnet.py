@@ -22,6 +22,7 @@ are the step-by-step oracle it is tested against.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -609,7 +610,7 @@ class TrainSpec:
     def __post_init__(self):
         if (
             self.batch_size < 1
-            or self.lr0 <= 0
+            or not 0 < self.lr0 < math.inf
             or self.max_epochs < 0
             or self.plateau_patience < 1
             or self.max_lr_reductions < 1

@@ -89,6 +89,29 @@ class TestReadWav:
         path.write_bytes(pcm16_wav_bytes([0, 1], rate=8000))
         assert read_wav(path).sample_rate_hz == 8000
 
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_samples_bit_identical_to_a_copy_decode(self, tmp_path, encoding):
+        # oracle: the data chunk copied out of the file bytes and decoded the
+        # plain way; an odd-sized chunk before it shifts its offset.
+        rng = np.random.default_rng(0)
+        if encoding == "pcm16":
+            fmt_code, bits, dtype = 1, 16, "<i2"
+            payload = rng.integers(-32768, 32768, size=4001).astype(dtype).tobytes()
+        else:
+            fmt_code, bits, dtype = 3, 32, "<f4"
+            values = np.concatenate([rng.normal(size=4000), [-0.0, 1e-40, -1.0, 3.5]])
+            payload = values.astype(dtype).tobytes()
+        fmt = struct.pack("<HHIIHH", fmt_code, 1, 16000, 16000 * bits // 8, bits // 8, bits)
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"LIST" + struct.pack("<I", 3) + b"abc\x00"
+                + b"data" + struct.pack("<I", len(payload)) + payload)
+        path = tmp_path / "x.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        want = np.frombuffer(bytes(payload), dtype=dtype).astype(np.float64)
+        if encoding == "pcm16":
+            want = want / 32768.0
+        assert read_wav(path).samples.tobytes() == want.tobytes()
+
 
 class TestPeakNormalize:
     def test_scales_to_unit_peak(self):

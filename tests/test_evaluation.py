@@ -1,10 +1,15 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from wuw.audio import SNR_RANGE_DB
+from wuw import evaluation
+from wuw.audio import SNR_RANGE_DB, AudioClip, write_wav
 from wuw.evaluation import (
     _ClipCache,
     _mixed_window,
+    build_feature_dataset,
     build_score_dataset,
     collect_scores,
     ensemble_pipeline,
@@ -110,13 +115,14 @@ class TestBuildScoreDataset:
         chosen = [e for e in entries if e.split == "valid"]
         samples = [e for e in chosen if e.label in ("wuw", "other", "noise")]
         noise_pool = [e for e in chosen if e.label == "noise"]
-        cache = _ClipCache(base)
+        cache = _ClipCache(base, chosen)
         rng = np.random.default_rng(7)
         rows, labels = [], []
         for entry in samples:
             for _ in range(copies):
                 snr = float(rng.uniform(*SNR_RANGE_DB))
-                window = _mixed_window(entry, cache, noise_pool, snr, rng)
+                window = _mixed_window(entry, cache.get(entry.path), cache, noise_pool,
+                                       snr, rng)
                 rows.append([log_odds(*softmax2(s.fn(mfcc(window, preset(s.config_id)))))
                              for s in (device, *members)])
                 labels.append(int(entry.label == "wuw"))
@@ -132,13 +138,14 @@ def oracle_windows(entries, base, seed, ranges):
     samples = ([e for e in test if e.label == "wuw"]
                + [e for e in test if e.label in ("other", "noise")])
     noise_pool = [e for e in test if e.label == "noise"]
-    cache = _ClipCache(base)
+    cache = _ClipCache(base, test)
     rng = np.random.default_rng(seed)
     windows = []
     for lo, hi in ranges:
         for entry in samples:
             snr = float(rng.uniform(lo, hi))
-            windows.append((_mixed_window(entry, cache, noise_pool, snr, rng),
+            windows.append((_mixed_window(entry, cache.get(entry.path), cache,
+                                          noise_pool, snr, rng),
                             int(entry.label == "wuw")))
     return windows
 
@@ -178,3 +185,114 @@ class TestWindowOrder:
         want = oracle_windows(entries, base, 9, [SNR_RANGE_DB])
         np.testing.assert_array_equal(scores, [score(w) for w, _ in want])
         np.testing.assert_array_equal(labels, [y for _, y in want])
+
+
+@pytest.fixture(scope="module")
+def rir_corpus(tmp_path_factory):
+    """A chirp corpus with two RIR entries in every split."""
+    base = tmp_path_factory.mktemp("chirps_rir")
+    manifest = make_chirp_task(base, n_train=10, n_valid=10, n_test=5, seed=11)
+    rng = np.random.default_rng(12)
+    with manifest.open("a", encoding="utf-8") as fh:
+        for split in ("train", "valid", "test"):
+            for i in range(2):
+                name = f"{split}_rir{i}.wav"
+                write_wav(AudioClip(rng.normal(size=800) * np.exp(-np.arange(800) / 120.0)),
+                          base / name)
+                fh.write(json.dumps({"path": name, "label": "rir", "split": split}) + "\n")
+    return load_manifest(manifest), base
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Counts ``evaluation.read_wav`` calls by path."""
+    counts = Counter()
+    real = evaluation.read_wav
+
+    def counted(path):
+        counts[str(path)] += 1
+        return real(path)
+
+    monkeypatch.setattr(evaluation, "read_wav", counted)
+    return counts
+
+
+class Recorded(_ClipCache):
+    """_ClipCache that lists its instances, to look at what they hold."""
+
+    made: list = []
+
+    def __init__(self, base_dir, keep):
+        super().__init__(base_dir, keep)
+        self.made.append(self)
+
+
+@pytest.fixture
+def caches(monkeypatch):
+    Recorded.made = []
+    monkeypatch.setattr(evaluation, "_ClipCache", Recorded)
+    return Recorded.made
+
+
+class KeepAll(_ClipCache):
+    """The oracle cache: memoizes every clip it loads, whatever it is told."""
+
+    def get(self, path):
+        self._keep.add(path)
+        return super().get(path)
+
+
+def paths(entries, split, labels):
+    return {e.path for e in entries if e.split == split and e.label in labels}
+
+
+def once_each(base, entries, split, labels):
+    return {str(base / p): 1 for p in paths(entries, split, labels)}
+
+
+class TestClipReads:
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_feature_build_reads_each_clip_once(self, rir_corpus, reads, caches, monkeypatch,
+                                                copies):
+        entries, base = rir_corpus
+        got = build_feature_dataset(entries, DEVICE, "train", seed=13, copies=copies,
+                                    base_dir=base)
+        assert reads == once_each(base, entries, "train", ("wuw", "other", "noise", "rir"))
+        [cache] = caches
+        assert set(cache._clips) == paths(entries, "train", ("noise", "rir"))
+        monkeypatch.setattr(evaluation, "_ClipCache", KeepAll)
+        want = build_feature_dataset(entries, DEVICE, "train", seed=13, copies=copies,
+                                     base_dir=base)
+        assert len(got) == len(want) == 10 * copies
+        for (fm, y), (fm_want, y_want) in zip(got, want):
+            assert y == y_want
+            assert fm.values.tobytes() == fm_want.values.tobytes()
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_score_build_reads_each_clip_once(self, rir_corpus, scorers, reads, caches,
+                                              monkeypatch, copies):
+        entries, base = rir_corpus
+        device, members = scorers
+        got = build_score_dataset(entries, device, members, "valid", seed=14, copies=copies,
+                                  base_dir=base)
+        assert reads == once_each(base, entries, "valid", ("wuw", "other", "noise"))
+        [cache] = caches
+        assert set(cache._clips) == paths(entries, "valid", ("noise",))
+        monkeypatch.setattr(evaluation, "_ClipCache", KeepAll)
+        want = build_score_dataset(entries, device, members, "valid", seed=14, copies=copies,
+                                   base_dir=base)
+        assert len(got) == 10 * copies
+        assert got.log_odds.tobytes() == want.log_odds.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_evaluate_reads_each_test_clip_once(self, rir_corpus, reads):
+        entries, base = rir_corpus
+        evaluate(entries, lambda clip: float(np.mean(np.abs(clip.samples))), theta=0.1,
+                 seed=15, base_dir=base)
+        assert reads == once_each(base, entries, "test", ("wuw", "other", "noise"))
+
+    def test_collect_scores_reads_each_test_clip_once(self, rir_corpus, reads):
+        entries, base = rir_corpus
+        collect_scores(entries, lambda clip: float(np.mean(np.abs(clip.samples))), seed=16,
+                       base_dir=base)
+        assert reads == once_each(base, entries, "test", ("wuw", "other", "noise"))

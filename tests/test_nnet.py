@@ -366,6 +366,13 @@ class TestLinearClassifier:
                 np.testing.assert_allclose(db[i], num, rtol=1e-4, atol=1e-8)
 
 
+class TestTrainSpec:
+    @pytest.mark.parametrize("lr0", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_learning_rate_must_be_positive_and_finite(self, lr0):
+        with pytest.raises(ValueError):
+            TrainSpec(lr0=lr0)
+
+
 class TestPlateauSchedule:
     def test_reduce_then_stop(self):
         spec = TrainSpec(plateau_patience=2, max_lr_reductions=2)
