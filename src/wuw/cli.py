@@ -121,9 +121,7 @@ def _pipeline_from_args(args) -> evaluation.ScoreFn:
 # -- Subcommands -------------------------------------------------------------
 
 def cmd_features(args) -> int:
-    clip = audio.read_wav(args.wav)
-    if args.normalize:
-        clip = audio.peak_normalize(clip)
+    clip = audio.peak_normalize(audio.read_wav(args.wav))
     fm = features.mfcc(clip, _CONFIGS[args.config])
     features.save_features(fm, args.out)
     print(f"{args.out}: shape ({fm.n_frames}, {fm.n_coeffs}) config {fm.config_id}")
@@ -183,29 +181,25 @@ def cmd_detect(args) -> int:
         refractory_s=args.refractory,
         key=args.key,
     )
-    clip = audio.read_wav(args.wav)
-    chunk = int(args.chunk_ms * clip.sample_rate_hz / 1000)
-    emitted = 0
-    for start in range(0, len(clip), chunk):
-        piece = audio.AudioClip(clip.samples[start : start + chunk], clip.sample_rate_hz)
-        for event, request in agent.feed(piece):
-            emitted += 1
-            record = {
-                "window_start_sample": event.window_start_sample,
-                "device_log_odds": event.device_log_odds,
-                "threshold": event.threshold,
-            }
-            if args.server is not None:
-                resp = wire.request_verification(args.server, request, key=args.key)
-                record["verdict"] = resp.verdict.name.lower()
-                record["fused_p_pos"] = resp.fused_p_pos
-            if args.dump_requests:
-                dump_dir = Path(args.dump_requests)
-                dump_dir.mkdir(parents=True, exist_ok=True)
-                frame = wire.encode_request(request, key=args.key)
-                (dump_dir / f"req_{event.window_start_sample}.wuwp").write_bytes(frame)
-            print(json.dumps(record, sort_keys=True))
-    print(f"{emitted} events", file=sys.stderr)
+    # the agent's events do not depend on how the stream is cut into chunks
+    fired = agent.feed(audio.read_wav(args.wav))
+    for event, request in fired:
+        record = {
+            "window_start_sample": event.window_start_sample,
+            "device_log_odds": event.device_log_odds,
+            "threshold": event.threshold,
+        }
+        if args.server is not None:
+            resp = wire.request_verification(args.server, request, key=args.key)
+            record["verdict"] = resp.verdict.name.lower()
+            record["fused_p_pos"] = resp.fused_p_pos
+        if args.dump_requests:
+            dump_dir = Path(args.dump_requests)
+            dump_dir.mkdir(parents=True, exist_ok=True)
+            frame = wire.encode_request(request, key=args.key)
+            (dump_dir / f"req_{event.window_start_sample}.wuwp").write_bytes(frame)
+        print(json.dumps(record, sort_keys=True))
+    print(f"{len(fired)} events", file=sys.stderr)
     return 0
 
 
@@ -276,7 +270,6 @@ def build_parser() -> _Parser:
     p.add_argument("wav")
     p.add_argument("out")
     p.add_argument("--config", choices=("device", "cloud"), default="device")
-    p.add_argument("--no-normalize", dest="normalize", action="store_false")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("augment", help="manifest -> mixed feature windows")
@@ -311,7 +304,6 @@ def build_parser() -> _Parser:
     p.add_argument("--device-weights", required=True)
     p.add_argument("--theta-device", type=_probability, default=0.5)
     p.add_argument("--refractory", type=_seconds, default=1.0)
-    p.add_argument("--chunk-ms", type=_positive_int, default=100)
     p.add_argument("--server", type=_parse_server,
                    help="host:port of a verification server")
     p.add_argument("--key", type=_parse_key, help="pre-shared obfuscation key (int)")

@@ -97,8 +97,9 @@ def load_manifest(path, require_alignments: bool = True) -> list[ManifestEntry]:
         if split not in SPLITS:
             raise ManifestError(f"{path}:{lineno}: unknown split {split!r}")
         entry_path = obj.get("path")
-        if not entry_path:
-            raise ManifestError(f"{path}:{lineno}: missing path")
+        if not isinstance(entry_path, str) or not entry_path:
+            raise ManifestError(f"{path}:{lineno}: path must be a non-empty string, "
+                                f"got {entry_path!r}")
         span = None
         if obj.get("start_s") is not None or obj.get("end_s") is not None:
             try:

@@ -165,10 +165,6 @@ class FusionModel:
     def member_ids(self) -> tuple[str, ...]:
         return tuple(self.weights.metadata["member_ids"])
 
-    @property
-    def hidden(self) -> int:
-        return self.weights["fc1.w"].shape[0]
-
 
 def mlp_forward(params: Sequence[np.ndarray], z: np.ndarray) -> np.ndarray:
     """Batched fusion forward: z (n, N) -> logits (n, 2)."""

@@ -1,5 +1,6 @@
-"""Minimal neural kernel: GRU scorers, a trainable linear baseline, Adam with
-a plateau schedule, and the binary weight-file format.
+"""Minimal neural kernel: GRU scorers, a trainable linear baseline, the
+training loop ``fit`` (Adam under a plateau schedule), and the binary
+weight-file format.
 
 Weight tensors are stored as float32 (the file format is float32), while all
 forward/backward math runs in float64 for numerically clean gradients. GRU
@@ -15,8 +16,10 @@ the ensemble core in ``fusion``, or by a Scorer's ``fn`` on its first call),
 never per call. ``Scorer.fn`` of a built-in kind is a one-window view of its
 own stack. In the GRU kernel, per layer, the input projection
 ``x @ W_ih.T`` is computed for all time steps before the recurrence; only
-``h @ W_hh.T`` stays inside the time loop. ``gru_cell`` and ``gru_outputs``
-are the step-by-step oracle it is tested against.
+``h @ W_hh.T`` stays inside the time loop. Every layer returns its states
+at every step, and the stack pools the last layer's per member.
+``gru_cell`` and ``gru_outputs`` are the step-by-step oracle it is tested
+against.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from .features import FeatureMatrix, _gemm_block_rows, _matmul_rows
 WEIGHT_MAGIC = b"WUWM"
 WEIGHT_VERSION = 1
 
-# Binary label convention used across the toolkit.
-LABEL_NEG = 0
+# Binary label convention used across the toolkit: 1 is the wake word, 0 not.
 LABEL_POS = 1
 
 
@@ -233,6 +235,17 @@ def save_weights(ws: WeightStore, path) -> None:
     Path(path).write_bytes(bytes(out))
 
 
+def _tensor_entry(declared) -> tuple[str, tuple[int, ...]]:
+    """(name, shape) of one metadata tensor declaration; ValueError unless
+    the name is a string and the shape a list of ints >= 0."""
+    name, shape = declared["name"], declared["shape"]
+    if not isinstance(name, str) or not isinstance(shape, list) or not all(
+        type(d) is int and d >= 0 for d in shape
+    ):
+        raise ValueError(f"malformed tensor declaration {declared!r}")
+    return name, tuple(shape)
+
+
 def load_weights(path) -> WeightStore:
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != WEIGHT_MAGIC:
@@ -247,8 +260,8 @@ def load_weights(path) -> WeightStore:
     try:
         meta = json.loads(data[9 : 9 + meta_len].decode("utf-8"))
         declared = meta.pop("tensors")
-        entries = [(d["name"], tuple(d["shape"])) for d in declared]
-    except (ValueError, KeyError, TypeError) as exc:
+        entries = [_tensor_entry(d) for d in declared]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise WeightLayoutError(f"{path}: invalid metadata ({exc})") from None
     if len({name for name, _ in entries}) != len(entries):
         raise WeightLayoutError(f"{path}: duplicate tensor names")
@@ -256,7 +269,7 @@ def load_weights(path) -> WeightStore:
     tensors = {}
     offset = 9 + meta_len
     for name, shape in entries:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         nbytes = 4 * count
         if offset + nbytes > len(data):
             raise WeightTruncatedError(f"{path}: payload for {name!r} truncated")
@@ -323,9 +336,10 @@ def init_gru_scorer(
     return WeightStore(tensors, meta)
 
 
-# The GRU kernel's transient arrays (the hoisted input projection and the
-# layer's hidden states, float64) are kept under this many bytes by running
-# large window batches in chunks.
+# A GRU layer's transient arrays (its hoisted input projection and its hidden
+# states at every step, float64) are kept under this many bytes by running
+# large window batches in chunks. The layer's input, the previous layer's
+# states, is not counted.
 _SCRATCH_BYTES = 8 << 20
 
 
@@ -437,28 +451,23 @@ class GRUStack:
         # time-major rows, so that one step of all windows is contiguous
         seq = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=np.float64)
         seq = seq.reshape(steps * n, size_in)
-        for params in self.layers[:-1]:
+        for params in self.layers:
             states = _gru_layer(seq, params, steps, n)
             seq = states.reshape(self.n_members, steps * n, -1)
-        h, h_max = _gru_layer(seq, self.layers[-1], steps, n, last=True)
-        pooled = np.where(self.max_pool[:, None, None], h_max, h)
+        pooled = np.where(self.max_pool[:, None, None], states.max(axis=1), states[:, -1])
         return pooled @ self.head_w + self.head_b
 
 
-def _gru_layer(seq, params, steps, n, last=False):
-    """One stacked layer over time-major rows seq (T*B, I) or (M, T*B, I).
-
-    Returns the states (M, T, B, H) of every step, or for the last layer
-    the final state and the running max over time, each (M, B, H).
-    """
+def _gru_layer(seq, params, steps, n):
+    """One stacked layer over time-major rows seq (T*B, I) or (M, T*B, I);
+    returns the states (M, T, B, H) of every step."""
     w_ih, w_hh, b_ih, b_hh = params
     m, hs = w_hh.shape[0], w_hh.shape[1]
     gi = _matmul_rows(seq, w_ih)  # (M, T*B, 3H): the hoisted input projection
     gi += b_ih
     gi = gi.reshape(m, steps, n, 3 * hs)
-    states = None if last else np.empty((m, steps, n, hs))
+    states = np.empty((m, steps, n, hs))
     h = np.zeros((m, n, hs))
-    h_max = np.full((m, n, hs), -np.inf) if last else None
     gh = np.empty((m, n, 3 * hs))
     zr = np.empty((m, n, 2 * hs))
     cand = np.empty((m, n, hs))
@@ -482,11 +491,8 @@ def _gru_layer(seq, params, steps, n, last=False):
         keep *= cand
         h *= z
         h += keep
-        if last:
-            np.maximum(h_max, h, out=h_max)
-        else:
-            states[:, t] = h
-    return (h, h_max) if last else states
+        states[:, t] = h
+    return states
 
 
 class LinearStack:
@@ -586,6 +592,7 @@ def make_scorer(ws: WeightStore, member_id: str | None = None) -> Scorer:
 # -- Training --------------------------------------------------------------
 
 LR_DECAY_FACTOR = 0.1
+MAX_LR_REDUCTIONS = 4
 MIN_IMPROVEMENT = 1e-4
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -596,7 +603,7 @@ class TrainSpec:
 
     The learning rate drops by ``LR_DECAY_FACTOR`` whenever validation loss
     has not improved by more than ``MIN_IMPROVEMENT`` for
-    ``plateau_patience`` epochs; training stops once ``max_lr_reductions``
+    ``plateau_patience`` epochs; training stops once ``MAX_LR_REDUCTIONS``
     consecutive reductions have passed without a new best.
     """
 
@@ -604,7 +611,6 @@ class TrainSpec:
     lr0: float = 1e-3
     max_epochs: int = 700
     plateau_patience: int = 5
-    max_lr_reductions: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -613,7 +619,6 @@ class TrainSpec:
             or not 0 < self.lr0 < math.inf
             or self.max_epochs < 0
             or self.plateau_patience < 1
-            or self.max_lr_reductions < 1
         ):
             raise ValueError("invalid training spec")
 
@@ -641,36 +646,6 @@ class Adam:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-class PlateauSchedule:
-    """Tracks validation loss; tells the loop when to decay the LR or stop."""
-
-    IMPROVED = "improved"
-    CONTINUE = "continue"
-    REDUCE = "reduce"
-    STOP = "stop"
-
-    def __init__(self, spec: TrainSpec):
-        self.spec = spec
-        self.best = np.inf
-        self.epochs_since_improve = 0
-        self.reductions = 0
-
-    def observe(self, loss: float) -> str:
-        if loss < self.best - MIN_IMPROVEMENT:
-            self.best = loss
-            self.epochs_since_improve = 0
-            self.reductions = 0
-            return self.IMPROVED
-        self.epochs_since_improve += 1
-        if self.epochs_since_improve >= self.spec.plateau_patience:
-            if self.reductions >= self.spec.max_lr_reductions:
-                return self.STOP
-            self.reductions += 1
-            self.epochs_since_improve = 0
-            return self.REDUCE
-        return self.CONTINUE
-
-
 def fit(
     params: list[np.ndarray],
     grads: Callable[[np.ndarray], Sequence[np.ndarray]],
@@ -680,27 +655,33 @@ def fit(
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """The training loop of ``train_classifier`` and ``train_fusion``: Adam
-    on ``params`` in place under the plateau schedule; returns copies of the
-    params at the best ``val_loss()``, which is observed after each epoch.
+    on ``params`` in place under the plateau schedule of ``TrainSpec``;
+    returns copies of the params at the best ``val_loss()``, which is
+    observed after each epoch.
 
     Draw order: one ``rng.permutation(n)`` per epoch, then an Adam step on
     ``grads(idx)`` for each ``spec.batch_size`` slice of it; nothing else
     draws from ``rng``.
     """
     adam = Adam(params, spec.lr0)
-    schedule = PlateauSchedule(spec)
-    best = [p.copy() for p in params]
+    best, best_loss = [p.copy() for p in params], math.inf
+    stale = reductions = 0  # epochs since the best, LR drops since the best
     for _ in range(spec.max_epochs):
         order = rng.permutation(n)
         for start in range(0, n, spec.batch_size):
             adam.step(grads(order[start : start + spec.batch_size]))
-        action = schedule.observe(val_loss())
-        if action == PlateauSchedule.IMPROVED:
-            best = [p.copy() for p in params]
-        elif action == PlateauSchedule.REDUCE:
+        loss = val_loss()
+        if loss < best_loss - MIN_IMPROVEMENT:
+            best, best_loss = [p.copy() for p in params], loss
+            stale = reductions = 0
+            continue
+        stale += 1
+        if stale >= spec.plateau_patience:
+            if reductions >= MAX_LR_REDUCTIONS:
+                break
             adam.lr *= LR_DECAY_FACTOR
-        elif action == PlateauSchedule.STOP:
-            break
+            reductions += 1
+            stale = 0
     return best
 
 

@@ -2,9 +2,10 @@
 and the feature-transport protocol between them.
 
 Every frame is ``b"WUWP"`` + u32 little-endian body length + body, with a
-16 MiB body cap. Request body: u8 version, u8 config_id, u8 flags (bit 0 =
-obfuscated payload), u64 nonce, f32 device log-odds, u16 n_frames, u16
-n_coeffs, then the feature floats row-major. Response body: u8 verdict
+16 MiB body cap. Request body: u8 version (``PROTOCOL_VERSION``, the only
+one decoded), u8 config_id, u8 flags (bit 0 = obfuscated payload), u64
+nonce, f32 device log-odds, u16 n_frames, u16 n_coeffs, then the feature
+floats row-major. Response body: u8 verdict
 (0 reject, 1 accept, 2 error), f32 fused p_pos, u16 member count, member
 log-odds floats. Only feature matrices cross the wire; the schema has no
 field for raw audio.
@@ -54,8 +55,8 @@ _REQ_FIXED = struct.Struct("<BBBQfHH")
 _STRIDE_HOPS = 2
 
 # Seconds a server connection may wait on a read (or write) before it is
-# closed, so a half-sent frame cannot hold its thread forever. Matches the
-# default timeout of ``request_verification``.
+# closed, so a half-sent frame cannot hold its thread forever. It is also the
+# timeout of ``request_verification``.
 READ_TIMEOUT_S = 10.0
 
 # Connections the verification server handles at once, one thread each. A
@@ -78,7 +79,6 @@ class VerifyRequest:
     features: np.ndarray
     nonce: int = 0
     flags: int = 0
-    version: int = PROTOCOL_VERSION
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
@@ -189,7 +189,7 @@ def encode_request(req: VerifyRequest, key: int | None = None) -> bytes:
             raise ProtocolError("obfuscated request needs a key")
         payload = obfuscate(payload, key, req.nonce)
     body = _REQ_FIXED.pack(
-        req.version,
+        PROTOCOL_VERSION,
         req.config_id,
         req.flags,
         req.nonce,
@@ -226,7 +226,6 @@ def decode_request(frame: bytes, key: int | None = None) -> VerifyRequest:
         features=features.copy(),
         nonce=nonce,
         flags=flags,
-        version=version,
     )
 
 
@@ -357,12 +356,10 @@ class DeviceAgent:
         device_cfg = preset(scorer.config_id)
         if device_cfg.config_id != DEVICE.config_id:
             raise ModelError("device agent needs a scorer over the device config")
-        self.scorer = scorer
         self.theta_device = theta_device
         self.key = key
         self._core = Ensemble([scorer])
         self._device_cfg = device_cfg
-        self._cloud_cfg = CLOUD
         self._rate = device_cfg.sample_rate_hz
         self._threshold_lo = log_odds(theta_device, 1.0 - theta_device)
         self._window = int(round(WINDOW_S * self._rate))
@@ -443,9 +440,9 @@ class DeviceAgent:
             return None
         self._last_event_start = start
         event = DetectionEvent(start, lo, self.theta_device)
-        cloud_fm = mfcc(AudioClip(window, self._rate), self._cloud_cfg)
+        cloud_fm = mfcc(AudioClip(window, self._rate), CLOUD)
         request = VerifyRequest(
-            config_id=self._cloud_cfg.config_id,
+            config_id=CLOUD.config_id,
             device_log_odds=lo,
             features=cloud_fm.values,
             nonce=start,
@@ -632,10 +629,10 @@ def request_verification(
     addr: tuple[str, int],
     req: VerifyRequest,
     key: int | None = None,
-    timeout: float = READ_TIMEOUT_S,
 ) -> VerifyResponse:
-    """Send one request over TCP and wait for the verdict."""
-    with socket.create_connection(addr, timeout=timeout) as sock:
+    """Send one request over TCP and wait for the verdict, at most
+    ``READ_TIMEOUT_S`` per connect, read or write."""
+    with socket.create_connection(addr, timeout=READ_TIMEOUT_S) as sock:
         sock.sendall(encode_request(req, key=key))
         with sock.makefile("rb") as reader:
             return decode_response(read_frame(reader))

@@ -90,8 +90,6 @@ class TestExitCodes:
         ("detect", "s.wav", "--device-weights", "d.wuwm", "--server", "host:port"),
         ("detect", "s.wav", "--device-weights", "d.wuwm", "--key", "zz"),
         ("serve", "--member", "m.wuwm", "--fusion", "f.wuwm", "--key", "zz"),
-        ("detect", "s.wav", "--device-weights", "d.wuwm", "--chunk-ms", "0"),
-        ("detect", "s.wav", "--device-weights", "d.wuwm", "--chunk-ms", "-5"),
         ("bench",),
         ("detect", "s.wav", "--device-weights", "d.wuwm", "--theta-device", "nan"),
         ("detect", "s.wav", "--device-weights", "d.wuwm", "--theta-device", "1.5"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wuw import evaluation
+from wuw.errors import ManifestError
 from wuw.audio import SNR_RANGE_DB, AudioClip, write_wav
 from wuw.evaluation import (
     _ClipCache,
@@ -101,6 +102,17 @@ class TestEvaluate:
         assert recalls[0] == 1.0
         assert all(b <= a for a, b in zip(recalls, recalls[1:]))
         assert sum(p.best for p in points) == 1
+
+
+class TestLoadManifest:
+    @pytest.mark.parametrize("path", [5, None, "", ["a.wav"]], ids=["int", "null", "empty", "list"])
+    def test_path_must_be_a_non_empty_string(self, tmp_path, path):
+        manifest = tmp_path / "m.jsonl"
+        lines = [{"path": "a.wav", "label": "noise", "split": "test"},
+                 {"path": path, "label": "noise", "split": "test"}]
+        manifest.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
+        with pytest.raises(ManifestError, match=r"m\.jsonl:2: path"):
+            load_manifest(manifest)
 
 
 class TestBuildScoreDataset:

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,11 +20,11 @@ from wuw.nnet import (
     GRUParams,
     GRUStack,
     LinearStack,
-    PlateauSchedule,
     ScorePair,
     TrainSpec,
     WeightStore,
     cross_entropy,
+    fit,
     gru_cell,
     gru_outputs,
     gru_sequence,
@@ -253,6 +255,31 @@ class TestWeightFiles:
         with pytest.raises(WeightLayoutError):
             load_weights(tmp_path / "bad.wuwm")
 
+    @staticmethod
+    def write_declared(path, metadata, payload_floats=3):
+        """A weight file whose metadata is ``metadata``, verbatim."""
+        meta = json.dumps(metadata).encode()
+        path.write_bytes(b"WUWM" + struct.pack("<BI", 1, len(meta)) + meta
+                         + bytes(4 * payload_floats))
+        return path
+
+    @pytest.mark.parametrize("metadata", [
+        {"tensors": [{"name": "a", "shape": [2.5]}]},
+        {"tensors": [{"name": "a", "shape": "ab"}]},
+        {"tensors": [{"name": "a", "shape": [-1]}]},
+        {"tensors": [{"name": 5, "shape": [3]}]},
+        {"tensors": [{"name": "a", "shape": [True, 3]}]},
+        5,
+    ], ids=["float-dim", "string-shape", "negative-dim", "int-name", "bool-dim", "not-an-object"])
+    def test_malformed_tensor_declaration(self, tmp_path, metadata):
+        with pytest.raises(WeightLayoutError, match="invalid metadata"):
+            load_weights(self.write_declared(tmp_path / "bad.wuwm", metadata))
+
+    def test_declared_size_beyond_int64_is_truncation(self, tmp_path):
+        metadata = {"tensors": [{"name": "a", "shape": [2**70]}]}
+        with pytest.raises(WeightTruncatedError):
+            load_weights(self.write_declared(tmp_path / "bad.wuwm", metadata))
+
     def test_non_finite_tensor_rejected(self):
         with pytest.raises(ModelError):
             WeightStore({"t": np.array([np.inf], dtype=np.float32)}, {})
@@ -373,31 +400,51 @@ class TestTrainSpec:
             TrainSpec(lr0=lr0)
 
 
+def scripted_fit(losses, patience, lr0=0.1, max_epochs=100):
+    """``fit`` on one parameter with a constant gradient of 1, so each epoch
+    (one Adam step) moves it down by the current learning rate, and with
+    ``losses`` as the validation loss of epochs 1, 2, ... (the last one
+    repeats). Returns (params after each epoch, the step of each epoch,
+    the returned param)."""
+    x = np.zeros(1)
+    seen = []
+
+    def val_loss():
+        seen.append(x[0])
+        return losses[min(len(seen), len(losses)) - 1]
+
+    spec = TrainSpec(batch_size=1, lr0=lr0, max_epochs=max_epochs, plateau_patience=patience)
+    best = fit([x], lambda idx: [np.ones(1)], val_loss, 1, spec, np.random.default_rng(0))
+    return seen, -np.diff([0.0] + seen), best[0][0]
+
+
 class TestPlateauSchedule:
+    """The plateau schedule of ``fit``, with MAX_LR_REDUCTIONS = 4."""
+
     def test_reduce_then_stop(self):
-        spec = TrainSpec(plateau_patience=2, max_lr_reductions=2)
-        sched = PlateauSchedule(spec)
-        assert sched.observe(1.0) == PlateauSchedule.IMPROVED
-        assert sched.observe(1.0) == PlateauSchedule.CONTINUE
-        assert sched.observe(1.0) == PlateauSchedule.REDUCE
-        assert sched.observe(1.0) == PlateauSchedule.CONTINUE
-        assert sched.observe(1.0) == PlateauSchedule.REDUCE
-        assert sched.observe(1.0) == PlateauSchedule.CONTINUE
-        assert sched.observe(1.0) == PlateauSchedule.STOP
+        seen, steps, best = scripted_fit([1.0], patience=2)
+        # best at epoch 1; a reduction after every 2 stale epochs; the 5th
+        # plateau, with 4 reductions spent, stops the loop
+        assert len(seen) == 1 + 2 * 5
+        np.testing.assert_allclose(
+            steps, 0.1 * np.array([1, 1, 1, 1e-1, 1e-1, 1e-2, 1e-2, 1e-3, 1e-3, 1e-4, 1e-4]),
+            rtol=1e-6)
+        assert best == seen[0]
 
     def test_improvement_resets_reductions(self):
-        spec = TrainSpec(plateau_patience=1, max_lr_reductions=2)
-        sched = PlateauSchedule(spec)
-        sched.observe(1.0)
-        assert sched.observe(1.0) == PlateauSchedule.REDUCE
-        assert sched.observe(0.5) == PlateauSchedule.IMPROVED
-        assert sched.reductions == 0
+        seen, steps, best = scripted_fit([1.0, 1.0, 1.0, 0.5], patience=1)
+        # two reductions, a new best at epoch 4, then four more before the stop
+        assert len(seen) == 4 + 5
+        np.testing.assert_allclose(
+            steps, 0.1 * np.array([1, 1, 1e-1, 1e-2, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]), rtol=1e-6)
+        assert best == seen[3]
 
     def test_tiny_improvement_does_not_count(self):
-        spec = TrainSpec(plateau_patience=1)
-        sched = PlateauSchedule(spec)
-        sched.observe(1.0)
-        assert sched.observe(1.0 - 5e-5) != PlateauSchedule.IMPROVED
+        seen, steps, best = scripted_fit([1.0, 1.0 - 5e-5], patience=1)
+        assert len(seen) == 1 + 5
+        np.testing.assert_allclose(steps, 0.1 * np.array([1, 1, 1e-1, 1e-2, 1e-3, 1e-4]),
+                                   rtol=1e-6)
+        assert best == seen[0]
 
 
 class TestAdam:
@@ -408,6 +455,8 @@ class TestAdam:
             adam.step([2.0 * x])
         assert abs(x[0]) < 1e-3
 
+
+class TestMakeScorer:
     def test_make_scorer_dispatch(self):
         ws = init_gru_scorer(DEVICE, seed=0)
         scorer = make_scorer(ws, member_id="dev")

@@ -97,7 +97,6 @@ class TestRequestCodec:
         frame = b"WUWP" + struct.pack("<I", len(body)) + body
         assert len(body) == 23
         req = decode_request(frame)
-        assert req.version == 1
         assert req.config_id == 2
         assert req.flags == 0
         assert req.nonce == 0
@@ -179,7 +178,7 @@ class TestRequestCodec:
     def test_no_raw_audio_field_in_schema(self):
         names = {f.name for f in dataclasses.fields(VerifyRequest)}
         assert names == {"config_id", "device_log_odds", "features",
-                         "nonce", "flags", "version"}
+                         "nonce", "flags"}
 
 
 class TestResponseCodec:
