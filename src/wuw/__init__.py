@@ -34,9 +34,7 @@ from .features import (
     PRESETS,
     FeatureConfig,
     FeatureMatrix,
-    load_features,
     mfcc,
-    save_features,
 )
 from .fusion import (
     Ensemble,

@@ -123,30 +123,9 @@ def _pipeline_from_args(args) -> evaluation.ScoreFn:
 def cmd_features(args) -> int:
     clip = audio.peak_normalize(audio.read_wav(args.wav))
     fm = features.mfcc(clip, _CONFIGS[args.config])
-    features.save_features(fm, args.out)
+    with open(args.out, "wb") as f:  # np.save given a name would append ".npy"
+        np.save(f, fm.values)
     print(f"{args.out}: shape ({fm.n_frames}, {fm.n_coeffs}) config {fm.config_id}")
-    return 0
-
-
-def cmd_augment(args) -> int:
-    entries, base = _read_manifest(args)
-    dataset = evaluation.build_feature_dataset(
-        entries,
-        _CONFIGS[args.config],
-        split=args.split,
-        seed=args.seed,
-        copies=args.copies,
-        base_dir=base,
-    )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for i, (fm, label) in enumerate(dataset):
-        name = f"{args.split}_{i:05d}.wuwf"
-        features.save_features(fm, out_dir / name)
-        lines.append(json.dumps({"path": name, "label": int(label)}, sort_keys=True))
-    (out_dir / "features.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(dataset)} feature windows to {out_dir}")
     return 0
 
 
@@ -266,21 +245,11 @@ def build_parser() -> _Parser:
         p.add_argument("--copies", type=_positive_int, default=1)
         p.add_argument("--allow-unaligned", action="store_true")
 
-    p = sub.add_parser("features", help="wav -> feature dump")
+    p = sub.add_parser("features", help="wav -> float32 (frames, coeffs) MFCC matrix as .npy")
     p.add_argument("wav")
     p.add_argument("out")
     p.add_argument("--config", choices=("device", "cloud"), default="device")
     p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("augment", help="manifest -> mixed feature windows")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", choices=("device", "cloud"), default="device")
-    p.add_argument("--split", choices=evaluation.SPLITS, default="train")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--copies", type=_positive_int, default=1)
-    p.add_argument("--allow-unaligned", action="store_true")
-    p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("train", help="train the linear baseline scorer")
     p.add_argument("--manifest", required=True)

@@ -35,12 +35,6 @@ class WavChannelError(DataError):
     """Channel count other than mono."""
 
 
-# -- Feature dump files ---------------------------------------------------
-
-class FeatureFormatError(DataError):
-    """Corrupt or inconsistent feature dump file."""
-
-
 # -- Weight files ---------------------------------------------------------
 
 class WeightFileError(ModelError):

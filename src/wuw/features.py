@@ -37,18 +37,13 @@ scipy.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .audio import CANONICAL_RATE_HZ, AudioClip
-from .errors import DataError, FeatureFormatError
-
-FEATURE_MAGIC = b"WUWF"
-FEATURE_VERSION = 1
+from .errors import DataError
 
 # Floor added before every log so zero-energy frames stay finite.
 LOG_FLOOR = 1e-10
@@ -282,41 +277,3 @@ def mfcc(clip: AudioClip, config: FeatureConfig) -> FeatureMatrix:
     cepstra = _matmul_rows(log_energies, _dct_columns(config.n_filters, config.n_mfcc))
     cepstra[:, 0] = np.log(np.add.reduce(np.square(frames), axis=1) + LOG_FLOOR)
     return FeatureMatrix(cepstra.astype(np.float32), config.config_id)
-
-
-# -- Binary dump format ----------------------------------------------------
-# magic "WUWF", u8 version, u8 config_id, u16 n_frames, u16 n_coeffs,
-# then n_frames * n_coeffs little-endian float32, row-major.
-
-def encode_features(fm: FeatureMatrix) -> bytes:
-    if fm.n_frames > 0xFFFF or fm.n_coeffs > 0xFFFF:
-        raise DataError("feature matrix too large for the dump format")
-    header = FEATURE_MAGIC + struct.pack(
-        "<BBHH", FEATURE_VERSION, fm.config_id, fm.n_frames, fm.n_coeffs
-    )
-    return header + fm.values.astype("<f4").tobytes()
-
-
-def decode_features(data: bytes) -> FeatureMatrix:
-    if len(data) < 10:
-        raise FeatureFormatError("feature dump truncated before header")
-    if data[:4] != FEATURE_MAGIC:
-        raise FeatureFormatError("bad feature dump magic")
-    version, config_id, n_frames, n_coeffs = struct.unpack_from("<BBHH", data, 4)
-    if version != FEATURE_VERSION:
-        raise FeatureFormatError(f"unsupported feature dump version {version}")
-    expected = 10 + 4 * n_frames * n_coeffs
-    if len(data) != expected:
-        raise FeatureFormatError(
-            f"feature dump length {len(data)} != expected {expected}"
-        )
-    values = np.frombuffer(data, dtype="<f4", offset=10).reshape(n_frames, n_coeffs)
-    return FeatureMatrix(values.copy(), config_id)
-
-
-def save_features(fm: FeatureMatrix, path) -> None:
-    Path(path).write_bytes(encode_features(fm))
-
-
-def load_features(path) -> FeatureMatrix:
-    return decode_features(Path(path).read_bytes())

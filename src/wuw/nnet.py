@@ -41,7 +41,7 @@ from .errors import (
     WeightTruncatedError,
     WeightVersionError,
 )
-from .features import FeatureMatrix, _gemm_block_rows, _matmul_rows
+from .features import PRESETS, FeatureMatrix, _gemm_block_rows, _matmul_rows
 
 WEIGHT_MAGIC = b"WUWM"
 WEIGHT_VERSION = 1
@@ -169,18 +169,6 @@ def gru_outputs(frames: np.ndarray, params: GRUParams) -> np.ndarray:
         h = gru_cell(frames[t], h, params)
         out[t] = h
     return out
-
-
-def gru_sequence(frames, params: GRUParams, mode: str = "last") -> np.ndarray:
-    """Run a GRU over a sequence; pool with the final state or max over time."""
-    if isinstance(frames, FeatureMatrix):
-        frames = frames.values
-    states = gru_outputs(frames, params)
-    if mode == "last":
-        return states[-1]
-    if mode == "max":
-        return states.max(axis=0)
-    raise ValueError(f"unknown pooling mode {mode!r}")
 
 
 # -- Weight store ----------------------------------------------------------
@@ -344,7 +332,15 @@ _SCRATCH_BYTES = 8 << 20
 
 
 def _gru_layer_count(ws: WeightStore) -> int:
-    return ws.metadata.get("hparams", {}).get("layers", 2)
+    """``hparams.layers`` of the store's metadata, 2 when absent; ModelError
+    unless ``hparams`` is an object and ``layers`` an int."""
+    hparams = ws.metadata.get("hparams", {})
+    if not isinstance(hparams, dict):
+        raise ModelError(f"weight store hparams must be an object, got {hparams!r}")
+    layers = hparams.get("layers", 2)
+    if type(layers) is not int:
+        raise ModelError(f"weight store hparams.layers must be an int, got {layers!r}")
+    return layers
 
 
 def stack_key(ws: WeightStore) -> tuple | None:
@@ -570,8 +566,8 @@ def make_scorer(ws: WeightStore, member_id: str | None = None) -> Scorer:
     if key is None:
         raise ModelError(f"no forward pass for model kind {ws.kind!r}")
     key[0].check(ws)
-    if ws.config_id is None:
-        raise ModelError("weight store metadata lacks a config_id")
+    if type(ws.config_id) is not int or ws.config_id not in PRESETS:
+        raise ModelError(f"weight store config_id {ws.config_id!r} is not a feature preset")
     stack = None
 
     def forward(features: FeatureMatrix) -> ScorePair:

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from wuw.audio import write_wav
+from wuw.audio import peak_normalize, read_wav, write_wav
 from wuw.cli import main
-from wuw.features import DEVICE
+from wuw.features import CLOUD, DEVICE, mfcc
 from wuw.nnet import WeightStore, init_gru_scorer, save_weights
 from wuw.synth import make_chirp_task, make_stream
 
@@ -69,16 +69,17 @@ class TestPipeline:
                    for e in events)
         assert len(list(dumps.glob("req_*.wuwp"))) == len(events)
 
-    def test_augment_writes_one_file_per_window(self, work, capsys):
-        base, manifest = work
-        out = base / "augmented"
-        assert run(capsys, "augment", "--manifest", manifest, "--out-dir", out,
-                   "--split", "valid", "--copies", "2")[0] == 0
-        lines = [json.loads(line)
-                 for line in (out / "features.jsonl").read_text().splitlines()]
-        assert len(lines) == 2 * 5
-        assert all(set(x) == {"path", "label"} and (out / x["path"]).exists()
-                   for x in lines)
+    @pytest.mark.parametrize("name,config", [("device", DEVICE), ("cloud", CLOUD)])
+    def test_features_writes_the_mfcc_matrix_as_npy(self, tmp_path, capsys, name, config):
+        stream, _ = make_stream(np.random.default_rng(5), n_keywords=1, gap_s=2.0)
+        wav, out = tmp_path / "stream.wav", tmp_path / name
+        write_wav(stream, wav, encoding="float32")
+        assert run(capsys, "features", wav, out, "--config", name)[0] == 0
+        assert sorted(tmp_path.iterdir()) == [out, wav]  # exactly OUT, no ".npy" added
+        want = mfcc(peak_normalize(read_wav(wav)), config)
+        got = np.load(out)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.values.tobytes() and got.shape == want.values.shape
 
 
 class TestExitCodes:
@@ -116,7 +117,6 @@ class TestExitCodes:
         ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--lr", "0"),
         ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--lr", "nan"),
         ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--lr", "inf"),
-        ("augment", "--manifest", "m.jsonl", "--out-dir", "o", "--copies", "0"),
         ("fuse-train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--device-weights",
          "d.wuwm", "--member", "m.wuwm", "--hidden", "0"),
     ])
@@ -143,6 +143,16 @@ class TestExitCodes:
         tensors = {"norm.mean": np.zeros(13), "w": np.zeros((2, 29 * 13)), "b": np.zeros(2)}
         save_weights(WeightStore(tensors, {"kind": "linear", "config_id": DEVICE.config_id}),
                      device)
+        assert run(capsys, "detect", tmp_path / "s.wav", "--device-weights", device)[0] == 3
+
+    @pytest.mark.parametrize("metadata", [{"hparams": {"layers": "2"}}, {"hparams": [1]},
+                                          {"config_id": 99}])
+    def test_malformed_device_model_metadata_is_a_model_error(self, tmp_path, capsys,
+                                                              metadata):
+        ws = init_gru_scorer(DEVICE, hidden=4, layers=1)
+        ws.metadata.update(metadata)
+        device = tmp_path / "bad.wuwm"
+        save_weights(ws, device)
         assert run(capsys, "detect", tmp_path / "s.wav", "--device-weights", device)[0] == 3
 
     def test_fusion_without_device_weights_is_a_model_error(self, work, capsys):

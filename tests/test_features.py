@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wuw.audio import AudioClip
-from wuw.errors import DataError, FeatureFormatError
+from wuw.errors import DataError
 from wuw import features
 from wuw.features import (
     CLOUD,
@@ -14,14 +14,10 @@ from wuw.features import (
     FeatureConfig,
     FeatureMatrix,
     dct2_ortho,
-    decode_features,
-    encode_features,
     frame_count,
-    load_features,
     mel_filterbank,
     mfcc,
     power_spectrum,
-    save_features,
 )
 
 EXPECTED_SHAPES = {1: (29, 13), 2: (148, 40), 3: (71, 13), 4: (148, 13), 5: (149, 13)}
@@ -159,6 +155,10 @@ class TestMfcc:
         a = mfcc(clip, CLOUD)
         b = mfcc(clip, CLOUD)
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DataError):
+            FeatureMatrix(np.array([[np.nan]]), 1)
 
     def test_all_values_finite_for_spiky_input(self):
         clip = AudioClip(np.zeros(24000))
@@ -322,32 +322,3 @@ class TestFeatureConfigValidation:
         with pytest.raises(ValueError):
             FeatureConfig(config_id=9, n_mfcc=13, window_ms=30, hop_ms=10, fft_len=100)
 
-
-class TestFeatureDump:
-    def test_roundtrip(self, tmp_path):
-        fm = mfcc(random_clip(4), DEVICE)
-        save_features(fm, tmp_path / "x.wuwf")
-        back = load_features(tmp_path / "x.wuwf")
-        assert back.config_id == fm.config_id
-        assert back.values.tobytes() == fm.values.tobytes()
-
-    def test_bad_magic(self):
-        blob = bytearray(encode_features(mfcc(random_clip(), DEVICE)))
-        blob[:4] = b"XXXX"
-        with pytest.raises(FeatureFormatError):
-            decode_features(bytes(blob))
-
-    def test_truncation(self):
-        blob = encode_features(mfcc(random_clip(), DEVICE))
-        with pytest.raises(FeatureFormatError):
-            decode_features(blob[:-3])
-
-    def test_bad_version(self):
-        blob = bytearray(encode_features(mfcc(random_clip(), DEVICE)))
-        blob[4] = 99
-        with pytest.raises(FeatureFormatError):
-            decode_features(bytes(blob))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DataError):
-            FeatureMatrix(np.array([[np.nan]]), 1)

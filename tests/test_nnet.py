@@ -27,7 +27,6 @@ from wuw.nnet import (
     fit,
     gru_cell,
     gru_outputs,
-    gru_sequence,
     init_gru_scorer,
     linear_grads,
     load_weights,
@@ -44,6 +43,12 @@ from wuw.nnet import (
 def zero_gru(i=3, h=4):
     return GRUParams(np.zeros((3 * h, i)), np.zeros((3 * h, h)),
                      np.zeros(3 * h), np.zeros(3 * h))
+
+
+def gru_sequence(frames, params, mode="last"):
+    """A GRU over a sequence, pooled with the final state or max over time."""
+    states = gru_outputs(frames, params)
+    return states[-1] if mode == "last" else states.max(axis=0)
 
 
 def scalar_gru_cell(x, h, p):
@@ -468,6 +473,20 @@ class TestMakeScorer:
     def test_make_scorer_unknown_kind(self):
         with pytest.raises(ModelError):
             make_scorer(WeightStore({}, {"kind": "mystery", "config_id": 1}))
+
+    @pytest.mark.parametrize("hparams", [{"layers": "2"}, {"layers": 1.0}, [1]])
+    def test_malformed_gru_hparams_are_a_model_error(self, hparams):
+        ws = init_gru_scorer(DEVICE, hidden=4, layers=1)
+        ws.metadata["hparams"] = hparams
+        with pytest.raises(ModelError, match="hparams"):
+            make_scorer(ws)
+
+    @pytest.mark.parametrize("config_id", [None, 99, "x", [1], True])
+    def test_config_id_that_is_not_a_preset_is_a_model_error(self, config_id):
+        for ws in (init_gru_scorer(DEVICE, hidden=4, layers=1), linear_store()):
+            ws.metadata["config_id"] = config_id
+            with pytest.raises(ModelError, match="config_id"):
+                make_scorer(ws)
 
 
 def oracle_logits(ws: WeightStore, frames: np.ndarray) -> np.ndarray:
