@@ -175,21 +175,33 @@ class EvalReport:
 class _ClipCache:
     """Loads and peak-normalizes manifest audio, memoizing only the entries in
     ``keep``. Every other path is read again on each ``get``, so a caller that
-    reads a sample once holds it only while it uses it."""
+    reads a sample once holds it only while it uses it.
+
+    A kept entry is held at file precision: its samples as float32, which
+    PCM16 and float32 WAVs are exactly, plus their peak and rate. Each ``get``
+    rebuilds the float64 clip ``peak_normalize`` would give, bit for bit, at
+    half the memory of holding that clip."""
 
     def __init__(self, base_dir, keep: Iterable[ManifestEntry]):
         self.base = Path(base_dir) if base_dir else None
         self._keep = {e.path for e in keep}
-        self._clips: dict[str, AudioClip] = {}
+        self._clips: dict[str, tuple[np.ndarray, float, int]] = {}
 
     def get(self, path: str) -> AudioClip:
-        clip = self._clips.get(path)
-        if clip is None:
+        kept = self._clips.get(path)
+        if kept is None:
             full = self.base / path if self.base else Path(path)
-            clip = peak_normalize(read_wav(full))
-            if path in self._keep:
-                self._clips[path] = clip
-        return clip
+            clip = read_wav(full)
+            if path not in self._keep:
+                return peak_normalize(clip)
+            peak = float(np.max(np.abs(clip.samples))) if len(clip) else 0.0
+            kept = self._clips[path] = (clip.samples.astype(np.float32), peak,
+                                        clip.sample_rate_hz)
+        samples, peak, rate = kept
+        samples = samples.astype(np.float64)
+        if peak:
+            samples /= peak
+        return AudioClip(samples, rate)
 
 
 def _mixed_window(

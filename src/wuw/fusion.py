@@ -91,8 +91,9 @@ class Ensemble:
     ``weights``, is called through ``fn``, one window at a time, into its
     own column.
 
-    Weights are cast and stacked here, once. The core keeps no per-call
-    state, so threads may share one.
+    Weights are cast and stacked by ``make_stack``, once for every core over
+    the same scorers. The core keeps no per-call state, so threads may share
+    one.
     """
 
     def __init__(self, scorers: Sequence[Scorer]):
@@ -142,7 +143,9 @@ class FusionModel:
     """FC(N -> hidden) -> ReLU -> FC(hidden -> 2) over member log-odds.
 
     ``params`` holds the four tensors cast to float64, once, in
-    ``mlp_forward`` order.
+    ``mlp_forward`` order. A store whose ``member_ids`` is not a non-empty
+    list of strings, or whose tensors are missing or do not agree with
+    ``fc1.w`` (hidden, N) for N member ids, is a ModelError.
     """
 
     weights: WeightStore
@@ -151,15 +154,27 @@ class FusionModel:
     def __post_init__(self):
         if self.weights.kind != "fusion":
             raise ModelError(f"expected a fusion store, got kind {self.weights.kind!r}")
-        if "member_ids" not in self.weights.metadata:
-            raise ModelError("fusion store lacks member_ids metadata")
-        n = len(self.member_ids)
-        if self.weights["fc1.w"].shape[1] != n:
-            raise ModelError("fusion input width does not match member_ids")
-        self.params = tuple(
-            self.weights[name].astype(np.float64)
-            for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b")
-        )
+        ids = self.weights.metadata.get("member_ids")
+        if not isinstance(ids, (list, tuple)) or not ids or not all(
+            isinstance(i, str) for i in ids
+        ):
+            raise ModelError(f"fusion member_ids must be a non-empty list of strings, got {ids!r}")
+        try:
+            self.params = tuple(
+                self.weights[name].astype(np.float64)
+                for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b")
+            )
+        except KeyError as exc:
+            raise ModelError(f"fusion store has no tensor {exc}") from None
+        w1, b1, w2, b2 = self.params
+        hidden = w1.shape[:1]  # () for a 0-d fc1.w, which then fails the check
+        if (w1.shape, b1.shape, w2.shape, b2.shape) != (
+            hidden + (len(ids),), hidden, (2,) + hidden, (2,)
+        ):
+            raise ModelError(
+                f"fusion tensors fc1.w {w1.shape}, fc1.b {b1.shape}, fc2.w {w2.shape} and "
+                f"fc2.b {b2.shape} do not agree with {len(ids)} member_ids"
+            )
 
     @property
     def member_ids(self) -> tuple[str, ...]:

@@ -11,13 +11,15 @@ kernel: :class:`GRUStack` for ``sgru`` and ``gru-max``, :class:`LinearStack`
 for ``linear``. A kernel runs M scorers of one shape over a window batch
 (B, T, C) and returns logits (M, B, 2). ``make_stack`` picks the kernel from
 the kind, and ``stack_key`` says which scorers may share one. Weights are
-cast to float64, transposed and stacked once, when the stack is built (by
-the ensemble core in ``fusion``, or by a Scorer's ``fn`` on its first call),
-never per call. ``Scorer.fn`` of a built-in kind is a one-window view of its
-own stack. In the GRU kernel, per layer, the input projection
-``x @ W_ih.T`` is computed for all time steps before the recurrence; only
-``h @ W_hh.T`` stays inside the time loop. Every layer returns its states
-at every step, and the stack pools the last layer's per member.
+cast to float64, transposed and stacked once per tuple of stores: ``make_stack``
+hands every caller (the ensemble cores in ``fusion``, a Scorer's ``fn``) the
+one stack that is alive for those stores, and never casts per call.
+``Scorer.fn`` of a built-in kind is a one-window view of its own stack. In
+the GRU kernel, per layer, the input projection ``x @ W_ih.T`` is computed
+for all time steps before the recurrence; only ``h @ W_hh.T`` stays inside
+the time loop. Every layer returns its states at every step, written over
+the previous layer's states when the widths match, and the stack pools the
+last layer's per member.
 ``gru_cell`` and ``gru_outputs`` are the step-by-step oracle it is tested
 against.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -325,9 +328,12 @@ def init_gru_scorer(
 
 
 # A GRU layer's transient arrays (its hoisted input projection and its hidden
-# states at every step, float64) are kept under this many bytes by running
-# large window batches in chunks. The layer's input, the previous layer's
-# states, is not counted.
+# states at every step, float64, 4H per row) are kept under this many bytes by
+# running large window batches in chunks. The layer's input, the previous
+# layer's states, is not counted. A layer after the first writes its states
+# over that input when the widths match, so it allocates only 3H per row; the
+# chunk rule still counts 4H, since a different chunk moves the GEMM row blocks
+# of the input projection and with them the last bits of the logits.
 _SCRATCH_BYTES = 8 << 20
 
 
@@ -404,6 +410,7 @@ class GRUStack:
 
     def __init__(self, stores: Sequence[WeightStore]):
         _check_stack(GRUStack, stores)
+        self.stores = tuple(stores)
         self.config_id = stores[0].config_id
         self.layers = [
             (
@@ -456,13 +463,19 @@ class GRUStack:
 
 def _gru_layer(seq, params, steps, n):
     """One stacked layer over time-major rows seq (T*B, I) or (M, T*B, I);
-    returns the states (M, T, B, H) of every step."""
+    returns the states (M, T, B, H) of every step.
+
+    Once the input projection has read it, an (M, T*B, H) ``seq`` (the
+    previous layer's states) is dead, so the states are written into it."""
     w_ih, w_hh, b_ih, b_hh = params
     m, hs = w_hh.shape[0], w_hh.shape[1]
     gi = _matmul_rows(seq, w_ih)  # (M, T*B, 3H): the hoisted input projection
     gi += b_ih
     gi = gi.reshape(m, steps, n, 3 * hs)
-    states = np.empty((m, steps, n, hs))
+    if seq.shape == (m, steps * n, hs):
+        states = seq.reshape(m, steps, n, hs)
+    else:
+        states = np.empty((m, steps, n, hs))
     h = np.zeros((m, n, hs))
     gh = np.empty((m, n, 3 * hs))
     zr = np.empty((m, n, 2 * hs))
@@ -523,6 +536,7 @@ class LinearStack:
 
     def __init__(self, stores: Sequence[WeightStore]):
         _check_stack(LinearStack, stores)
+        self.stores = tuple(stores)
         self.config_id = stores[0].config_id
         self.mean = _stacked(stores, "norm.mean")[:, None, None, :]  # (M, 1, 1, C)
         self.std = _stacked(stores, "norm.std")[:, None, None, :]
@@ -544,14 +558,33 @@ class LinearStack:
 # The one kernel of each built-in model kind.
 _KERNELS = {"sgru": GRUStack, "gru-max": GRUStack, "linear": LinearStack}
 
+# The live stack of each tuple of stores, keyed by the stores' ids; an entry
+# goes when its stack does.
+_STACKS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
 
 def make_stack(stores: Sequence[WeightStore]) -> GRUStack | LinearStack:
     """The batched kernel of scorers that share one ``stack_key``: the only
-    place a model kind chooses its forward pass."""
+    place a model kind chooses its forward pass.
+
+    Every caller gets the one stack alive for the same stores in the same
+    order, so their float64 cast exists once. The stack holds its stores
+    (``stores``), so no other store can take a cached id, and their tensors
+    become read-only, so the cast cannot go stale. Threads that miss at once
+    each build a correct stack; the last one stays cached.
+    """
     key = stack_key(stores[0]) if stores else None
     if key is None:
         raise ModelError(f"no stack kernel for model kinds {[ws.kind for ws in stores]}")
-    return key[0](stores)
+    ids = tuple(map(id, stores))
+    stack = _STACKS.get(ids)
+    if stack is None:
+        stack = key[0](stores)
+        for ws in stores:
+            for t in ws.tensors.values():
+                t.flags.writeable = False
+        _STACKS[ids] = stack
+    return stack
 
 
 def make_scorer(ws: WeightStore, member_id: str | None = None) -> Scorer:

@@ -11,6 +11,8 @@ from wuw.features import CLOUD, DEVICE, mfcc
 from wuw.nnet import WeightStore, init_gru_scorer, save_weights
 from wuw.synth import make_chirp_task, make_stream
 
+from test_fusion import fusion_store
+
 TRAIN = ["--epochs", "5", "--seed", "1"]
 BUCKET_KEYS = {"snr_lo", "snr_hi", "tp", "fp", "fn", "f1"}
 
@@ -154,6 +156,19 @@ class TestExitCodes:
         device = tmp_path / "bad.wuwm"
         save_weights(ws, device)
         assert run(capsys, "detect", tmp_path / "s.wav", "--device-weights", device)[0] == 3
+
+    @pytest.mark.parametrize("case", ["no fc1.w", "member_ids int", "fc2.b"])
+    def test_malformed_fusion_file_is_a_model_error(self, work, tmp_path, capsys, case):
+        _, manifest = work
+        device, fused = tmp_path / "device.wuwm", tmp_path / "f.wuwm"
+        save_weights(init_gru_scorer(DEVICE, hidden=4, layers=1), device)
+        members = []
+        for name in ("a", "b"):  # the member ids of fusion_store
+            save_weights(init_gru_scorer(CLOUD, hidden=4, layers=1), tmp_path / f"{name}.wuwm")
+            members += ["--member", tmp_path / f"{name}.wuwm"]
+        save_weights(fusion_store(case), fused)
+        assert run(capsys, "eval", "--manifest", manifest, "--device-weights", device,
+                   *members, "--fusion", fused)[0] == 3
 
     def test_fusion_without_device_weights_is_a_model_error(self, work, capsys):
         _, manifest = work

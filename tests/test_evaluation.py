@@ -6,7 +6,7 @@ import pytest
 
 from wuw import evaluation
 from wuw.errors import ManifestError
-from wuw.audio import SNR_RANGE_DB, AudioClip, write_wav
+from wuw.audio import SNR_RANGE_DB, AudioClip, peak_normalize, read_wav, write_wav
 from wuw.evaluation import (
     _ClipCache,
     _mixed_window,
@@ -308,3 +308,22 @@ class TestClipReads:
         collect_scores(entries, lambda clip: float(np.mean(np.abs(clip.samples))), seed=16,
                        base_dir=base)
         assert reads == once_each(base, entries, "test", ("wuw", "other", "noise"))
+
+
+class TestClipCacheExactness:
+    @pytest.mark.parametrize("encoding,samples", [
+        ("pcm16", np.random.default_rng(17).uniform(-0.6, 0.6, size=4000)),
+        ("float32", np.random.default_rng(18).normal(scale=0.3, size=4000)),
+        ("pcm16", np.zeros(4000)),
+    ], ids=["pcm16", "float32", "all-zero"])
+    def test_kept_clip_is_the_normalized_file(self, tmp_path, encoding, samples):
+        write_wav(AudioClip(samples, 8000), tmp_path / "a.wav", encoding=encoding)
+        want = peak_normalize(read_wav(tmp_path / "a.wav"))
+        cache = _ClipCache(tmp_path, [evaluation.ManifestEntry("a.wav", "noise", "test")])
+        for _ in range(3):  # the first get reads the file, later ones rebuild the clip
+            got = cache.get("a.wav")
+            assert got.samples.dtype == np.float64
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.sample_rate_hz == want.sample_rate_hz == 8000
+        kept = cache._clips["a.wav"][0]
+        assert kept.dtype == np.float32 and kept.shape == (4000,)

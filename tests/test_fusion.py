@@ -387,6 +387,62 @@ class TestEnsemble:
             core.log_odds({1: feats[1], 2: feats[2][:1]})
 
 
+def fusion_store(case=None):
+    """A three-member fusion store, well formed or with the one defect that
+    ``case`` names."""
+    tensors = {"fc1.w": np.zeros((4, 3)), "fc1.b": np.zeros(4),
+               "fc2.w": np.zeros((2, 4)), "fc2.b": np.zeros(2)}
+    meta = {"kind": "fusion", "member_ids": ["device", "a", "b"]}
+    if case is None:
+        pass
+    elif case.startswith("no "):
+        del tensors[case[3:]]
+    elif case == "member_ids int":
+        meta["member_ids"] = 3
+    elif case == "member_ids str":
+        meta["member_ids"] = "dab"
+    elif case == "member_ids of ints":
+        meta["member_ids"] = [0, 1, 2]
+    elif case == "member_ids empty":
+        meta["member_ids"] = []
+    elif case == "member_ids absent":
+        del meta["member_ids"]
+    elif case == "fc1.w width":
+        tensors["fc1.w"] = np.zeros((4, 2))
+    elif case == "fc1.w 1-d":
+        tensors["fc1.w"] = np.zeros(3)
+    elif case == "fc1.w 0-d":
+        tensors["fc1.w"] = np.zeros(())
+    elif case == "fc1.b":
+        tensors["fc1.b"] = np.zeros(5)
+    elif case == "fc2.w":
+        tensors["fc2.w"] = np.zeros((2, 5))
+    elif case == "fc2.w outputs":
+        tensors["fc2.w"] = np.zeros((3, 4))
+    elif case == "fc2.b":
+        tensors["fc2.b"] = np.zeros((1, 2))
+    else:
+        raise ValueError(case)
+    return WeightStore(tensors, meta)
+
+
+MALFORMED_FUSION = ["no fc1.w", "no fc1.b", "no fc2.w", "no fc2.b", "member_ids int",
+                    "member_ids str", "member_ids of ints", "member_ids empty",
+                    "member_ids absent", "fc1.w width", "fc1.w 1-d", "fc1.w 0-d", "fc1.b",
+                    "fc2.w", "fc2.w outputs", "fc2.b"]
+
+
+class TestFusionModelChecks:
+    @pytest.mark.parametrize("case", MALFORMED_FUSION)
+    def test_malformed_store_is_a_model_error(self, case):
+        with pytest.raises(ModelError):
+            FusionModel(fusion_store(case))
+
+    def test_well_formed_store_loads(self, tmp_path):
+        save_weights(fusion_store(), tmp_path / "f.wuwm")
+        assert load_fusion(tmp_path / "f.wuwm").member_ids == ("device", "a", "b")
+
+
 class TestFusionParams:
     def test_cast_once_and_used_by_fuse(self):
         rng = np.random.default_rng(11)

@@ -579,6 +579,48 @@ class TestGRUStack:
         ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
         assert make_scorer(ws).weights is ws
 
+    def test_three_layers_match_oracle(self):
+        stores = self.stores(hidden=8, layers=3)
+        x = np.random.default_rng(7).normal(size=(4, 25, 40)).astype(np.float32)
+        got = GRUStack(stores).logits(x)
+        for m, ws in enumerate(stores):
+            for b in range(4):
+                np.testing.assert_allclose(got[m, b], oracle_logits(ws, x[b]),
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["sgru", "gru-max"])
+    def test_layers_of_different_widths_match_oracle(self, kind):
+        # layer 1 cannot take over layer 0's (T*B, 8) states for its own 12
+        rng = np.random.default_rng(8)
+        tensors = {}
+        for i, (size_in, hidden) in enumerate([(40, 8), (8, 12)]):
+            tensors[f"gru{i}.w_ih"] = rng.uniform(-0.3, 0.3, size=(3 * hidden, size_in))
+            tensors[f"gru{i}.w_hh"] = rng.uniform(-0.3, 0.3, size=(3 * hidden, hidden))
+            tensors[f"gru{i}.b_ih"] = rng.uniform(-0.3, 0.3, size=3 * hidden)
+            tensors[f"gru{i}.b_hh"] = rng.uniform(-0.3, 0.3, size=3 * hidden)
+        tensors["head.w"] = rng.uniform(-0.3, 0.3, size=(2, 12))
+        tensors["head.b"] = rng.uniform(-0.3, 0.3, size=2)
+        ws = WeightStore(tensors, {"kind": kind, "config_id": CLOUD.config_id,
+                                   "hparams": {"layers": 2}})
+        x = rng.normal(size=(3, 20, 40)).astype(np.float32)
+        got = make_stack([ws]).logits(x)
+        for b in range(3):
+            np.testing.assert_allclose(got[0, b], oracle_logits(ws, x[b]), rtol=0, atol=1e-12)
+
+    def test_layer_writes_its_states_over_its_input(self):
+        layer0, layer1 = GRUStack(self.stores(hidden=8, layers=2)).layers
+        steps, n = 6, 2
+        rng = np.random.default_rng(9)
+        states = rng.normal(size=(3, steps * n, 8))  # a previous layer's, time-major
+        want = nnet._gru_layer(states.copy(), layer1, steps, n)
+        got = nnet._gru_layer(states, layer1, steps, n)
+        assert np.shares_memory(got, states)
+        assert got.tobytes() == want.tobytes()
+        x = rng.normal(size=(steps * n, 40))  # the first layer's input is the caller's
+        kept = x.copy()
+        assert not np.shares_memory(nnet._gru_layer(x, layer0, steps, n), x)
+        assert x.tobytes() == kept.tobytes()
+
 
 def linear_store(frames=4, coeffs=3, seed=0, config_id=DEVICE.config_id):
     rng = np.random.default_rng(seed)
@@ -646,6 +688,31 @@ class TestMakeStack:
         sgru = init_gru_scorer(CLOUD, kind="sgru", hidden=4, layers=1, seed=1)
         assert stack_key(sgru) == stack_key(gru_max)
         assert stack_key(linear_store()) != stack_key(linear_store(frames=5))
+
+    def test_one_stack_per_tuple_of_stores(self):
+        a = init_gru_scorer(CLOUD, hidden=4, layers=1, seed=0)
+        b = init_gru_scorer(CLOUD, hidden=4, layers=1, seed=1)
+        twin = WeightStore(dict(a.tensors), dict(a.metadata))
+        stack = make_stack([a, b])
+        assert make_stack([a, b]) is stack
+        assert stack.stores == (a, b)
+        for other in ([b, a], [a], [twin, b]):
+            assert make_stack(other) is not stack
+        linear = linear_store()
+        assert make_stack([linear]) is make_stack([linear])
+
+    def test_stacked_tensors_are_read_only(self):
+        ws = init_gru_scorer(CLOUD, hidden=4, layers=1)
+        ws["head.b"][0] = 1.0  # writable until stacked
+        make_stack([ws])
+        for t in ws.tensors.values():
+            with pytest.raises(ValueError):
+                t[...] = 0.0
+
+    def test_a_dropped_stack_leaves_the_cache(self):
+        ws = init_gru_scorer(CLOUD, hidden=4, layers=1)
+        make_stack([ws])
+        assert (id(ws),) not in nnet._STACKS
 
     def test_mixed_or_unknown_kinds_refused(self):
         gru = init_gru_scorer(DEVICE, hidden=4, layers=1)
