@@ -1,6 +1,8 @@
 """Command-line surface tying the toolkit together.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 model/protocol error.
+Exit codes: 0 success, 1 usage error, 2 data error (a file that cannot be
+read or written included), 3 model/protocol error (a verification server
+that cannot be reached or cannot listen included).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio, evaluation, features, fusion, nnet, wire
+from . import audio, evaluation, features, fusion, nnet, synth, wire
 from .errors import DataError, ModelError, ProtocolError
 
 
@@ -120,6 +122,12 @@ def _pipeline_from_args(args) -> evaluation.ScoreFn:
 
 # -- Subcommands -------------------------------------------------------------
 
+def cmd_synth(args) -> int:
+    print(synth.make_chirp_task(args.out_dir, n_train=args.train, n_valid=args.valid,
+                                n_test=args.test, seed=args.seed))
+    return 0
+
+
 def cmd_features(args) -> int:
     clip = audio.peak_normalize(audio.read_wav(args.wav))
     fm = features.mfcc(clip, _CONFIGS[args.config])
@@ -169,7 +177,11 @@ def cmd_detect(args) -> int:
             "threshold": event.threshold,
         }
         if args.server is not None:
-            resp = wire.request_verification(args.server, request, key=args.key)
+            try:
+                resp = wire.request_verification(args.server, request, key=args.key)
+            except (OSError, EOFError) as exc:
+                host, port = args.server
+                raise ProtocolError(f"verification server {host}:{port}: {exc!r}") from None
             record["verdict"] = resp.verdict.name.lower()
             record["fused_p_pos"] = resp.fused_p_pos
         if args.dump_requests:
@@ -188,7 +200,10 @@ def cmd_serve(args) -> int:
     server = wire.VerificationServer(
         members, model, theta_cloud=args.theta_cloud, key=args.key
     )
-    server.serve_forever(args.host, args.port)
+    try:
+        server.serve_forever(args.host, args.port)
+    except OSError as exc:
+        raise ProtocolError(f"cannot listen on {args.host}:{args.port}: {exc!r}") from None
     return 0
 
 
@@ -244,6 +259,14 @@ def build_parser() -> _Parser:
         p.add_argument("--patience", type=_positive_int, default=5)
         p.add_argument("--copies", type=_positive_int, default=1)
         p.add_argument("--allow-unaligned", action="store_true")
+
+    p = sub.add_parser("synth", help="write the synthetic chirp-keyword corpus and manifest")
+    p.add_argument("out_dir")
+    p.add_argument("--train", type=_non_negative_int, default=500)
+    p.add_argument("--valid", type=_non_negative_int, default=100)
+    p.add_argument("--test", type=_non_negative_int, default=100)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("features", help="wav -> float32 (frames, coeffs) MFCC matrix as .npy")
     p.add_argument("wav")
@@ -322,7 +345,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # OSError: an input or output file
         print(f"wuw: data error: {exc}", file=sys.stderr)
         return 2
     except (ModelError, ProtocolError) as exc:

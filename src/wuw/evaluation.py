@@ -80,7 +80,10 @@ def load_manifest(path, require_alignments: bool = True) -> list[ManifestEntry]:
     splits must carry a start/end span.
     """
     entries = []
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

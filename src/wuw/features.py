@@ -86,7 +86,6 @@ class FeatureConfig:
     window_ms: int
     hop_ms: int
     n_filters: int = 40
-    fft_len: int | None = None
     sample_rate_hz: int = CANONICAL_RATE_HZ
 
     def __post_init__(self):
@@ -96,10 +95,6 @@ class FeatureConfig:
             raise ValueError("need 0 < hop_ms <= window_ms")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample rate must be positive")
-        if self.fft_len is None:
-            object.__setattr__(self, "fft_len", _next_pow2(self.window_samples))
-        if self.fft_len < self.window_samples or self.fft_len & (self.fft_len - 1):
-            raise ValueError("fft_len must be a power of two >= window length")
 
     @property
     def window_samples(self) -> int:
@@ -108,6 +103,11 @@ class FeatureConfig:
     @property
     def hop_samples(self) -> int:
         return int(round(self.hop_ms * self.sample_rate_hz / 1000))
+
+    @property
+    def fft_len(self) -> int:
+        """The FFT length: the smallest power of two that holds a window."""
+        return _next_pow2(self.window_samples)
 
 
 # On-device detection preset and server-side verification preset, plus the

@@ -23,6 +23,7 @@ from .nnet import (
     _ce_batch,
     _uniform,
     fit,
+    load_weights,
     make_stack,
     stack_key,
 )
@@ -310,6 +311,4 @@ def train_fusion(
 
 
 def load_fusion(path) -> FusionModel:
-    from .nnet import load_weights
-
     return FusionModel(load_weights(path))

@@ -70,22 +70,14 @@ def softmax2(s: ScorePair) -> tuple[float, float]:
 
 
 def cross_entropy(s: ScorePair, label: int) -> tuple[float, tuple[float, float]]:
-    """Cross-entropy of a score pair against a binary label.
+    """Cross-entropy of a score pair against a binary label, as the one-row
+    view of ``_ce_batch``: (loss, gradient w.r.t. (logit_pos, logit_neg)).
 
-    Returns (loss, gradient w.r.t. (logit_pos, logit_neg)). Uses a stable
-    log-sum-exp; the gradient is softmax minus the one-hot target.
+    The loss is within 1e-12 of the log-sum-exp form for |pos - neg| <= 40;
+    beyond a margin of about 690 against the label it saturates near 690.
     """
-    a, b = float(s[0]), float(s[1])
-    m = max(a, b)
-    lse = m + np.log(np.exp(a - m) + np.exp(b - m))
-    target = a if label == LABEL_POS else b
-    loss = float(lse - target)
-    p_pos, p_neg = softmax2(s)
-    if label == LABEL_POS:
-        grad = (p_pos - 1.0, p_neg)
-    else:
-        grad = (p_pos, p_neg - 1.0)
-    return loss, grad
+    loss, grad = _ce_batch(np.array([[s[0], s[1]]], dtype=np.float64), np.array([label]))
+    return loss, (float(grad[0, 0]), float(grad[0, 1]))
 
 
 def _ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -353,7 +345,7 @@ def stack_key(ws: WeightStore) -> tuple | None:
     """What must match for scorers to share one stack (``make_stack``): the
     kernel their kind runs on, the feature config, the GRU layer count and
     every tensor shape. None for a kind with no built-in kernel."""
-    kernel = _KERNELS.get(ws.kind)
+    kernel = _KERNELS.get(ws.kind) if isinstance(ws.kind, str) else None
     if kernel is None:
         return None
     shapes = tuple((name, t.shape) for name, t in ws.tensors.items())
@@ -362,10 +354,14 @@ def stack_key(ws: WeightStore) -> tuple | None:
 
 def _check_stack(kernel, stores: Sequence[WeightStore]) -> None:
     """Raise ModelError unless ``stores`` are well-formed scorers that share
-    one ``stack_key`` whose kernel is ``kernel``."""
+    one ``stack_key`` whose kernel is ``kernel`` and whose config is a
+    feature preset. The one check of a scorer's store, for ``make_scorer``,
+    ``make_stack`` and a stack built directly."""
     key = stack_key(stores[0]) if stores else None
     if key is None or key[0] is not kernel or any(stack_key(ws) != key for ws in stores):
         raise ModelError(f"a {kernel.__name__} needs scorers of its kinds, one shape and config")
+    if type(key[1]) is not int or key[1] not in PRESETS:
+        raise ModelError(f"weight store config_id {key[1]!r} is not a feature preset")
     kernel.check(stores[0])
 
 
@@ -588,19 +584,18 @@ def make_stack(stores: Sequence[WeightStore]) -> GRUStack | LinearStack:
 
 
 def make_scorer(ws: WeightStore, member_id: str | None = None) -> Scorer:
-    """Wrap a weight store as a Scorer over its kind's stack kernel.
+    """Wrap a weight store as a Scorer over its kind's stack kernel, named
+    ``member_id``, else the kind.
 
-    The store is checked here and kept on the Scorer as ``weights``. ``fn``
-    is a one-window view of ``make_stack([ws])``, built on its first call:
-    a scorer that only ever runs inside an ensemble core's stack never needs
-    a float64 copy of its own.
+    ``_check_stack`` checks the store, and the Scorer keeps it as ``weights``.
+    ``fn`` is a one-window view of ``make_stack([ws])``, built on its first
+    call: a scorer that only ever runs inside an ensemble core's stack never
+    needs a float64 copy of its own.
     """
     key = stack_key(ws)
     if key is None:
         raise ModelError(f"no forward pass for model kind {ws.kind!r}")
-    key[0].check(ws)
-    if type(ws.config_id) is not int or ws.config_id not in PRESETS:
-        raise ModelError(f"weight store config_id {ws.config_id!r} is not a feature preset")
+    _check_stack(key[0], [ws])
     stack = None
 
     def forward(features: FeatureMatrix) -> ScorePair:
@@ -614,8 +609,7 @@ def make_scorer(ws: WeightStore, member_id: str | None = None) -> Scorer:
         logits = stack.logits(features.values[None])[0, 0]
         return ScorePair(float(logits[0]), float(logits[1]))
 
-    name = member_id if member_id is not None else ws.metadata.get("name", ws.kind)
-    return Scorer(name, ws.config_id, forward, ws)
+    return Scorer(member_id if member_id is not None else ws.kind, ws.config_id, forward, ws)
 
 
 # -- Training --------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 Generates WAV files plus a JSONL manifest so the full pipeline (training,
 evaluation, streaming detection, verification) can run without a speech
-corpus. Everything is driven by one seed and fully reproducible. Like every
-``wuw`` module, this one imports no scipy.
+corpus. Everything is driven by one seed and fully reproducible. The command
+line entry is ``wuw synth`` (``cli.cmd_synth``); this module has none of its
+own. Like every ``wuw`` module, this one imports no scipy.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 from pathlib import Path
 
@@ -178,25 +178,3 @@ def make_stream(
         starts.append(start)
     peak = np.max(np.abs(stream))
     return AudioClip(stream / peak, rate), starts
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Generate the synthetic chirp-keyword corpus."
-    )
-    parser.add_argument("out_dir")
-    parser.add_argument("--train", type=int, default=500)
-    parser.add_argument("--valid", type=int, default=100)
-    parser.add_argument("--test", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    manifest = make_chirp_task(
-        args.out_dir, n_train=args.train, n_valid=args.valid, n_test=args.test,
-        seed=args.seed,
-    )
-    print(manifest)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

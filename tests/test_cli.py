@@ -1,6 +1,7 @@
 """End to end through ``wuw``'s command line, in process, on a tiny corpus."""
 
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ class TestPipeline:
                    for e in events)
         assert len(list(dumps.glob("req_*.wuwp"))) == len(events)
 
+    def test_synth_writes_the_chirp_task(self, tmp_path, capsys):
+        code, text = run(capsys, "synth", tmp_path / "cli", "--train", "4", "--valid", "2",
+                         "--test", "3", "--seed", "5")
+        assert code == 0 and text == f"{tmp_path / 'cli' / 'manifest.jsonl'}\n"
+        make_chirp_task(tmp_path / "api", n_train=4, n_valid=2, n_test=3, seed=5)
+        files = sorted(p.name for p in (tmp_path / "api").iterdir())
+        assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == files
+        for name in files:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
     @pytest.mark.parametrize("name,config", [("device", DEVICE), ("cloud", CLOUD)])
     def test_features_writes_the_mfcc_matrix_as_npy(self, tmp_path, capsys, name, config):
         stream, _ = make_stream(np.random.default_rng(5), n_keywords=1, gap_s=2.0)
@@ -121,6 +132,7 @@ class TestExitCodes:
         ("train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--lr", "inf"),
         ("fuse-train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--device-weights",
          "d.wuwm", "--member", "m.wuwm", "--hidden", "0"),
+        ("synth", "corpus", "--train", "-1"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, capsys):
         assert run(capsys, *argv)[0] == 1
@@ -128,6 +140,47 @@ class TestExitCodes:
     def test_missing_manifest_file_is_a_data_error(self, tmp_path, capsys):
         assert run(capsys, "eval", "--manifest", tmp_path / "absent.jsonl",
                    "--weights", "w.wuwm")[0] == 2
+
+    @pytest.mark.parametrize("case", ["manifest-dir", "wav-dir", "weights-dir",
+                                      "manifest-not-utf8"])
+    def test_unreadable_input_file_is_a_data_error(self, tmp_path, capsys, case):
+        device, manifest = tmp_path / "device.wuwm", tmp_path / "m.jsonl"
+        save_weights(init_gru_scorer(DEVICE, hidden=4, layers=1), device)
+        manifest.write_bytes(b'{"path": "a.wav", "label": "noise", "split": "test"}\n\xff\n')
+        argv = {
+            "manifest-dir": ("eval", "--manifest", tmp_path, "--weights", device),
+            "wav-dir": ("detect", tmp_path, "--device-weights", device),
+            "weights-dir": ("detect", tmp_path / "s.wav", "--device-weights", tmp_path),
+            "manifest-not-utf8": ("eval", "--manifest", manifest, "--weights", device),
+        }[case]
+        assert main([str(a) for a in argv]) == 2
+        if case == "manifest-not-utf8":
+            assert f"{manifest}: not UTF-8" in capsys.readouterr().err
+
+    def test_unreachable_server_is_a_protocol_error(self, tmp_path, capsys):
+        device, wav = tmp_path / "device.wuwm", tmp_path / "stream.wav"
+        save_weights(init_gru_scorer(DEVICE, hidden=4, layers=1), device)
+        write_wav(make_stream(np.random.default_rng(4), n_keywords=1, gap_s=2.0)[0], wav)
+        with socket.socket() as sock:  # a port that was free a moment ago
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert main(["detect", str(wav), "--device-weights", str(device),
+                     "--theta-device", "0", "--server", f"127.0.0.1:{port}"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"verification server 127.0.0.1:{port}" in err
+
+    def test_serve_on_a_port_in_use_is_a_protocol_error(self, tmp_path, capsys):
+        members = []
+        for name in ("a", "b"):  # the member ids of fusion_store
+            save_weights(init_gru_scorer(CLOUD, hidden=4, layers=1), tmp_path / f"{name}.wuwm")
+            members += ["--member", str(tmp_path / f"{name}.wuwm")]
+        save_weights(fusion_store(), tmp_path / "f.wuwm")
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.listen()
+            assert main(["serve", *members, "--fusion", str(tmp_path / "f.wuwm"),
+                         "--port", str(sock.getsockname()[1])]) == 3
+        assert "cannot listen on 127.0.0.1" in capsys.readouterr().err
 
     def test_detect_on_a_wav_at_another_rate_is_a_model_error(self, tmp_path, capsys):
         device = tmp_path / "device.wuwm"
@@ -148,7 +201,8 @@ class TestExitCodes:
         assert run(capsys, "detect", tmp_path / "s.wav", "--device-weights", device)[0] == 3
 
     @pytest.mark.parametrize("metadata", [{"hparams": {"layers": "2"}}, {"hparams": [1]},
-                                          {"config_id": 99}])
+                                          {"config_id": 99}, {"kind": ["sgru"]},
+                                          {"kind": {"a": 1}}])
     def test_malformed_device_model_metadata_is_a_model_error(self, tmp_path, capsys,
                                                               metadata):
         ws = init_gru_scorer(DEVICE, hidden=4, layers=1)
@@ -156,6 +210,13 @@ class TestExitCodes:
         device = tmp_path / "bad.wuwm"
         save_weights(ws, device)
         assert run(capsys, "detect", tmp_path / "s.wav", "--device-weights", device)[0] == 3
+
+    def test_member_kind_that_is_not_a_string_is_a_model_error(self, tmp_path, capsys):
+        ws = init_gru_scorer(CLOUD, hidden=4, layers=1)
+        ws.metadata["kind"] = ["sgru"]
+        save_weights(ws, tmp_path / "m.wuwm")
+        assert run(capsys, "serve", "--member", tmp_path / "m.wuwm",
+                   "--fusion", tmp_path / "f.wuwm")[0] == 3
 
     @pytest.mark.parametrize("case", ["no fc1.w", "member_ids int", "fc2.b"])
     def test_malformed_fusion_file_is_a_model_error(self, work, tmp_path, capsys, case):

@@ -114,6 +114,34 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=r"m\.jsonl:2: path"):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("line,match", [
+        ("{not json", "invalid JSON"),
+        ('["a.wav"]', "entry must be an object"),
+        ('{"path": "a.wav", "label": "speech", "split": "test"}', "unknown label"),
+        ('{"path": "a.wav", "label": "noise", "split": "dev"}', "unknown split"),
+        ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": 0.5}', "invalid span"),
+        ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": 0.9, "end_s": 0.4}',
+         "invalid span"),
+        ('{"path": "a.wav", "label": "wuw", "split": "train"}', "wuw entry lacks"),
+        ('{"path": "a.wav", "label": "wuw", "split": "valid"}', "wuw entry lacks"),
+    ], ids=["json", "not-object", "label", "split", "missing-bound", "inverted-span",
+            "unaligned-train", "unaligned-valid"])
+    def test_malformed_line_is_refused_by_file_and_line(self, tmp_path, line, match):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"path": "a.wav", "label": "noise", "split": "test"}\n\n'
+                            + line + "\n", encoding="utf-8")
+        with pytest.raises(ManifestError, match=rf"m\.jsonl:3: {match}"):
+            load_manifest(manifest)
+
+    def test_blank_lines_are_skipped_and_unaligned_entries_may_be_allowed(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('\n  \n{"path": "a.wav", "label": "wuw", "split": "train"}\n\n',
+                            encoding="utf-8")
+        with pytest.raises(ManifestError, match=r"m\.jsonl:3: wuw entry lacks"):
+            load_manifest(manifest)
+        assert load_manifest(manifest, require_alignments=False) == [
+            evaluation.ManifestEntry("a.wav", "wuw", "train")]
+
 
 class TestBuildScoreDataset:
     def test_rows_match_per_window_scorer_calls(self, corpus, scorers):

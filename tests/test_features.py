@@ -109,10 +109,11 @@ class TestMelFilterbank:
         peaks = [int(np.argmax(row)) for row in fb]
         assert peaks == sorted(peaks)
 
-    @pytest.mark.parametrize("fft_len", [512, 2048])
-    def test_center_bins_match_high_precision_oracle(self, fft_len):
-        config = FeatureConfig(config_id=9, n_mfcc=13, window_ms=20, hop_ms=10,
-                               n_filters=40, fft_len=fft_len)
+    @pytest.mark.parametrize("window_ms,fft_len", [(20, 512), (100, 2048)], ids=["512", "2048"])
+    def test_center_bins_match_high_precision_oracle(self, window_ms, fft_len):
+        config = FeatureConfig(config_id=9, n_mfcc=13, window_ms=window_ms, hop_ms=10,
+                               n_filters=40)
+        assert config.fft_len == fft_len
         fb = mel_filterbank(config)
         oracle = mp_mel_center_bins(40, fft_len, 16000)
         impl = [int(np.flatnonzero(row == 1.0)[0]) for row in fb]
@@ -313,12 +314,15 @@ class TestFeatureConfigValidation:
         assert DEVICE.fft_len == 2048
         assert CLOUD.fft_len == 512
         assert PRESETS[5].fft_len == 512
+        for c in PRESETS.values():  # the smallest power of two that holds a window
+            assert c.fft_len & (c.fft_len - 1) == 0
+            assert c.fft_len // 2 < c.window_samples <= c.fft_len
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             FeatureConfig(config_id=9, n_mfcc=50, window_ms=30, hop_ms=10, n_filters=40)
         with pytest.raises(ValueError):
             FeatureConfig(config_id=9, n_mfcc=13, window_ms=30, hop_ms=40)
-        with pytest.raises(ValueError):
-            FeatureConfig(config_id=9, n_mfcc=13, window_ms=30, hop_ms=10, fft_len=100)
+        with pytest.raises(TypeError):  # the window decides the FFT length
+            FeatureConfig(config_id=9, n_mfcc=13, window_ms=30, hop_ms=10, fft_len=512)
 

@@ -184,6 +184,25 @@ class TestCrossEntropy:
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
         assert grad == pytest.approx((-0.5, 0.5))
 
+    def test_matches_log_sum_exp_form(self):
+        rng = np.random.default_rng(10)
+        pairs = [(0.0, 0.0), (40.0, 0.0), (0.0, 40.0), *rng.uniform(-20, 20, size=(500, 2))]
+        for a, b in pairs:
+            for label in (0, 1):
+                m = max(a, b)
+                lse = m + math.log(math.exp(a - m) + math.exp(b - m))
+                p_pos = math.exp(a - lse)
+                loss, grad = cross_entropy(ScorePair(a, b), label)
+                assert abs(loss - (lse - (a if label == 1 else b))) <= 1e-12
+                np.testing.assert_allclose(grad, (p_pos - label, label - p_pos),
+                                           rtol=0, atol=1e-12)
+
+    def test_loss_saturates_beyond_a_margin_of_about_690(self):
+        floor = -math.log(1e-300)
+        assert cross_entropy(ScorePair(-1000.0, 0.0), 1)[0] == pytest.approx(floor, rel=1e-12)
+        assert cross_entropy(ScorePair(0.0, 1000.0), 1)[0] == pytest.approx(floor, rel=1e-12)
+        assert cross_entropy(ScorePair(650.0, 0.0), 0)[0] == pytest.approx(650.0, rel=1e-12)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         delta = 1e-4
@@ -279,6 +298,19 @@ class TestWeightFiles:
     def test_malformed_tensor_declaration(self, tmp_path, metadata):
         with pytest.raises(WeightLayoutError, match="invalid metadata"):
             load_weights(self.write_declared(tmp_path / "bad.wuwm", metadata))
+
+    @pytest.mark.parametrize("case", ["header", "metadata", "duplicate-names"])
+    def test_truncated_or_ambiguous_header_refused(self, tmp_path, case):
+        path = tmp_path / "bad.wuwm"
+        if case == "header":
+            path.write_bytes(b"WUWM\x01\x00")
+        elif case == "metadata":
+            path.write_bytes(b"WUWM\x01" + struct.pack("<I", 50) + b"{}")
+        else:
+            self.write_declared(path, {"tensors": [{"name": "a", "shape": [1]}] * 2}, 2)
+        error = WeightLayoutError if case == "duplicate-names" else WeightTruncatedError
+        with pytest.raises(error, match=r"bad\.wuwm: (truncated|duplicate)"):
+            load_weights(path)
 
     def test_declared_size_beyond_int64_is_truncation(self, tmp_path):
         metadata = {"tensors": [{"name": "a", "shape": [2**70]}]}
@@ -469,6 +501,8 @@ class TestMakeScorer:
         assert scorer.config_id == DEVICE.config_id
         fm = FeatureMatrix(np.zeros((29, 13)), 1)
         assert isinstance(scorer.fn(fm), ScorePair)
+        ws.metadata["name"] = "ignored"
+        assert make_scorer(ws).member_id == "sgru"
 
     def test_make_scorer_unknown_kind(self):
         with pytest.raises(ModelError):
@@ -574,6 +608,28 @@ class TestGRUStack:
         del tensors["gru1.w_hh"]
         with pytest.raises(ModelError):
             make_scorer(WeightStore(tensors, ws.metadata))
+
+    @pytest.mark.parametrize("case,match", [
+        ("missing", "malformed"), ("chain", "layer 1 input"), ("no-layers", "no layers"),
+        ("head", "head"), ("config", "config_id"),
+    ])
+    def test_malformed_store_refused_on_every_path(self, case, match):
+        ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
+        tensors, meta = dict(ws.tensors), dict(ws.metadata)
+        if case == "missing":
+            del tensors["gru1.w_hh"]
+        elif case == "chain":
+            tensors["gru1.w_ih"] = np.zeros((24, 6))
+        elif case == "no-layers":
+            meta["hparams"] = {"layers": 0}
+        elif case == "head":
+            tensors["head.w"] = np.zeros((2, 6))
+        else:
+            meta["config_id"] = 99
+        bad = WeightStore(tensors, meta)
+        for build in (make_scorer, lambda s: make_stack([s]), lambda s: GRUStack([s])):
+            with pytest.raises(ModelError, match=match):
+                build(bad)
 
     def test_make_scorer_keeps_weights(self):
         ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
@@ -718,6 +774,8 @@ class TestMakeStack:
         gru = init_gru_scorer(DEVICE, hidden=4, layers=1)
         mystery = WeightStore({}, {"kind": "mystery", "config_id": 1})
         assert stack_key(mystery) is None
+        for kind in (["sgru"], {"a": 1}):
+            assert stack_key(WeightStore({}, {"kind": kind, "config_id": 1})) is None
         for stores in ([], [mystery], [linear_store(), gru], [gru, linear_store()]):
             with pytest.raises(ModelError):
                 make_stack(stores)

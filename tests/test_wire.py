@@ -117,6 +117,8 @@ class TestRequestCodec:
     def test_obfuscated_roundtrip(self):
         rng = np.random.default_rng(1)
         req = random_request(rng, obfuscated=True)
+        with pytest.raises(ProtocolError, match="needs a key"):
+            encode_request(req)
         frame = encode_request(req, key=0xC0FFEE)
         with pytest.raises(ProtocolError):
             decode_request(frame)  # key required
@@ -161,6 +163,9 @@ class TestRequestCodec:
         frame = encode_request(req)
         with pytest.raises(FrameTruncatedError):
             decode_request(frame[:-1])
+        body = frame[8 : 8 + wire._REQ_FIXED.size - 1]  # one byte short of the fixed fields
+        with pytest.raises(FrameTruncatedError, match="fixed fields"):
+            decode_request(b"WUWP" + struct.pack("<I", len(body)) + body)
 
     def test_fuzz_random_prefixes_never_crash(self):
         rng = np.random.default_rng(3)
@@ -197,6 +202,14 @@ class TestResponseCodec:
         frame = b"WUWP" + struct.pack("<I", len(body)) + body
         with pytest.raises(ProtocolError):
             decode_response(frame)
+
+    @pytest.mark.parametrize("body,error", [
+        (struct.pack("<BfH", 1, 0.5, 0)[:6], FrameTruncatedError),
+        (struct.pack("<BfH", 1, 0.5, 2) + bytes(4), FrameLengthError),
+    ], ids=["short-body", "payload-length"])
+    def test_malformed_body_refused(self, body, error):
+        with pytest.raises(error):
+            decode_response(b"WUWP" + struct.pack("<I", len(body)) + body)
 
 
 class TestObfuscate:
