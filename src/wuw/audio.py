@@ -230,7 +230,8 @@ def mix_at_snr(signal: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
     """Add noise to the signal at an exact signal-to-noise ratio.
 
     The noise is tiled (wrapped) or cropped to the signal length first, so
-    the realized SNR of the two addends equals ``snr_db``.
+    the realized SNR of the two addends equals ``snr_db``. Noise at least as
+    long as the signal is cropped without a copy.
     """
     if signal.sample_rate_hz != noise.sample_rate_hz:
         raise DataError("signal and noise sample rates differ")
@@ -238,7 +239,7 @@ def mix_at_snr(signal: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
         raise DataError("signal and noise must be non-empty")
 
     reps = -(-len(signal) // len(noise))
-    tiled = np.tile(noise.samples, reps)[: len(signal)]
+    tiled = (noise.samples if reps == 1 else np.tile(noise.samples, reps))[: len(signal)]
 
     p_signal = float(np.mean(np.square(signal.samples)))
     p_noise = float(np.mean(np.square(tiled)))

@@ -206,6 +206,12 @@ class _ClipCache:
             samples /= peak
         return AudioClip(samples, rate)
 
+    def silent(self, path: str) -> bool:
+        """Whether the kept clip at ``path``, loaded by ``get``, is silence.
+        Peak-normalized, its power is 0 exactly when its peak is, so this
+        is ``measure_power(clip) == 0`` without squaring the clip."""
+        return self._clips[path][1] == 0.0
+
 
 def _mixed_window(
     entry: ManifestEntry,
@@ -219,9 +225,10 @@ def _mixed_window(
     with a noise entry drawn after the cut."""
     span = entry.span if entry.label == "wuw" else None
     window = extract_window(clip, WINDOW_S, span=span, rng=rng)
-    noise = cache.get(noise_pool[int(rng.integers(len(noise_pool)))].path)
+    noise_path = noise_pool[int(rng.integers(len(noise_pool)))].path
+    noise = cache.get(noise_path)
     # Degenerate silence cannot be mixed at a defined SNR; pass it through.
-    if measure_power(window) == 0.0 or measure_power(noise) == 0.0:
+    if measure_power(window) == 0.0 or cache.silent(noise_path):
         return window
     return mix_at_snr(window, noise, snr_db)
 
@@ -445,8 +452,9 @@ def build_feature_dataset(
             ):
                 rir = cache.get(rir_pool[int(rng.integers(len(rir_pool)))].path)
                 window = convolve_rir(window, rir)
-            noise = cache.get(noise_pool[int(rng.integers(len(noise_pool)))].path)
-            if measure_power(window) > 0.0 and measure_power(noise) > 0.0:
+            noise_path = noise_pool[int(rng.integers(len(noise_pool)))].path
+            noise = cache.get(noise_path)
+            if measure_power(window) > 0.0 and not cache.silent(noise_path):
                 window = mix_at_snr(window, noise, draw_snr(rng))
             dataset.append((mfcc(window, config), label))
     return dataset

@@ -21,8 +21,21 @@ it sits in, so the features are bit-identical to one whole-matrix product
 (the tests check this), and a frame's row does not depend on the clip it
 was cut from.
 
-Frames are a read-only strided view of the clip's samples (frame i starts
-at sample i * hop); nothing is copied to cut them.
+Frames are one strided ``np.ndarray`` view of the clip's samples (frame i
+starts at sample i * hop); nothing is copied to cut them, unless the
+samples themselves are not contiguous, in which case they are copied once.
+
+Coefficient 0 squares each sample that a frame covers once, not once per
+frame that covers it: one ``np.square`` pass over those samples, viewed as
+the same frames, then ``np.add.reduce`` along each row. Each row holds the
+same squares in the same order as the squared frame would, and the row sum
+is the same pairwise summation over them, so c0 is bit-identical to summing
+``np.square(frame)`` frame by frame (the tests check this).
+
+The window and hop lengths, the FFT length, the transposed filterbank and
+the DCT columns are looked up once per config (``_plan``), so a call of a
+few frames, as each streaming feed makes, pays for its arithmetic and not
+for recomputing them.
 
 The DCT is one product with the first ``n_mfcc`` columns of the cached
 orthonormal DCT-II matrix, issued through the same row blocks, so a row's
@@ -255,25 +268,40 @@ def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _plan(config: FeatureConfig) -> tuple:
+    """What ``mfcc`` reads of a config on every call, worked out once:
+    (window, hop, fft_len, filterbank transposed, DCT columns). The arrays
+    are the cached read-only ones, so the products are those of a fresh
+    lookup."""
+    return (config.window_samples, config.hop_samples, config.fft_len,
+            mel_filterbank(config).T, _dct_columns(config.n_filters, config.n_mfcc))
+
+
+def _frames(x: np.ndarray, n_frames: int, window: int, hop: int) -> np.ndarray:
+    """The (n_frames, window) view of C-contiguous samples x whose row i
+    starts at sample i * hop."""
+    return np.ndarray((n_frames, window), x.dtype, x, 0, (hop * x.itemsize, x.itemsize))
+
+
 def mfcc(clip: AudioClip, config: FeatureConfig) -> FeatureMatrix:
     """Extract an MFCC matrix of shape (frame_count, n_mfcc)."""
     if clip.sample_rate_hz != config.sample_rate_hz:
         raise DataError(
             f"clip rate {clip.sample_rate_hz} != config rate {config.sample_rate_hz}"
         )
-    window, hop = config.window_samples, config.hop_samples
-    n_frames = frame_count(len(clip), window, hop)
+    window, hop, fft_len, mel_t, dct = _plan(config)
+    x = np.ascontiguousarray(clip.samples)
+    n_frames = frame_count(x.size, window, hop)
+    frames = _frames(x, n_frames, window, hop)
 
-    x = clip.samples
-    step = x.strides[0]
-    frames = np.lib.stride_tricks.as_strided(
-        x, (n_frames, window), (hop * step, step), writeable=False
-    )
-
-    spectra = np.square(np.abs(np.fft.rfft(frames, n=config.fft_len, axis=1)))
-    energies = _matmul_rows(spectra, mel_filterbank(config).T)
+    spectra = np.square(np.abs(np.fft.rfft(frames, n=fft_len, axis=1)))
+    energies = _matmul_rows(spectra, mel_t)
     energies += LOG_FLOOR
     log_energies = np.log(energies, out=energies)
-    cepstra = _matmul_rows(log_energies, _dct_columns(config.n_filters, config.n_mfcc))
-    cepstra[:, 0] = np.log(np.add.reduce(np.square(frames), axis=1) + LOG_FLOOR)
+    cepstra = _matmul_rows(log_energies, dct)
+    squares = np.square(x[: (n_frames - 1) * hop + window])
+    c0 = np.add.reduce(_frames(squares, n_frames, window, hop), axis=1)
+    c0 += LOG_FLOOR
+    cepstra[:, 0] = np.log(c0, out=c0)
     return FeatureMatrix(cepstra.astype(np.float32), config.config_id)

@@ -547,8 +547,11 @@ class LinearStack:
             raise DataError(
                 f"linear stack needs (B, {width // coeffs}, {coeffs}) features, got {x.shape}"
             )
-        z = ((x.astype(np.float64) - self.mean) / self.std).reshape(m, x.shape[0], width)
-        return (self.w @ z.transpose(0, 2, 1) + self.b).transpose(0, 2, 1)
+        z = x - self.mean  # float64, as self.mean is
+        z /= self.std
+        y = self.w @ z.reshape(m, x.shape[0], width).transpose(0, 2, 1)
+        y += self.b
+        return y.transpose(0, 2, 1)
 
 
 # The one kernel of each built-in model kind.

@@ -122,13 +122,18 @@ def make_chirp_task(
     """Write the synthetic corpus and return the manifest path.
 
     Each split is roughly 40% keyword clips (with spans), 40% negative
-    bursts, and 20% mixing-noise clips.
+    bursts, and 20% mixing-noise clips. A negative count is a ValueError
+    that names its split, raised before anything is written.
     """
+    counts = (("train", n_train), ("valid", n_valid), ("test", n_test))
+    for split, count in counts:
+        if count < 0:
+            raise ValueError(f"{split} clip count must be at least 0, got {count}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     lines = []
-    for split, count in (("train", n_train), ("valid", n_valid), ("test", n_test)):
+    for split, count in counts:
         for i in range(count):
             kind = i % 5
             name = f"{split}_{i:04d}.wav"

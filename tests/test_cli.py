@@ -95,6 +95,32 @@ class TestPipeline:
         assert got.tobytes() == want.values.tobytes() and got.shape == want.values.shape
 
 
+# What a malformed value is refused with, by the option (or the subcommand
+# position) that takes it.
+REFUSALS = {
+    "command": "invalid choice",
+    "--server": "not host:port",
+    "--key": "not an int",
+    "--theta-device": "must be in [0, 1]",
+    "--theta-cloud": "must be in [0, 1]",
+    "--theta": "must be in [0, 1]",
+    "--theta-min": "must be in [0, 1]",
+    "--theta-max": "must be in [0, 1]",
+    "--refractory": "must be finite and at least 0",
+    "--lr": "must be finite and above 0",
+    "--port": "must be a port in 0-65535",
+    "--seed": "must be at least 0",
+    "--epochs": "must be at least 0",
+    "--train": "must be at least 0",
+    "--buckets": "must be at least 1",
+    "--steps": "must be at least 1",
+    "--batch-size": "must be at least 1",
+    "--patience": "must be at least 1",
+    "--copies": "must be at least 1",
+    "--hidden": "must be at least 1",
+}
+
+
 class TestExitCodes:
     def test_missing_manifest_option_is_a_usage_error(self, capsys):
         assert run(capsys, "eval", "--weights", "w.wuwm")[0] == 1
@@ -135,7 +161,10 @@ class TestExitCodes:
         ("synth", "corpus", "--train", "-1"),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, capsys):
-        assert run(capsys, *argv)[0] == 1
+        # argparse exits 1 for any usage error; the message names the rule
+        flag, value = ("command", argv[0]) if len(argv) == 1 else argv[-2:]
+        assert main(list(argv)) == 1
+        assert f"argument {flag}: {REFUSALS[flag]}: {value!r}" in capsys.readouterr().err
 
     def test_missing_manifest_file_is_a_data_error(self, tmp_path, capsys):
         assert run(capsys, "eval", "--manifest", tmp_path / "absent.jsonl",

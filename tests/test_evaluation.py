@@ -6,7 +6,7 @@ import pytest
 
 from wuw import evaluation
 from wuw.errors import ManifestError
-from wuw.audio import SNR_RANGE_DB, AudioClip, peak_normalize, read_wav, write_wav
+from wuw.audio import SNR_RANGE_DB, AudioClip, measure_power, peak_normalize, read_wav, write_wav
 from wuw.evaluation import (
     _ClipCache,
     _mixed_window,
@@ -353,5 +353,6 @@ class TestClipCacheExactness:
             assert got.samples.dtype == np.float64
             assert got.samples.tobytes() == want.samples.tobytes()
             assert got.sample_rate_hz == want.sample_rate_hz == 8000
+            assert cache.silent("a.wav") == (measure_power(want) == 0.0)
         kept = cache._clips["a.wav"][0]
         assert kept.dtype == np.float32 and kept.shape == (4000,)

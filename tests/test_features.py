@@ -254,6 +254,18 @@ class TestMfccOracle:
         strided = mfcc(AudioClip(samples), CLOUD).values
         assert np.array_equal(strided, mfcc(AudioClip(samples.copy()), CLOUD).values)
 
+    @pytest.mark.parametrize("config", list(PRESETS.values()), ids=lambda c: c.config_id)
+    @pytest.mark.parametrize("view", ["offset", "step2", "read-only"])
+    def test_sample_views_give_the_features_of_their_copy(self, config, view):
+        # frames are cut from the samples' own buffer, which starts at a view's
+        # first sample and may be read-only
+        base = np.random.default_rng(5).uniform(-0.9, 0.9, 2 * 24000 + 13)
+        samples = {"offset": base[13 : 13 + 24000], "step2": base[::2],
+                   "read-only": base[:24000].copy()}[view]
+        samples.flags.writeable = view != "read-only"
+        got = mfcc(AudioClip(samples), config).values
+        assert np.array_equal(got, mfcc(AudioClip(samples.copy()), config).values)
+
 
 class TestMatmulRows:
     @pytest.mark.parametrize("a_shape,w_shape", [

@@ -323,12 +323,30 @@ class TestEnsemble:
         scorers = [gru_member("sgru", 0), plug_in("a"), gru_member("gru-max", 1),
                    gru_member("sgru", 2, hidden=8), plug_in("b"), gru_member("sgru", 3)]
         core = Ensemble(scorers)
-        stacks = sorted(cols for cols, _ in core._stacks)
+        stacks = sorted(np.arange(6)[index].tolist() for index, _ in core._stacks)
         assert stacks == [[0, 2, 5], [3]]
         assert core.member_ids == tuple(s.member_id for s in scorers)
         x = np.random.default_rng(7).normal(size=(3, 30, 40))
         np.testing.assert_allclose(core.log_odds({2: x}), self.per_window(scorers, x),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_interleaved_stack_columns_equal_each_scorers_fn(self, batch):
+        # the sgru stack's columns 0 and 2 are not contiguous; the linear
+        # member between them is its own stack
+        linear = make_scorer(linear_store(frames=148, coeffs=40, seed=3,
+                                          config_id=CLOUD.config_id), "lin")
+        scorers = [gru_member("sgru", 0, hidden=8), linear, gru_member("sgru", 1, hidden=8)]
+        core = Ensemble(scorers)
+        assert sorted(np.arange(3)[index].tolist() for index, _ in core._stacks) == [[0, 2], [1]]
+        x = np.random.default_rng(batch).normal(size=(batch, 148, 40)).astype(np.float32)
+        got = core.log_odds({2: x})
+        # each scorer alone, at the same batch: a GRU's last bits may depend
+        # on how many windows share its gemm, never on its column
+        alone = np.column_stack([Ensemble([s]).log_odds({2: x})[:, 0] for s in scorers])
+        np.testing.assert_array_equal(got, alone)
+        if batch == 1:
+            np.testing.assert_array_equal(got, self.per_window(scorers, x))
 
     def test_stacked_members_skip_fn(self):
         ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
@@ -350,7 +368,7 @@ class TestEnsemble:
 
         scorers = [Scorer(f"lin{i}", DEVICE.config_id, never, ws) for i, ws in enumerate(stores)]
         core = Ensemble([*scorers, gru_member("sgru", 0, hidden=8)])
-        assert sorted(cols for cols, _ in core._stacks) == [[0, 1], [2]]
+        assert sorted(np.arange(3)[index].tolist() for index, _ in core._stacks) == [[0, 1], [2]]
         rng = np.random.default_rng(12)
         x = rng.normal(size=(3, 29, 13)).astype(np.float32)
         got = core.log_odds({1: x, 2: rng.normal(size=(3, 20, 40))})

@@ -3,7 +3,8 @@
 ``chirp_keyword`` writes scipy's linear chirp phase and must equal it bit
 for bit. ``_shaped_noise`` replaces ``lfilter([1], [1, -0.9], x)`` with a
 blocked GEMM, which sums in another order; it must stay within 1e-15 of the
-(unit) peak of the sequential filter.
+(unit) peak of the sequential filter. ``make_chirp_task`` refuses a
+negative clip count before it writes anything.
 """
 
 import numpy as np
@@ -33,3 +34,11 @@ def test_shaped_noise_matches_lfilter(n):
     expected = colored / np.max(np.abs(colored))
     got = synth._shaped_noise(np.random.default_rng(n), n)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("split", ["train", "valid", "test"])
+def test_negative_count_is_refused_before_anything_is_written(tmp_path, split):
+    counts = {"n_train": 2, "n_valid": 2, "n_test": 1, f"n_{split}": -1}
+    with pytest.raises(ValueError, match=f"{split} clip count must be at least 0"):
+        synth.make_chirp_task(tmp_path / "corpus", **counts)
+    assert not (tmp_path / "corpus").exists()
