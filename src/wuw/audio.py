@@ -226,12 +226,16 @@ def extract_window(
     return AudioClip(clip.samples[start : start + target], rate)
 
 
-def mix_at_snr(signal: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
+def mix_at_snr(
+    signal: AudioClip, noise: AudioClip, snr_db: float, signal_power: float | None = None
+) -> AudioClip:
     """Add noise to the signal at an exact signal-to-noise ratio.
 
     The noise is tiled (wrapped) or cropped to the signal length first, so
     the realized SNR of the two addends equals ``snr_db``. Noise at least as
-    long as the signal is cropped without a copy.
+    long as the signal is cropped without a copy. A caller that has already
+    measured the signal's power passes it as ``signal_power``
+    (``measure_power(signal)``), and the signal is not squared again.
     """
     if signal.sample_rate_hz != noise.sample_rate_hz:
         raise DataError("signal and noise sample rates differ")
@@ -241,7 +245,7 @@ def mix_at_snr(signal: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
     reps = -(-len(signal) // len(noise))
     tiled = (noise.samples if reps == 1 else np.tile(noise.samples, reps))[: len(signal)]
 
-    p_signal = float(np.mean(np.square(signal.samples)))
+    p_signal = measure_power(signal) if signal_power is None else signal_power
     p_noise = float(np.mean(np.square(tiled)))
     if p_signal == 0.0 or p_noise == 0.0:
         raise DataError("SNR undefined for zero-power signal or noise")

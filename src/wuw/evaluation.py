@@ -228,9 +228,10 @@ def _mixed_window(
     noise_path = noise_pool[int(rng.integers(len(noise_pool)))].path
     noise = cache.get(noise_path)
     # Degenerate silence cannot be mixed at a defined SNR; pass it through.
-    if measure_power(window) == 0.0 or cache.silent(noise_path):
+    power = measure_power(window)
+    if power == 0.0 or cache.silent(noise_path):
         return window
-    return mix_at_snr(window, noise, snr_db)
+    return mix_at_snr(window, noise, snr_db, signal_power=power)
 
 
 def _mixed_windows(
@@ -454,8 +455,9 @@ def build_feature_dataset(
                 window = convolve_rir(window, rir)
             noise_path = noise_pool[int(rng.integers(len(noise_pool)))].path
             noise = cache.get(noise_path)
-            if measure_power(window) > 0.0 and not cache.silent(noise_path):
-                window = mix_at_snr(window, noise, draw_snr(rng))
+            power = measure_power(window)
+            if power > 0.0 and not cache.silent(noise_path):
+                window = mix_at_snr(window, noise, draw_snr(rng), signal_power=power)
             dataset.append((mfcc(window, config), label))
     return dataset
 

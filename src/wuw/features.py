@@ -254,15 +254,17 @@ def _gemm_block_rows(k: int, n: int) -> int:
 
 
 def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a (..., R, K) @ w (..., K, N) -> (..., R, N), float64, issued in row
-    blocks of at most ``_GEMM_MAX_MNK`` multiply-adds each. Rows that fit in
-    one block are one plain ``np.matmul``, the same call the loop makes."""
+    """a (..., R, K) @ w (..., K, N) -> (..., R, N) in ``np.matmul``'s result
+    type, issued in row blocks of at most ``_GEMM_MAX_MNK`` multiply-adds
+    each. Rows that fit in one block are one plain ``np.matmul``, the same
+    call the loop makes."""
     k, n = w.shape[-2:]
     rows = a.shape[-2]
     block = _gemm_block_rows(k, n)
     if rows <= block:
         return np.matmul(a, w)
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], w.shape[:-2]) + (rows, n))
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], w.shape[:-2]) + (rows, n),
+                   dtype=np.result_type(a, w))
     for s in range(0, rows, block):
         np.matmul(a[..., s : s + block, :], w, out=out[..., s : s + block, :])
     return out

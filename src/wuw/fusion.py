@@ -101,12 +101,15 @@ class Ensemble:
     ``weights``, is called through ``fn``, one window at a time, into its
     own column.
 
-    Weights are cast and stacked by ``make_stack``, once for every core over
-    the same scorers. The core keeps no per-call state, so threads may share
-    one.
+    The stacked members compute in ``dtype``: weights, input projection,
+    recurrence, pooling and head. The log-odds transform and its clamp run in
+    float64 whatever it is, and a Scorer called through ``fn`` computes in
+    whatever its ``fn`` does. Weights are cast and stacked by ``make_stack``,
+    once for every core over the same scorers and dtype. The core keeps no
+    per-call state, so threads may share one.
     """
 
-    def __init__(self, scorers: Sequence[Scorer]):
+    def __init__(self, scorers: Sequence[Scorer], dtype=np.float64):
         self.scorers = tuple(scorers)
         self.member_ids = tuple(s.member_id for s in self.scorers)
         self.config_ids = tuple(dict.fromkeys(s.config_id for s in self.scorers))
@@ -119,7 +122,7 @@ class Ensemble:
             else:
                 groups.setdefault(key, []).append(col)
         self._stacks = [
-            (_column_index(cols), make_stack([self.scorers[c].weights for c in cols]))
+            (_column_index(cols), make_stack([self.scorers[c].weights for c in cols], dtype))
             for cols in groups.values()
         ]
 

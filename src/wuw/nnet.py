@@ -2,18 +2,23 @@
 training loop ``fit`` (Adam under a plateau schedule), and the binary
 weight-file format.
 
-Weight tensors are stored as float32 (the file format is float32), while all
-forward/backward math runs in float64 for numerically clean gradients. GRU
-scorers are inference-only; the trainable baseline is the linear classifier.
+Weight tensors are stored as float32 (the file format is float32). Training
+(the linear classifier's and the fusion's gradients) runs in float64. A stack
+kernel computes in the element type it is built with: float64 by default, which
+every offline loop, the device agent and ``Scorer.fn`` use, or float32, which
+the verification server asks for (``fusion.Ensemble``'s ``dtype``), since its
+answer goes out as float32. GRU scorers are inference-only; the trainable
+baseline is the linear classifier.
 
 Each built-in model kind has exactly one forward pass, a batched stack
 kernel: :class:`GRUStack` for ``sgru`` and ``gru-max``, :class:`LinearStack`
 for ``linear``. A kernel runs M scorers of one shape over a window batch
 (B, T, C) and returns logits (M, B, 2). ``make_stack`` picks the kernel from
 the kind, and ``stack_key`` says which scorers may share one. Weights are
-cast to float64, transposed and stacked once per tuple of stores: ``make_stack``
-hands every caller (the ensemble cores in ``fusion``, a Scorer's ``fn``) the
-one stack that is alive for those stores, and never casts per call.
+cast to the stack's dtype, transposed and stacked once per tuple of stores
+and dtype: ``make_stack`` hands every caller (the ensemble cores in
+``fusion``, a Scorer's ``fn``) the one stack that is alive for those stores
+at that precision, and never casts per call.
 ``Scorer.fn`` of a built-in kind is a one-window view of its own stack. In
 the GRU kernel, per layer, the input projection ``x @ W_ih.T`` is computed
 for all time steps before the recurrence; only ``h @ W_hh.T`` stays inside
@@ -320,8 +325,9 @@ def init_gru_scorer(
 
 
 # A GRU layer's transient arrays (its hoisted input projection and its hidden
-# states at every step, float64, 4H per row) are kept under this many bytes by
-# running large window batches in chunks. The layer's input, the previous
+# states at every step, 4H elements of the stack's dtype per row) are kept under
+# this many bytes by running large window batches in chunks, so a float32 chunk
+# holds twice the windows of a float64 one. The layer's input, the previous
 # layer's states, is not counted. A layer after the first writes its states
 # over that input when the widths match, so it allocates only 3H per row; the
 # chunk rule still counts 4H, since a different chunk moves the GEMM row blocks
@@ -365,11 +371,13 @@ def _check_stack(kernel, stores: Sequence[WeightStore]) -> None:
     kernel.check(stores[0])
 
 
-def _stacked(stores: Sequence[WeightStore], name: str, transpose: bool = False) -> np.ndarray:
-    """Tensor ``name`` of every store as one C-contiguous float64 array
+def _stacked(
+    stores: Sequence[WeightStore], name: str, transpose: bool = False, dtype=np.float64
+) -> np.ndarray:
+    """Tensor ``name`` of every store as one C-contiguous ``dtype`` array
     (M, ...), each transposed first when asked."""
     first = stores[0][name].T if transpose else stores[0][name]
-    out = np.empty((len(stores),) + first.shape)
+    out = np.empty((len(stores),) + first.shape, dtype=dtype)
     for j, ws in enumerate(stores):
         out[j] = ws[name].T if transpose else ws[name]
     return out
@@ -381,8 +389,9 @@ class GRUStack:
     ``logits`` maps features (B, T, I) to (pos, neg) logits (M, B, 2). Each
     member pools its last layer as its kind says: ``sgru`` the final hidden
     state, ``gru-max`` the elementwise max over time. Weights are cast to
-    float64 and stored pre-transposed and C-contiguous here, once: a batched
-    matmul on a transposed view does not reach BLAS. The object holds no
+    ``dtype`` and stored pre-transposed and C-contiguous here, once: a batched
+    matmul on a transposed view does not reach BLAS. Everything from the
+    input projection to the head then runs in ``dtype``. The object holds no
     per-call state, so threads may share it.
     """
 
@@ -404,21 +413,22 @@ class GRUStack:
         if head_w.shape != (2, size_in) or head_b.shape != (2,):
             raise ModelError("GRU scorer head does not match its last layer")
 
-    def __init__(self, stores: Sequence[WeightStore]):
+    def __init__(self, stores: Sequence[WeightStore], dtype=np.float64):
         _check_stack(GRUStack, stores)
         self.stores = tuple(stores)
         self.config_id = stores[0].config_id
+        self.dtype = np.dtype(dtype)
         self.layers = [
             (
-                _stacked(stores, f"gru{i}.w_ih", transpose=True),  # (M, I, 3H)
-                _stacked(stores, f"gru{i}.w_hh", transpose=True),  # (M, H, 3H)
-                _stacked(stores, f"gru{i}.b_ih")[:, None, :],      # (M, 1, 3H)
-                _stacked(stores, f"gru{i}.b_hh")[:, None, :],
+                _stacked(stores, f"gru{i}.w_ih", True, dtype),  # (M, I, 3H)
+                _stacked(stores, f"gru{i}.w_hh", True, dtype),  # (M, H, 3H)
+                _stacked(stores, f"gru{i}.b_ih", dtype=dtype)[:, None, :],  # (M, 1, 3H)
+                _stacked(stores, f"gru{i}.b_hh", dtype=dtype)[:, None, :],
             )
             for i in range(_gru_layer_count(stores[0]))
         ]
-        self.head_w = _stacked(stores, "head.w", transpose=True)   # (M, H, 2)
-        self.head_b = _stacked(stores, "head.b")[:, None, :]       # (M, 1, 2)
+        self.head_w = _stacked(stores, "head.w", True, dtype)             # (M, H, 2)
+        self.head_b = _stacked(stores, "head.b", dtype=dtype)[:, None, :]  # (M, 1, 2)
         self.max_pool = np.array([ws.kind == "gru-max" for ws in stores])
         self.input_size = self.layers[0][0].shape[1]
         self.hidden_size = self.head_w.shape[1]
@@ -428,7 +438,7 @@ class GRUStack:
         return self.max_pool.shape[0]
 
     def logits(self, x) -> np.ndarray:
-        """Features (B, T, I) -> logits (M, B, 2), float64."""
+        """Features (B, T, I) -> logits (M, B, 2), in the stack's dtype."""
         x = np.asarray(x)
         if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != self.input_size:
             raise DataError(
@@ -438,9 +448,9 @@ class GRUStack:
         hs = self.hidden_size
         # windows per chunk: within the scratch budget, and few enough that
         # the recurrent matmul (chunk, H) @ (H, 3H) stays a single-thread gemm
-        chunk = max(1, min(_SCRATCH_BYTES // (8 * self.n_members * steps * 4 * hs),
-                           _gemm_block_rows(hs, 3 * hs)))
-        out = np.empty((self.n_members, n, 2))
+        row_bytes = self.dtype.itemsize * self.n_members * steps * 4 * hs
+        chunk = max(1, min(_SCRATCH_BYTES // row_bytes, _gemm_block_rows(hs, 3 * hs)))
+        out = np.empty((self.n_members, n, 2), dtype=self.dtype)
         for s in range(0, n, chunk):
             out[:, s : s + chunk] = self._run(x[s : s + chunk])
         return out
@@ -448,7 +458,7 @@ class GRUStack:
     def _run(self, x: np.ndarray) -> np.ndarray:
         n, steps, size_in = x.shape
         # time-major rows, so that one step of all windows is contiguous
-        seq = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=np.float64)
+        seq = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=self.dtype)
         seq = seq.reshape(steps * n, size_in)
         for params in self.layers:
             states = _gru_layer(seq, params, steps, n)
@@ -461,22 +471,24 @@ def _gru_layer(seq, params, steps, n):
     """One stacked layer over time-major rows seq (T*B, I) or (M, T*B, I);
     returns the states (M, T, B, H) of every step.
 
-    Once the input projection has read it, an (M, T*B, H) ``seq`` (the
-    previous layer's states) is dead, so the states are written into it."""
+    The layer computes in its params' element type, which ``seq`` must
+    share. Once the input projection has read it, an (M, T*B, H) ``seq``
+    (the previous layer's states) is dead, so the states are written into
+    it."""
     w_ih, w_hh, b_ih, b_hh = params
-    m, hs = w_hh.shape[0], w_hh.shape[1]
+    m, hs, dtype = w_hh.shape[0], w_hh.shape[1], w_hh.dtype
     gi = _matmul_rows(seq, w_ih)  # (M, T*B, 3H): the hoisted input projection
     gi += b_ih
     gi = gi.reshape(m, steps, n, 3 * hs)
     if seq.shape == (m, steps * n, hs):
         states = seq.reshape(m, steps, n, hs)
     else:
-        states = np.empty((m, steps, n, hs))
-    h = np.zeros((m, n, hs))
-    gh = np.empty((m, n, 3 * hs))
-    zr = np.empty((m, n, 2 * hs))
-    cand = np.empty((m, n, hs))
-    keep = np.empty((m, n, hs))
+        states = np.empty((m, steps, n, hs), dtype=dtype)
+    h = np.zeros((m, n, hs), dtype=dtype)
+    gh = np.empty((m, n, 3 * hs), dtype=dtype)
+    zr = np.empty((m, n, 2 * hs), dtype=dtype)
+    cand = np.empty((m, n, hs), dtype=dtype)
+    keep = np.empty((m, n, hs), dtype=dtype)
     z, r = zr[..., :hs], zr[..., hs:]
     for t in range(steps):
         np.matmul(h, w_hh, out=gh)
@@ -507,8 +519,9 @@ class LinearStack:
     member standardizes every coefficient column with its ``norm.mean`` and
     ``norm.std``, flattens the window row-major and applies ``w @ x + b``,
     with the windows as the columns of x: so one window is one matrix-vector
-    product. Weights are cast to float64 and stacked here, once. The object
-    holds no per-call state, so threads may share it.
+    product. Weights are cast to ``dtype`` and stacked here, once, and the
+    standardization and product run in it. The object holds no per-call
+    state, so threads may share it.
     """
 
     @staticmethod
@@ -530,24 +543,25 @@ class LinearStack:
         if not np.all(std > 0):
             raise ModelError("malformed linear scorer: norm.std must be positive")
 
-    def __init__(self, stores: Sequence[WeightStore]):
+    def __init__(self, stores: Sequence[WeightStore], dtype=np.float64):
         _check_stack(LinearStack, stores)
         self.stores = tuple(stores)
         self.config_id = stores[0].config_id
-        self.mean = _stacked(stores, "norm.mean")[:, None, None, :]  # (M, 1, 1, C)
-        self.std = _stacked(stores, "norm.std")[:, None, None, :]
-        self.w = _stacked(stores, "w")                               # (M, 2, D)
-        self.b = _stacked(stores, "b")[:, :, None]                   # (M, 2, 1)
+        self.dtype = np.dtype(dtype)
+        self.mean = _stacked(stores, "norm.mean", dtype=dtype)[:, None, None, :]  # (M, 1, 1, C)
+        self.std = _stacked(stores, "norm.std", dtype=dtype)[:, None, None, :]
+        self.w = _stacked(stores, "w", dtype=dtype)                               # (M, 2, D)
+        self.b = _stacked(stores, "b", dtype=dtype)[:, :, None]                   # (M, 2, 1)
 
     def logits(self, x) -> np.ndarray:
-        """Features (B, T, C) -> logits (M, B, 2), float64."""
+        """Features (B, T, C) -> logits (M, B, 2), in the stack's dtype."""
         x = np.asarray(x)
         m, width, coeffs = self.w.shape[0], self.w.shape[2], self.mean.shape[-1]
         if x.ndim != 3 or x.shape[2] != coeffs or x.shape[1] * coeffs != width:
             raise DataError(
                 f"linear stack needs (B, {width // coeffs}, {coeffs}) features, got {x.shape}"
             )
-        z = x - self.mean  # float64, as self.mean is
+        z = np.subtract(x, self.mean, dtype=self.dtype)
         z /= self.std
         y = self.w @ z.reshape(m, x.shape[0], width).transpose(0, 2, 1)
         y += self.b
@@ -557,32 +571,32 @@ class LinearStack:
 # The one kernel of each built-in model kind.
 _KERNELS = {"sgru": GRUStack, "gru-max": GRUStack, "linear": LinearStack}
 
-# The live stack of each tuple of stores, keyed by the stores' ids; an entry
-# goes when its stack does.
+# The live stack of each tuple of stores and element type, keyed by the
+# stores' ids and the dtype; an entry goes when its stack does.
 _STACKS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def make_stack(stores: Sequence[WeightStore]) -> GRUStack | LinearStack:
-    """The batched kernel of scorers that share one ``stack_key``: the only
-    place a model kind chooses its forward pass.
+def make_stack(stores: Sequence[WeightStore], dtype=np.float64) -> GRUStack | LinearStack:
+    """The batched kernel of scorers that share one ``stack_key``, computing
+    in ``dtype``: the only place a model kind chooses its forward pass.
 
     Every caller gets the one stack alive for the same stores in the same
-    order, so their float64 cast exists once. The stack holds its stores
-    (``stores``), so no other store can take a cached id, and their tensors
-    become read-only, so the cast cannot go stale. Threads that miss at once
-    each build a correct stack; the last one stays cached.
+    order and the same dtype, so each cast of them exists once. The stack
+    holds its stores (``stores``), so no other store can take a cached id,
+    and their tensors become read-only, so the cast cannot go stale. Threads
+    that miss at once each build a correct stack; the last one stays cached.
     """
     key = stack_key(stores[0]) if stores else None
     if key is None:
         raise ModelError(f"no stack kernel for model kinds {[ws.kind for ws in stores]}")
-    ids = tuple(map(id, stores))
-    stack = _STACKS.get(ids)
+    cache_key = (tuple(map(id, stores)), np.dtype(dtype))
+    stack = _STACKS.get(cache_key)
     if stack is None:
-        stack = key[0](stores)
+        stack = key[0](stores, dtype)
         for ws in stores:
             for t in ws.tensors.values():
                 t.flags.writeable = False
-        _STACKS[ids] = stack
+        _STACKS[cache_key] = stack
     return stack
 
 

@@ -252,6 +252,20 @@ class TestMixAtSnr:
         with pytest.raises(DataError):
             mix_at_snr(AudioClip([1.0], 16000), AudioClip([1.0], 8000), 0.0)
 
+    def test_measured_signal_power_is_taken_as_given(self):
+        rng = np.random.default_rng(5)
+        sig = AudioClip(rng.normal(size=24000))
+        noise = AudioClip(rng.normal(size=5000))
+        power = measure_power(sig)
+        mixed = mix_at_snr(sig, noise, 7.0, signal_power=power)
+        assert mixed.samples.tobytes() == mix_at_snr(sig, noise, 7.0).samples.tobytes()
+        # the given power sets the gain: four times the power, twice the noise
+        louder = mix_at_snr(sig, noise, 7.0, signal_power=4.0 * power)
+        np.testing.assert_allclose(louder.samples - sig.samples,
+                                   2.0 * (mixed.samples - sig.samples), rtol=1e-12)
+        with pytest.raises(DataError):
+            mix_at_snr(sig, noise, 7.0, signal_power=0.0)
+
 
 def direct_convolution(x, h):
     """Oracle: O(N*K) summation."""

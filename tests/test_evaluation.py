@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wuw import evaluation
+from wuw import audio, evaluation
 from wuw.errors import ManifestError
 from wuw.audio import SNR_RANGE_DB, AudioClip, measure_power, peak_normalize, read_wav, write_wav
 from wuw.evaluation import (
@@ -288,6 +288,42 @@ def paths(entries, split, labels):
 
 def once_each(base, entries, split, labels):
     return {str(base / p): 1 for p in paths(entries, split, labels)}
+
+
+@pytest.fixture
+def powers(monkeypatch):
+    """Counts every power measurement, in ``evaluation`` and inside
+    ``mix_at_snr``, and checks that each mix is given its own window's power."""
+    counts = Counter()
+    real_measure, real_mix = audio.measure_power, evaluation.mix_at_snr
+
+    def measured(clip):
+        counts["measured"] += 1
+        return real_measure(clip)
+
+    def mixed(signal, noise, snr_db, signal_power=None):
+        counts["mixed"] += 1
+        assert signal_power == real_measure(signal)
+        return real_mix(signal, noise, snr_db, signal_power=signal_power)
+
+    monkeypatch.setattr(audio, "measure_power", measured)
+    monkeypatch.setattr(evaluation, "measure_power", measured)
+    monkeypatch.setattr(evaluation, "mix_at_snr", mixed)
+    return counts
+
+
+class TestOnePowerPerWindow:
+    def test_feature_build(self, rir_corpus, powers):
+        entries, base = rir_corpus
+        got = build_feature_dataset(entries, DEVICE, "train", seed=13, copies=2, base_dir=base)
+        assert powers["measured"] == len(got)
+        assert 0 < powers["mixed"] <= len(got)
+
+    def test_mixed_windows(self, corpus, powers):
+        entries, base = corpus
+        scores, _ = collect_scores(entries, lambda clip: 0.5, seed=4, base_dir=base)
+        assert powers["measured"] == len(scores)
+        assert 0 < powers["mixed"] <= len(scores)
 
 
 class TestClipReads:

@@ -284,6 +284,19 @@ class TestMatmulRows:
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.tobytes() == blocked_matmul(a, w, rows).tobytes()
 
+    @pytest.mark.parametrize("a_shape,w_shape", [
+        ((3, 5, 40), (3, 40, 384)),    # one block: 5 rows of a 2x128 layer's projection
+        ((3, 148, 40), (3, 40, 384)),  # a 148-frame window's projection, in blocks
+        ((2, 148, 128), (2, 128, 384)),
+    ])
+    def test_float32_operands_give_float32_on_either_path(self, a_shape, w_shape):
+        rng = np.random.default_rng(a_shape[-2])
+        a = rng.normal(size=a_shape).astype(np.float32)
+        w = rng.normal(size=w_shape).astype(np.float32)
+        got = features._matmul_rows(a, w)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.tobytes() == np.matmul(a, w).tobytes()
+
 
 class TestDctOracle:
     @pytest.mark.parametrize("n", [1, 2, 13, 40, 63])

@@ -663,6 +663,42 @@ class TestGRUStack:
         for b in range(3):
             np.testing.assert_allclose(got[0, b], oracle_logits(ws, x[b]), rtol=0, atol=1e-12)
 
+    # A float32 stack computes in float32 from the input projection to the
+    # head. Against the float64 oracle over 148 steps its logits stay within
+    # 1e-5 relative plus 1e-6 absolute; measured errors are about 1e-7.
+    F32_RTOL, F32_ATOL = 1e-5, 1e-6
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("hidden", [16, 128])
+    def test_float32_stack_matches_the_oracle(self, hidden, layers):
+        stores = self.stores(hidden=hidden, layers=layers)
+        x = np.random.default_rng(layers).normal(size=(3, 148, 40)).astype(np.float32)
+        stack = GRUStack(stores, dtype=np.float32)
+        assert all(t.dtype == np.float32 for layer in stack.layers for t in layer)
+        got = stack.logits(x)
+        assert got.dtype == np.float32 and got.shape == (len(stores), 3, 2)
+        for m, ws in enumerate(stores):
+            for b in range(3):
+                np.testing.assert_allclose(got[m, b], oracle_logits(ws, x[b]),
+                                           rtol=self.F32_RTOL, atol=self.F32_ATOL)
+
+    def test_float32_chunk_keeps_the_byte_budget(self, monkeypatch):
+        # a 4-byte chunk takes twice the windows of an 8-byte one
+        stores = self.stores(hidden=8, layers=1)
+        x = np.random.default_rng(5).normal(size=(9, 10, 40)).astype(np.float32)
+        runs = []
+
+        def run(stack, chunk):
+            runs.append(len(chunk))
+            return np.zeros((stack.n_members, len(chunk), 2), stack.dtype)
+
+        monkeypatch.setattr(GRUStack, "_run", run)
+        # two float64 windows: 8 bytes x 3 members x 10 steps x 4H
+        monkeypatch.setattr(nnet, "_SCRATCH_BYTES", 2 * 8 * 3 * 10 * 4 * 8)
+        GRUStack(stores).logits(x)
+        GRUStack(stores, dtype=np.float32).logits(x)
+        assert runs == [2, 2, 2, 2, 1, 4, 4, 1]
+
     def test_layer_writes_its_states_over_its_input(self):
         layer0, layer1 = GRUStack(self.stores(hidden=8, layers=2)).layers
         steps, n = 6, 2
@@ -712,6 +748,20 @@ class TestLinearStack:
                 np.testing.assert_allclose(make_scorer(ws).fn(fm), linear_oracle(ws, x[b]),
                                            rtol=0, atol=1e-12)
 
+    def test_float32_stack_matches_the_oracle(self):
+        stores = [linear_store(frames=148, coeffs=40, seed=i, config_id=CLOUD.config_id)
+                  for i in range(2)]
+        x = np.random.default_rng(2).normal(size=(3, 148, 40)).astype(np.float32)
+        stack = LinearStack(stores, dtype=np.float32)
+        got = stack.logits(x)
+        assert got.dtype == np.float32 and stack.w.dtype == np.float32
+        for m, ws in enumerate(stores):
+            for b in range(3):
+                want = linear_oracle(ws, x[b])
+                # sums of 5,920 float32 terms, with logits up to about 200:
+                # measured errors reach 5e-5
+                np.testing.assert_allclose(got[m, b], want, rtol=1e-5, atol=1e-4)
+
     def test_wrong_input_shape_rejected(self):
         stack = LinearStack([linear_store()])
         for shape in [(1, 5, 3), (1, 6, 2), (4, 3)]:
@@ -757,6 +807,20 @@ class TestMakeStack:
         linear = linear_store()
         assert make_stack([linear]) is make_stack([linear])
 
+    @pytest.mark.parametrize("store", [
+        lambda: init_gru_scorer(CLOUD, hidden=4, layers=1, seed=0), linear_store,
+    ], ids=["gru", "linear"])
+    def test_one_stack_per_tuple_of_stores_and_dtype(self, store):
+        ws = store()
+        wide = make_stack([ws])
+        narrow = make_stack([ws], np.float32)
+        assert wide.dtype == np.float64 and narrow.dtype == np.float32
+        assert narrow is not wide
+        assert make_stack([ws], np.float32) is narrow
+        assert make_stack([ws], "float32") is narrow
+        assert make_stack([ws], np.float64) is wide
+        assert narrow.stores == wide.stores == (ws,)
+
     def test_stacked_tensors_are_read_only(self):
         ws = init_gru_scorer(CLOUD, hidden=4, layers=1)
         ws["head.b"][0] = 1.0  # writable until stacked
@@ -768,7 +832,9 @@ class TestMakeStack:
     def test_a_dropped_stack_leaves_the_cache(self):
         ws = init_gru_scorer(CLOUD, hidden=4, layers=1)
         make_stack([ws])
-        assert (id(ws),) not in nnet._STACKS
+        make_stack([ws], np.float32)
+        for dtype in (np.float64, np.float32):
+            assert ((id(ws),), np.dtype(dtype)) not in nnet._STACKS
 
     def test_mixed_or_unknown_kinds_refused(self):
         gru = init_gru_scorer(DEVICE, hidden=4, layers=1)

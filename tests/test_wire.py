@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wuw import wire
-from wuw.audio import WINDOW_S, AudioClip
+from wuw.audio import WINDOW_S, AudioClip, mix_at_snr, peak_normalize
 from wuw.errors import (
     DataError,
     FrameLengthError,
@@ -20,17 +20,30 @@ from wuw.errors import (
     ModelError,
     ProtocolError,
 )
+from wuw.evaluation import _row_core
 from wuw.features import CLOUD, DEVICE, FeatureMatrix, frame_count, mfcc
-from wuw.fusion import FusionModel, LogOddsVector, fuse, log_odds
+from wuw.fusion import (
+    Ensemble,
+    FusionModel,
+    LogOddsVector,
+    fuse,
+    log_odds,
+    synth_score_task,
+    train_fusion,
+)
 from wuw.nnet import (
+    GRUStack,
+    LinearStack,
     ScorePair,
     Scorer,
+    TrainSpec,
     WeightStore,
     init_gru_scorer,
     make_scorer,
     softmax2,
+    train_classifier,
 )
-from wuw.synth import make_stream
+from wuw.synth import make_negative_clip, make_noise_clip, make_positive_clip, make_stream
 from wuw.wire import (
     FLAG_OBFUSCATED,
     MAX_BODY_BYTES,
@@ -857,6 +870,85 @@ class TestEnsembleCoreOnTheWire:
             assert request_verification(addr, good).verdict is Verdict.ACCEPT
         finally:
             server.shutdown()
+
+
+def cloud_windows(n, seed):
+    """Cloud features (n, 148, 40) of noise-mixed synthetic windows, keyword
+    and not in turn, with labels (n,)."""
+    rng = np.random.default_rng(seed)
+    feats, labels = [], []
+    for i in range(n):
+        if i % 2 == 0:
+            clip = make_positive_clip(rng, clip_s=WINDOW_S)[0]
+        else:
+            clip = make_negative_clip(rng, clip_s=WINDOW_S)
+        noise = peak_normalize(make_noise_clip(rng))
+        mixed = mix_at_snr(peak_normalize(clip), noise, float(rng.uniform(0.0, 20.0)))
+        feats.append(mfcc(mixed, CLOUD).values)
+        labels.append(1 - i % 2)
+    return np.stack(feats), np.array(labels)
+
+
+class TestFloat32Server:
+    """The server's stacked members run in float32 (its answer goes out as
+    float32); every other caller keeps the float64 core. Against the float64
+    ``Ensemble`` plus ``fuse``, each response's p_pos stays within 1e-6, its
+    verdict is the float64 one wherever that p_pos lies more than 1e-6 from
+    theta_cloud, and its member log-odds stay within ``z_tol``: 1e-6 for GRU
+    members, 1e-5 for a trained linear one (see its test)."""
+
+    N_WINDOWS = 50
+    TOL = 1e-6
+
+    def check_against_float64(self, members, windows, z_tol=TOL, theta=0.5):
+        feats, labels = windows
+        ids = ("device",) + tuple(m.member_id for m in members)
+        rows = synth_score_task(len(ids), [1.0] * len(ids), 400, np.random.default_rng(1),
+                                member_ids=ids)
+        fusion = train_fusion(rows, TrainSpec(seed=1, max_epochs=20))
+        server = VerificationServer(members, fusion, theta_cloud=theta)
+        want_z = Ensemble(members).log_odds({CLOUD.config_id: feats})
+        assert want_z.shape == (len(feats), len(members))
+        device = np.random.default_rng(2).normal(scale=3.0, size=len(feats))
+        for k in range(len(feats)):
+            req = VerifyRequest(config_id=CLOUD.config_id, device_log_odds=device[k],
+                                features=feats[k])
+            z = np.concatenate(([req.device_log_odds], want_z[k]))
+            want_p = softmax2(fuse(LogOddsVector(z, ids), fusion))[0]
+            got = decode_response(server.handle_frame(encode_request(req))[0])
+            assert np.max(np.abs(got.member_log_odds - z)) <= z_tol
+            assert abs(got.fused_p_pos - want_p) <= self.TOL
+            if abs(want_p - theta) > self.TOL:
+                assert (got.verdict is Verdict.ACCEPT) == (want_p >= theta)
+        return server
+
+    def test_gru_members_of_both_kinds(self):
+        members = [make_scorer(init_gru_scorer(CLOUD, kind=kind, seed=i), name)
+                   for i, (name, kind) in enumerate(
+                       [("sgru", "sgru"), ("gru-max", "gru-max"), ("sgru2", "sgru")])]
+        server = self.check_against_float64(members, cloud_windows(self.N_WINDOWS, 3))
+        (_, stack), = server._core._stacks
+        assert isinstance(stack, GRUStack) and stack.dtype == np.float32
+
+    def test_linear_cloud_member(self):
+        train = cloud_windows(self.N_WINDOWS, 4)
+        data = [(FeatureMatrix(x, CLOUD.config_id), int(y)) for x, y in zip(*train)]
+        weights = train_classifier(data[:40], data[40:], TrainSpec(seed=0, max_epochs=5))
+        member = make_scorer(weights, "lin")
+        # Its log-odds are one sum of 5,920 products whose magnitudes add up to
+        # about 40, so float32 rounding alone moves them by about 1e-6
+        # (measured 1.5e-6); the fused p_pos still stays within 1e-6.
+        server = self.check_against_float64([member], cloud_windows(self.N_WINDOWS, 5),
+                                            z_tol=1e-5)
+        (_, stack), = server._core._stacks
+        assert isinstance(stack, LinearStack) and stack.dtype == np.float32
+
+    def test_other_callers_keep_float64(self):
+        device = make_scorer(init_gru_scorer(DEVICE, hidden=8, layers=1), "d")
+        member = make_scorer(init_gru_scorer(CLOUD, hidden=8, layers=1, seed=0), "g")
+        row_core = _row_core(device, [member])[0]
+        for core in (Ensemble([member]), DeviceAgent(device)._core, row_core):
+            assert all(stack.dtype == np.float64 for _, stack in core._stacks)
 
 
 class TrickleStream(io.RawIOBase):
