@@ -2,9 +2,9 @@
 
 All operations are pure functions of their inputs plus an explicit
 ``numpy.random.Generator``, so they are safe to call from many threads.
-Samples are float64 in nominal range [-1, 1]; the canonical rate is 16 kHz.
-Noise mixtures are not rescaled, so a mixture at low SNR can exceed that
-range; nothing downstream clips.
+Samples are float64 in nominal range [-1, 1]. Noise mixtures are not
+rescaled, so a mixture at low SNR can exceed that range; nothing downstream
+clips. ``CANONICAL_RATE_HZ`` is the one rate that MFCC extraction accepts.
 
 This module, like every ``wuw`` module, imports no scipy: numpy is the only
 runtime dependency.
@@ -12,6 +12,7 @@ runtime dependency.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,13 +59,14 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class AlignmentSpan:
-    """Keyword interval inside a clip, in seconds."""
+    """Keyword interval inside a clip, in seconds: 0 <= start_s < end_s < inf."""
 
     start_s: float
     end_s: float
 
     def __post_init__(self):
-        if self.start_s < 0 or self.end_s <= self.start_s:
+        # a NaN bound fails every comparison, an infinite one the outer ones
+        if not 0 <= self.start_s < self.end_s < math.inf:
             raise DataError(f"invalid span [{self.start_s}, {self.end_s}]")
 
 
@@ -166,11 +168,11 @@ def measure_power(clip: AudioClip) -> float:
 
 def extract_window(
     clip: AudioClip,
-    duration_s: float,
     span: AlignmentSpan | None = None,
     rng: np.random.Generator | None = None,
 ) -> AudioClip:
-    """Cut a fixed-length window out of a clip.
+    """Cut a ``WINDOW_S`` window out of a clip, as many samples as that is
+    at the clip's own rate.
 
     With a span, the window is placed uniformly at random among positions
     that fully contain the span; a span longer than the window centers the
@@ -182,13 +184,11 @@ def extract_window(
     need no ``rng``: a clip of exactly the window's length, a padded clip,
     a span longer than the window, and a single valid start.
     """
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
     if len(clip) == 0:
         raise DataError("cannot extract a window from an empty clip")
 
     rate = clip.sample_rate_hz
-    target = int(round(duration_s * rate))
+    target = int(round(WINDOW_S * rate))
     n = len(clip)
 
     s0 = s1 = None

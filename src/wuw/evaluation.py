@@ -35,7 +35,6 @@ import numpy as np
 
 from .audio import (
     SNR_RANGE_DB,
-    WINDOW_S,
     AlignmentSpan,
     AudioClip,
     convolve_rir,
@@ -224,7 +223,7 @@ def _mixed_window(
     """One window of ``entry``, whose audio is ``clip``, mixed at ``snr_db``
     with a noise entry drawn after the cut."""
     span = entry.span if entry.label == "wuw" else None
-    window = extract_window(clip, WINDOW_S, span=span, rng=rng)
+    window = extract_window(clip, span=span, rng=rng)
     noise_path = noise_pool[int(rng.integers(len(noise_pool)))].path
     noise = cache.get(noise_path)
     # Degenerate silence cannot be mixed at a defined SNR; pass it through.
@@ -445,7 +444,7 @@ def build_feature_dataset(
         span = entry.span if entry.label == "wuw" else None
         label = int(entry.label == "wuw")
         for _ in range(copies):
-            window = extract_window(clip, WINDOW_S, span=span, rng=rng)
+            window = extract_window(clip, span=span, rng=rng)
             if (
                 rir_pool
                 and entry.label in ("wuw", "other")

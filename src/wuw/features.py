@@ -6,6 +6,10 @@ mel filterbank, log with a small floor, orthonormal DCT-II, keep the first
 log energy. No pre-emphasis and no feature normalization happen here;
 standardization is the classifier's concern.
 
+Every config reads ``CANONICAL_RATE_HZ`` audio (``mfcc`` refuses another
+rate) through the same ``N_FILTERS`` mel filters up to Nyquist; configs
+differ only in ``n_mfcc``, ``window_ms`` and ``hop_ms``.
+
 Coefficient 0 is ln(sum of x^2 over the frame's samples + LOG_FLOOR): a
 sum, not a mean, so it depends on the frame length (a 100 ms frame sits
 ln(100/30) above a 30 ms frame of the same signal) and moves by 2 ln g when
@@ -71,6 +75,9 @@ LOG_FLOOR = 1e-10
 # is then twice their wall time.
 _GEMM_MAX_MNK = 1 << 18
 
+# Triangular mel filters of every config; no config keeps more coefficients.
+N_FILTERS = 40
+
 _MEL_SCALE = 1127.0
 _MEL_BREAK_HZ = 700.0
 
@@ -98,24 +105,20 @@ class FeatureConfig:
     n_mfcc: int
     window_ms: int
     hop_ms: int
-    n_filters: int = 40
-    sample_rate_hz: int = CANONICAL_RATE_HZ
 
     def __post_init__(self):
-        if not (1 <= self.n_mfcc <= self.n_filters):
-            raise ValueError("need n_filters >= n_mfcc >= 1")
+        if not (1 <= self.n_mfcc <= N_FILTERS):
+            raise ValueError(f"need {N_FILTERS} >= n_mfcc >= 1")
         if self.hop_ms > self.window_ms or self.hop_ms <= 0:
             raise ValueError("need 0 < hop_ms <= window_ms")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample rate must be positive")
 
     @property
     def window_samples(self) -> int:
-        return int(round(self.window_ms * self.sample_rate_hz / 1000))
+        return int(round(self.window_ms * CANONICAL_RATE_HZ / 1000))
 
     @property
     def hop_samples(self) -> int:
-        return int(round(self.hop_ms * self.sample_rate_hz / 1000))
+        return int(round(self.hop_ms * CANONICAL_RATE_HZ / 1000))
 
     @property
     def fft_len(self) -> int:
@@ -195,13 +198,13 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     every row's maximum is exactly 1.0. The matrix is cached per config and
     safe to share read-only.
     """
-    nyquist = config.sample_rate_hz / 2.0
-    points_mel = np.linspace(0.0, float(hz_to_mel(nyquist)), config.n_filters + 2)
+    nyquist = CANONICAL_RATE_HZ / 2.0
+    points_mel = np.linspace(0.0, float(hz_to_mel(nyquist)), N_FILTERS + 2)
     points_hz = mel_to_hz(points_mel)
-    bins = np.floor(points_hz / config.sample_rate_hz * config.fft_len).astype(int)
+    bins = np.floor(points_hz / CANONICAL_RATE_HZ * config.fft_len).astype(int)
 
-    fb = np.zeros((config.n_filters, config.fft_len // 2 + 1))
-    for i in range(config.n_filters):
+    fb = np.zeros((N_FILTERS, config.fft_len // 2 + 1))
+    for i in range(N_FILTERS):
         left, mid, right = bins[i], bins[i + 1], bins[i + 2]
         if mid > left:
             fb[i, left:mid] = np.arange(mid - left) / (mid - left)
@@ -277,7 +280,7 @@ def _plan(config: FeatureConfig) -> tuple:
     are the cached read-only ones, so the products are those of a fresh
     lookup."""
     return (config.window_samples, config.hop_samples, config.fft_len,
-            mel_filterbank(config).T, _dct_columns(config.n_filters, config.n_mfcc))
+            mel_filterbank(config).T, _dct_columns(N_FILTERS, config.n_mfcc))
 
 
 def _frames(x: np.ndarray, n_frames: int, window: int, hop: int) -> np.ndarray:
@@ -288,10 +291,8 @@ def _frames(x: np.ndarray, n_frames: int, window: int, hop: int) -> np.ndarray:
 
 def mfcc(clip: AudioClip, config: FeatureConfig) -> FeatureMatrix:
     """Extract an MFCC matrix of shape (frame_count, n_mfcc)."""
-    if clip.sample_rate_hz != config.sample_rate_hz:
-        raise DataError(
-            f"clip rate {clip.sample_rate_hz} != config rate {config.sample_rate_hz}"
-        )
+    if clip.sample_rate_hz != CANONICAL_RATE_HZ:
+        raise DataError(f"clip rate {clip.sample_rate_hz} != feature rate {CANONICAL_RATE_HZ}")
     window, hop, fft_len, mel_t, dct = _plan(config)
     x = np.ascontiguousarray(clip.samples)
     n_frames = frame_count(x.size, window, hop)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 import weakref
 from dataclasses import dataclass, field
@@ -302,7 +303,10 @@ def init_gru_scorer(
     layers: int = 2,
     seed: int = 0,
 ) -> WeightStore:
-    """Random GRU scorer weights (uniform +-1/sqrt(fan_in) per tensor)."""
+    """Random GRU scorer weights (uniform +-1/sqrt(fan_in) per tensor).
+
+    The metadata's ``hparams`` is descriptive: no stack reads it, and the
+    depth comes from the ``gru{i}.`` tensor names."""
     if kind not in ("sgru", "gru-max"):
         raise ModelError(f"unknown GRU scorer kind {kind!r}")
     rng = np.random.default_rng(seed)
@@ -335,27 +339,24 @@ def init_gru_scorer(
 _SCRATCH_BYTES = 8 << 20
 
 
-def _gru_layer_count(ws: WeightStore) -> int:
-    """``hparams.layers`` of the store's metadata, 2 when absent; ModelError
-    unless ``hparams`` is an object and ``layers`` an int."""
-    hparams = ws.metadata.get("hparams", {})
-    if not isinstance(hparams, dict):
-        raise ModelError(f"weight store hparams must be an object, got {hparams!r}")
-    layers = hparams.get("layers", 2)
-    if type(layers) is not int:
-        raise ModelError(f"weight store hparams.layers must be an int, got {layers!r}")
-    return layers
+def _gru_depth(ws: WeightStore) -> int:
+    """The GRU layers a store's tensor names claim: 1 + the largest i of a
+    ``gru{i}.`` name, 0 when there is none. ``GRUStack.check`` requires
+    every layer below it."""
+    found = (re.match(r"gru([0-9]+)\.", name) for name in ws.tensors)
+    return 1 + max((int(m[1]) for m in found if m), default=-1)
 
 
 def stack_key(ws: WeightStore) -> tuple | None:
     """What must match for scorers to share one stack (``make_stack``): the
-    kernel their kind runs on, the feature config, the GRU layer count and
-    every tensor shape. None for a kind with no built-in kernel."""
+    kernel their kind runs on, the feature config and every tensor's name
+    and shape, which fix the GRU depth. None for a kind with no built-in
+    kernel."""
     kernel = _KERNELS.get(ws.kind) if isinstance(ws.kind, str) else None
     if kernel is None:
         return None
     shapes = tuple((name, t.shape) for name, t in ws.tensors.items())
-    return kernel, ws.config_id, _gru_layer_count(ws), shapes
+    return kernel, ws.config_id, shapes
 
 
 def _check_stack(kernel, stores: Sequence[WeightStore]) -> None:
@@ -397,10 +398,12 @@ class GRUStack:
 
     @staticmethod
     def check(ws: WeightStore) -> None:
-        """Raise ModelError unless ws holds a well-formed GRU scorer."""
+        """Raise ModelError unless ws holds a well-formed GRU scorer: the
+        four tensors of each of its ``_gru_depth`` layers, each layer's input
+        the previous one's width, and a head over the last."""
         size_in = None
         try:
-            for i in range(_gru_layer_count(ws)):
+            for i in range(_gru_depth(ws)):
                 p = GRUParams(*(ws[f"gru{i}.{n}"] for n in ("w_ih", "w_hh", "b_ih", "b_hh")))
                 if size_in is not None and p.input_size != size_in:
                     raise ModelError(f"GRU layer {i} input does not match layer {i - 1}")
@@ -425,7 +428,7 @@ class GRUStack:
                 _stacked(stores, f"gru{i}.b_ih", dtype=dtype)[:, None, :],  # (M, 1, 3H)
                 _stacked(stores, f"gru{i}.b_hh", dtype=dtype)[:, None, :],
             )
-            for i in range(_gru_layer_count(stores[0]))
+            for i in range(_gru_depth(stores[0]))
         ]
         self.head_w = _stacked(stores, "head.w", True, dtype)             # (M, H, 2)
         self.head_b = _stacked(stores, "head.b", dtype=dtype)[:, None, :]  # (M, 1, 2)

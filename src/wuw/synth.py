@@ -4,7 +4,8 @@ Generates WAV files plus a JSONL manifest so the full pipeline (training,
 evaluation, streaming detection, verification) can run without a speech
 corpus. Everything is driven by one seed and fully reproducible. The command
 line entry is ``wuw synth`` (``cli.cmd_synth``); this module has none of its
-own. Like every ``wuw`` module, this one imports no scipy.
+own. All audio is made at ``CANONICAL_RATE_HZ``, the one rate that feature
+extraction accepts. Like every ``wuw`` module, this one imports no scipy.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .features import _matmul_rows
 
 CHIRP_F0_HZ = 1000.0
 CHIRP_F1_HZ = 4000.0
+
+# Length of a mixing-noise clip, in seconds.
+NOISE_CLIP_S = 3.0
 
 # Samples per block of the one-pole filter's in-block GEMM.
 _POLE_BLOCK = 16
@@ -55,13 +59,9 @@ def _shaped_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     return colored / np.max(np.abs(colored))
 
 
-def chirp_keyword(
-    rng: np.random.Generator,
-    duration_s: float = 0.6,
-    rate: int = CANONICAL_RATE_HZ,
-) -> np.ndarray:
+def chirp_keyword(rng: np.random.Generator, duration_s: float = 0.6) -> np.ndarray:
     """The synthetic wake word: a rising sweep under a Hann envelope."""
-    t = np.arange(int(duration_s * rate)) / rate
+    t = np.arange(int(duration_s * CANONICAL_RATE_HZ)) / CANONICAL_RATE_HZ
     # A linear sweep from f0 at t = 0 to f1 at duration_s. The phase is
     # written term for term as scipy.signal.chirp writes it, so the samples
     # are bit-identical to that function's.
@@ -72,43 +72,39 @@ def chirp_keyword(
 
 
 def make_positive_clip(
-    rng: np.random.Generator, clip_s: float = 2.0, rate: int = CANONICAL_RATE_HZ
+    rng: np.random.Generator, clip_s: float = 2.0
 ) -> tuple[AudioClip, float, float]:
     """A clip holding one keyword at a random position over a quiet floor.
 
     Returns (clip, start_s, end_s) of the keyword span.
     """
-    n = int(clip_s * rate)
+    n = int(clip_s * CANONICAL_RATE_HZ)
     floor = 0.01 * _shaped_noise(rng, n)
-    keyword = chirp_keyword(rng, rate=rate)
+    keyword = chirp_keyword(rng)
     start = int(rng.integers(0, n - keyword.size + 1))
     samples = floor.copy()
     samples[start : start + keyword.size] += keyword
     return (
-        AudioClip(samples, rate),
-        start / rate,
-        (start + keyword.size) / rate,
+        AudioClip(samples),
+        start / CANONICAL_RATE_HZ,
+        (start + keyword.size) / CANONICAL_RATE_HZ,
     )
 
 
-def make_negative_clip(
-    rng: np.random.Generator, clip_s: float = 2.0, rate: int = CANONICAL_RATE_HZ
-) -> AudioClip:
+def make_negative_clip(rng: np.random.Generator, clip_s: float = 2.0) -> AudioClip:
     """A keyword-free clip: a shaped-noise burst over the same quiet floor."""
-    n = int(clip_s * rate)
+    n = int(clip_s * CANONICAL_RATE_HZ)
     floor = 0.01 * _shaped_noise(rng, n)
-    burst = 0.7 * _shaped_noise(rng, int(0.6 * rate))
+    burst = 0.7 * _shaped_noise(rng, int(0.6 * CANONICAL_RATE_HZ))
     start = int(rng.integers(0, n - burst.size + 1))
     samples = floor.copy()
     samples[start : start + burst.size] += burst * np.hanning(burst.size)
-    return AudioClip(samples, rate)
+    return AudioClip(samples)
 
 
-def make_noise_clip(
-    rng: np.random.Generator, clip_s: float = 3.0, rate: int = CANONICAL_RATE_HZ
-) -> AudioClip:
-    """A mixing-noise clip."""
-    return AudioClip(0.8 * _shaped_noise(rng, int(clip_s * rate)), rate)
+def make_noise_clip(rng: np.random.Generator) -> AudioClip:
+    """A mixing-noise clip, ``NOISE_CLIP_S`` long."""
+    return AudioClip(0.8 * _shaped_noise(rng, int(NOISE_CLIP_S * CANONICAL_RATE_HZ)))
 
 
 def make_chirp_task(
@@ -117,7 +113,6 @@ def make_chirp_task(
     n_valid: int = 100,
     n_test: int = 100,
     seed: int = 0,
-    rate: int = CANONICAL_RATE_HZ,
 ) -> Path:
     """Write the synthetic corpus and return the manifest path.
 
@@ -139,14 +134,14 @@ def make_chirp_task(
             name = f"{split}_{i:04d}.wav"
             record: dict = {"path": name, "split": split}
             if kind < 2:
-                clip, start_s, end_s = make_positive_clip(rng, rate=rate)
+                clip, start_s, end_s = make_positive_clip(rng)
                 record.update(label="wuw", start_s=round(start_s, 6),
                               end_s=round(end_s, 6))
             elif kind < 4:
-                clip = make_negative_clip(rng, rate=rate)
+                clip = make_negative_clip(rng)
                 record.update(label="other")
             else:
-                clip = make_noise_clip(rng, rate=rate)
+                clip = make_noise_clip(rng)
                 record.update(label="noise")
             write_wav(clip, out / name, encoding="float32")
             lines.append(json.dumps(record, sort_keys=True))
@@ -160,7 +155,6 @@ def make_stream(
     n_keywords: int = 20,
     gap_s: float = 3.0,
     snr_db: float = 20.0,
-    rate: int = CANONICAL_RATE_HZ,
 ) -> tuple[AudioClip, list[int]]:
     """A long background-noise stream with keywords injected ``gap_s`` apart
     at a fixed SNR. Returns the stream and each keyword's start sample.
@@ -168,18 +162,18 @@ def make_stream(
     The first keyword starts after one full gap, so detectors with a warmup
     window see pure background first.
     """
-    gap = int(gap_s * rate)
+    gap = int(gap_s * CANONICAL_RATE_HZ)
     total = gap * (n_keywords + 1)
     background = 0.05 * _shaped_noise(rng, total)
     stream = background.copy()
     starts = []
     noise_power = float(np.mean(np.square(background)))
     for k in range(n_keywords):
-        keyword = chirp_keyword(rng, rate=rate)
+        keyword = chirp_keyword(rng)
         start = gap * (k + 1)
         kw_power = float(np.mean(np.square(keyword)))
         gain = np.sqrt(noise_power * 10.0 ** (snr_db / 10.0) / kw_power)
         stream[start : start + keyword.size] += gain * keyword
         starts.append(start)
     peak = np.max(np.abs(stream))
-    return AudioClip(stream / peak, rate), starts
+    return AudioClip(stream / peak), starts

@@ -41,7 +41,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .audio import WINDOW_S, AudioClip
+from .audio import CANONICAL_RATE_HZ, WINDOW_S, AudioClip
 from .errors import (
     DataError,
     FrameLengthError,
@@ -311,7 +311,7 @@ def _check_operating_point(theta: float, refractory_s: float = 0.0) -> None:
 
 def _window_shape(config: FeatureConfig) -> tuple[int, int]:
     """(n_frames, n_coeffs) of the features of one WINDOW_S analysis window."""
-    n_samples = int(round(WINDOW_S * config.sample_rate_hz))
+    n_samples = int(round(WINDOW_S * CANONICAL_RATE_HZ))
     return frame_count(n_samples, config.window_samples, config.hop_samples), config.n_mfcc
 
 
@@ -373,13 +373,12 @@ class DeviceAgent:
         self.key = key
         self._core = Ensemble([scorer])
         self._device_cfg = device_cfg
-        self._rate = device_cfg.sample_rate_hz
         self._threshold_lo = log_odds(theta_device, 1.0 - theta_device)
-        self._window = int(round(WINDOW_S * self._rate))
+        self._window = int(round(WINDOW_S * CANONICAL_RATE_HZ))
         self._hop, self._frame_len = device_cfg.hop_samples, device_cfg.window_samples
         self._stride = _STRIDE_HOPS * self._hop
         self._window_frames, _ = _window_shape(device_cfg)
-        self._refractory = int(round(refractory_s * self._rate))
+        self._refractory = int(round(refractory_s * CANONICAL_RATE_HZ))
         self._store = np.empty(2 * self._window)
         self._lo = self._hi = 0  # the carried samples are _store[_lo:_hi]
         self._buf_start = 0  # absolute index of _store[_lo], the next window's start
@@ -390,9 +389,9 @@ class DeviceAgent:
 
     def feed(self, chunk) -> list[tuple[DetectionEvent, VerifyRequest]]:
         """Consume an audio chunk; return any (event, request) pairs it fired."""
-        clip = chunk if isinstance(chunk, AudioClip) else AudioClip(chunk, self._rate)
-        if clip.sample_rate_hz != self._rate:
-            raise ModelError(f"agent runs at {self._rate} Hz")
+        clip = chunk if isinstance(chunk, AudioClip) else AudioClip(chunk)
+        if clip.sample_rate_hz != CANONICAL_RATE_HZ:
+            raise ModelError(f"agent runs at {CANONICAL_RATE_HZ} Hz")
         x, store, window = clip.samples, self._store, self._window
         lo, hi, frames = self._lo, self._hi, self._frames
         # a chunk of more than one piece overwrites the carry: keep it until scored
@@ -428,8 +427,7 @@ class DeviceAgent:
         hop, win = self._hop, self._frame_len
         done, total = len(frames), max(0, (hi - lo - win) // hop + 1)
         if total > done:
-            piece = AudioClip(self._store[lo + done * hop : lo + (total - 1) * hop + win],
-                              self._rate)
+            piece = AudioClip(self._store[lo + done * hop : lo + (total - 1) * hop + win])
             frames = np.concatenate([frames, mfcc(piece, self._device_cfg).values])
         w = lo
         while w + self._window <= hi:
@@ -453,7 +451,7 @@ class DeviceAgent:
             return None
         self._last_event_start = start
         event = DetectionEvent(start, lo, self.theta_device)
-        cloud_fm = mfcc(AudioClip(window, self._rate), CLOUD)
+        cloud_fm = mfcc(AudioClip(window), CLOUD)
         request = VerifyRequest(
             config_id=CLOUD.config_id,
             device_log_odds=lo,

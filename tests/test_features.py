@@ -97,7 +97,7 @@ class TestMelFilterbank:
     @pytest.mark.parametrize("config", list(PRESETS.values()), ids=lambda c: c.config_id)
     def test_rows_peak_at_one_and_contiguous(self, config):
         fb = mel_filterbank(config)
-        assert fb.shape == (config.n_filters, config.fft_len // 2 + 1)
+        assert fb.shape == (features.N_FILTERS, config.fft_len // 2 + 1)
         assert np.all(fb >= 0)
         for row in fb:
             assert row.max() == 1.0
@@ -111,8 +111,7 @@ class TestMelFilterbank:
 
     @pytest.mark.parametrize("window_ms,fft_len", [(20, 512), (100, 2048)], ids=["512", "2048"])
     def test_center_bins_match_high_precision_oracle(self, window_ms, fft_len):
-        config = FeatureConfig(config_id=9, n_mfcc=13, window_ms=window_ms, hop_ms=10,
-                               n_filters=40)
+        config = FeatureConfig(config_id=9, n_mfcc=13, window_ms=window_ms, hop_ms=10)
         assert config.fft_len == fft_len
         fb = mel_filterbank(config)
         oracle = mp_mel_center_bins(40, fft_len, 16000)
@@ -192,7 +191,7 @@ class TestMelRowBlocks:
             return matmul(a, w, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
-        k, n = config.fft_len // 2 + 1, config.n_filters
+        k, n = config.fft_len // 2 + 1, features.N_FILTERS
         dct = (n, config.n_mfcc)  # only the kept columns of the DCT
         # one 1.5 s window, then a 60 s clip
         for clip in (random_clip(6), random_clip(7, n=60 * 16000)):
@@ -228,7 +227,7 @@ def mfcc_oracle(clip, config):
     spectra = np.square(np.abs(np.fft.rfft(frames, n=config.fft_len, axis=1)))
     fb = mel_filterbank(config).T
     energies = blocked_matmul(spectra, fb, features._gemm_block_rows(*fb.shape))
-    d = features._dct_matrix(config.n_filters)
+    d = features._dct_matrix(features.N_FILTERS)
     cepstra = blocked_matmul(np.log(energies + LOG_FLOOR), d,
                              features._gemm_block_rows(*d.shape))[:, : config.n_mfcc]
     cepstra[:, 0] = np.log(np.sum(np.square(frames), axis=1) + LOG_FLOOR)
@@ -345,9 +344,14 @@ class TestFeatureConfigValidation:
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            FeatureConfig(config_id=9, n_mfcc=50, window_ms=30, hop_ms=10, n_filters=40)
+            FeatureConfig(config_id=9, n_mfcc=50, window_ms=30, hop_ms=10)
         with pytest.raises(ValueError):
             FeatureConfig(config_id=9, n_mfcc=13, window_ms=30, hop_ms=40)
         with pytest.raises(TypeError):  # the window decides the FFT length
             FeatureConfig(config_id=9, n_mfcc=13, window_ms=30, hop_ms=10, fft_len=512)
+        with pytest.raises(TypeError):  # every config has N_FILTERS filters
+            FeatureConfig(config_id=9, n_mfcc=13, window_ms=30, hop_ms=10, n_filters=40)
+        with pytest.raises(TypeError):  # every config reads CANONICAL_RATE_HZ audio
+            FeatureConfig(config_id=9, n_mfcc=13, window_ms=30, hop_ms=10,
+                          sample_rate_hz=16000)
 

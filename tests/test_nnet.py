@@ -508,13 +508,6 @@ class TestMakeScorer:
         with pytest.raises(ModelError):
             make_scorer(WeightStore({}, {"kind": "mystery", "config_id": 1}))
 
-    @pytest.mark.parametrize("hparams", [{"layers": "2"}, {"layers": 1.0}, [1]])
-    def test_malformed_gru_hparams_are_a_model_error(self, hparams):
-        ws = init_gru_scorer(DEVICE, hidden=4, layers=1)
-        ws.metadata["hparams"] = hparams
-        with pytest.raises(ModelError, match="hparams"):
-            make_scorer(ws)
-
     @pytest.mark.parametrize("config_id", [None, 99, "x", [1], True])
     def test_config_id_that_is_not_a_preset_is_a_model_error(self, config_id):
         for ws in (init_gru_scorer(DEVICE, hidden=4, layers=1), linear_store()):
@@ -610,18 +603,20 @@ class TestGRUStack:
             make_scorer(WeightStore(tensors, ws.metadata))
 
     @pytest.mark.parametrize("case,match", [
-        ("missing", "malformed"), ("chain", "layer 1 input"), ("no-layers", "no layers"),
-        ("head", "head"), ("config", "config_id"),
+        ("missing", "malformed"), ("missing-w_ih", "malformed"), ("chain", "layer 1 input"),
+        ("no-layers", "no layers"), ("head", "head"), ("config", "config_id"),
     ])
     def test_malformed_store_refused_on_every_path(self, case, match):
         ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
         tensors, meta = dict(ws.tensors), dict(ws.metadata)
         if case == "missing":
             del tensors["gru1.w_hh"]
+        elif case == "missing-w_ih":  # layer 1's other tensors still claim it
+            del tensors["gru1.w_ih"]
         elif case == "chain":
             tensors["gru1.w_ih"] = np.zeros((24, 6))
         elif case == "no-layers":
-            meta["hparams"] = {"layers": 0}
+            tensors = {k: t for k, t in tensors.items() if not k.startswith("gru")}
         elif case == "head":
             tensors["head.w"] = np.zeros((2, 6))
         else:
@@ -643,6 +638,27 @@ class TestGRUStack:
             for b in range(4):
                 np.testing.assert_allclose(got[m, b], oracle_logits(ws, x[b]),
                                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hparams", [None, {"hidden": 8, "layers": 1}],
+                             ids=["no-hparams", "declares-1"])
+    def test_depth_comes_from_the_tensor_names(self, hparams):
+        # three layers of tensors run as three layers, whatever hparams says
+        full = self.stores(hidden=8, layers=3)
+        stores = []
+        for ws in full:
+            meta = {k: v for k, v in ws.metadata.items() if k != "hparams"}
+            if hparams is not None:
+                meta["hparams"] = hparams
+            stores.append(WeightStore(ws.tensors, meta))
+        x = np.random.default_rng(10).normal(size=(2, 25, 40)).astype(np.float32)
+        want = np.array([[oracle_logits(ws, xb) for xb in x] for ws in full])
+        for got in (GRUStack(stores).logits(x), make_stack(stores).logits(x)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for m, ws in enumerate(stores):
+            scorer = make_scorer(ws)
+            for b in range(2):
+                got = scorer.fn(FeatureMatrix(x[b], CLOUD.config_id))
+                np.testing.assert_allclose(got, want[m, b], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["sgru", "gru-max"])
     def test_layers_of_different_widths_match_oracle(self, kind):
