@@ -122,28 +122,12 @@ def read_wav(path) -> AudioClip:
     return AudioClip(samples, rate)
 
 
-def write_wav(clip: AudioClip, path, encoding: str = "float32") -> None:
-    """Write a mono WAV file, as PCM16 or IEEE float32."""
-    if encoding == "pcm16":
-        format_code, bits = _WAV_FMT_PCM, 16
-        scaled = np.clip(np.round(clip.samples * 32768.0), -32768, 32767)
-        payload = scaled.astype("<i2").tobytes()
-    elif encoding == "float32":
-        format_code, bits = _WAV_FMT_FLOAT, 32
-        payload = clip.samples.astype("<f4").tobytes()
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
-
-    block_align = bits // 8
-    fmt = struct.pack(
-        "<HHIIHH",
-        format_code,
-        1,
-        clip.sample_rate_hz,
-        clip.sample_rate_hz * block_align,
-        block_align,
-        bits,
-    )
+def write_wav(clip: AudioClip, path) -> None:
+    """Write a mono IEEE float32 WAV file. ``read_wav`` gives back each
+    sample rounded to float32; PCM16 is read, never written."""
+    payload = clip.samples.astype("<f4").tobytes()
+    rate = clip.sample_rate_hz
+    fmt = struct.pack("<HHIIHH", _WAV_FMT_FLOAT, 1, rate, rate * 4, 4, 32)
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
     Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)

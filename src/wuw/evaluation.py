@@ -42,7 +42,6 @@ from .audio import (
     extract_window,
     measure_power,
     mix_at_snr,
-    peak_normalize,
     read_wav,
 )
 from .errors import DataError, ManifestError
@@ -88,7 +87,7 @@ def load_manifest(path, require_alignments: bool = True) -> list[ManifestEntry]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise ManifestError(f"{path}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise ManifestError(f"{path}:{lineno}: entry must be an object")
@@ -103,13 +102,16 @@ def load_manifest(path, require_alignments: bool = True) -> list[ManifestEntry]:
             raise ManifestError(f"{path}:{lineno}: path must be a non-empty string, "
                                 f"got {entry_path!r}")
         span = None
-        if obj.get("start_s") is not None or obj.get("end_s") is not None:
+        bounds = obj.get("start_s"), obj.get("end_s")
+        if bounds != (None, None):
             try:
-                span = AlignmentSpan(float(obj["start_s"]), float(obj["end_s"]))
-            except (KeyError, TypeError, ValueError, DataError):
+                # a bound is a JSON number, so neither a string nor a bool
+                if not all(type(b) in (int, float) for b in bounds):
+                    raise DataError("span bounds must be numbers")
+                span = AlignmentSpan(float(bounds[0]), float(bounds[1]))
+            except (OverflowError, DataError):  # OverflowError: an int past float
                 raise ManifestError(
-                    f"{path}:{lineno}: invalid span "
-                    f"[{obj.get('start_s')}, {obj.get('end_s')}]"
+                    f"{path}:{lineno}: invalid span [{bounds[0]}, {bounds[1]}]"
                 ) from None
         if (
             require_alignments
@@ -179,10 +181,11 @@ class _ClipCache:
     ``keep``. Every other path is read again on each ``get``, so a caller that
     reads a sample once holds it only while it uses it.
 
-    A kept entry is held at file precision: its samples as float32, which
-    PCM16 and float32 WAVs are exactly, plus their peak and rate. Each ``get``
-    rebuilds the float64 clip ``peak_normalize`` would give, bit for bit, at
-    half the memory of holding that clip."""
+    Every read is held at file precision: its samples as float32, which
+    PCM16 and float32 WAVs are exactly, plus their peak and rate; a kept
+    entry stays held. Each ``get`` builds from them the float64 clip that
+    ``peak_normalize(read_wav(path))`` gives, bit for bit, so a kept entry
+    costs half the memory of holding that clip."""
 
     def __init__(self, base_dir, keep: Iterable[ManifestEntry]):
         self.base = Path(base_dir) if base_dir else None
@@ -190,16 +193,14 @@ class _ClipCache:
         self._clips: dict[str, tuple[np.ndarray, float, int]] = {}
 
     def get(self, path: str) -> AudioClip:
-        kept = self._clips.get(path)
-        if kept is None:
-            full = self.base / path if self.base else Path(path)
-            clip = read_wav(full)
-            if path not in self._keep:
-                return peak_normalize(clip)
+        held = self._clips.get(path)
+        if held is None:
+            clip = read_wav(self.base / path if self.base else Path(path))
             peak = float(np.max(np.abs(clip.samples))) if len(clip) else 0.0
-            kept = self._clips[path] = (clip.samples.astype(np.float32), peak,
-                                        clip.sample_rate_hz)
-        samples, peak, rate = kept
+            held = (clip.samples.astype(np.float32), peak, clip.sample_rate_hz)
+            if path in self._keep:
+                self._clips[path] = held
+        samples, peak, rate = held
         samples = samples.astype(np.float64)
         if peak:
             samples /= peak

@@ -90,13 +90,6 @@ def mel_to_hz(m):
     return _MEL_BREAK_HZ * np.expm1(np.asarray(m, dtype=np.float64) / _MEL_SCALE)
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
     """A parametric MFCC recipe; ``config_id`` tags its outputs."""
@@ -123,11 +116,13 @@ class FeatureConfig:
     @property
     def fft_len(self) -> int:
         """The FFT length: the smallest power of two that holds a window."""
-        return _next_pow2(self.window_samples)
+        return 1 << (self.window_samples - 1).bit_length()
 
 
-# On-device detection preset and server-side verification preset, plus the
-# alternative resolutions kept for benchmarking.
+# On-device detection preset and server-side verification preset. Presets
+# 3-5 are further resolutions: a weight store may name one by its config id,
+# and the offline loops then extract it, but ``wuw train`` and the benchmark
+# use only the first two.
 DEVICE = FeatureConfig(config_id=1, n_mfcc=13, window_ms=100, hop_ms=50)
 CLOUD = FeatureConfig(config_id=2, n_mfcc=40, window_ms=30, hop_ms=10)
 
@@ -232,15 +227,6 @@ def _dct_matrix(n: int) -> np.ndarray:
     return d
 
 
-@lru_cache(maxsize=None)
-def _dct_columns(n: int, m: int) -> np.ndarray:
-    """The first m columns of ``_dct_matrix(n)``, (n, m) C-contiguous: the
-    coefficients mfcc() keeps. Cached and safe to share read-only."""
-    d = np.ascontiguousarray(_dct_matrix(n)[:, :m])
-    d.flags.writeable = False
-    return d
-
-
 def dct2_ortho(x: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II over the last axis, the decorrelating transform
     used by mfcc(). Each row is one product with ``_dct_matrix``, so its
@@ -276,11 +262,13 @@ def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _plan(config: FeatureConfig) -> tuple:
     """What ``mfcc`` reads of a config on every call, worked out once:
-    (window, hop, fft_len, filterbank transposed, DCT columns). The arrays
-    are the cached read-only ones, so the products are those of a fresh
-    lookup."""
+    (window, hop, fft_len, filterbank transposed, DCT columns). The DCT
+    columns are the first ``n_mfcc`` columns of ``_dct_matrix(N_FILTERS)``,
+    copied once into a C-contiguous array. Both arrays are read-only."""
+    dct = np.ascontiguousarray(_dct_matrix(N_FILTERS)[:, : config.n_mfcc])
+    dct.flags.writeable = False
     return (config.window_samples, config.hop_samples, config.fft_len,
-            mel_filterbank(config).T, _dct_columns(N_FILTERS, config.n_mfcc))
+            mel_filterbank(config).T, dct)
 
 
 def _frames(x: np.ndarray, n_frames: int, window: int, hop: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from .nnet import (
     TrainSpec,
     WeightStore,
     _ce_batch,
+    _softmax_pairs,
     _uniform,
     fit,
     load_weights,
@@ -60,24 +61,27 @@ class LogOddsVector:
             raise DataError("log-odds must be finite")
 
 
+def _clamped_log_odds(p: np.ndarray) -> np.ndarray:
+    """ln(p_pos / p_neg) of probability pairs p (..., 2), each probability
+    first clamped, in place, into [PROB_CLAMP, 1 - PROB_CLAMP]. The one
+    log-odds clamp: ``log_odds`` and ``logits_log_odds`` both read it."""
+    np.maximum(p, PROB_CLAMP, out=p)
+    np.minimum(p, 1.0 - PROB_CLAMP, out=p)
+    return np.log(p[..., 0] / p[..., 1])
+
+
 def log_odds(p_pos: float, p_neg: float) -> float:
-    """ln(p_pos / p_neg), with both probabilities clamped away from 0 and 1."""
+    """ln(p_pos / p_neg), with both probabilities clamped away from 0 and 1:
+    the one-pair view of ``_clamped_log_odds``."""
     if abs(p_pos + p_neg - 1.0) > 1e-6:
         raise DataError(f"probabilities must sum to 1, got {p_pos + p_neg}")
-    p_pos = min(max(p_pos, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    p_neg = min(max(p_neg, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    return float(np.log(p_pos / p_neg))
+    return float(_clamped_log_odds(np.array([p_pos, p_neg], dtype=np.float64)))
 
 
 def logits_log_odds(logits) -> np.ndarray:
     """(pos, neg) logit pairs (..., 2) -> log-odds (...): ``log_odds`` of
-    ``softmax2`` of each pair, with the same clamp, for a whole array."""
-    logits = np.asarray(logits, dtype=np.float64)
-    e = np.exp(logits - np.maximum(logits[..., :1], logits[..., 1:]))
-    p = e / (e[..., :1] + e[..., 1:])
-    np.maximum(p, PROB_CLAMP, out=p)
-    np.minimum(p, 1.0 - PROB_CLAMP, out=p)
-    return np.log(p[..., 0] / p[..., 1])
+    ``softmax2`` of each pair, for a whole array."""
+    return _clamped_log_odds(_softmax_pairs(np.asarray(logits, dtype=np.float64)))
 
 
 def _column_index(cols: list[int]) -> slice | list[int]:

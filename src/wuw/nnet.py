@@ -66,13 +66,20 @@ class ScorePair(NamedTuple):
     logit_neg: float
 
 
+def _softmax_pairs(logits: np.ndarray) -> np.ndarray:
+    """Two-way softmax of (pos, neg) logit pairs (..., 2) -> (p_pos, p_neg)
+    pairs, shifted by each pair's larger logit so no exponent overflows.
+    The one two-way softmax: ``softmax2``, ``_ce_batch`` and
+    ``fusion.logits_log_odds`` all read it."""
+    e = np.exp(logits - np.maximum(logits[..., :1], logits[..., 1:]))
+    return e / (e[..., :1] + e[..., 1:])
+
+
 def softmax2(s: ScorePair) -> tuple[float, float]:
-    """Numerically stable two-way softmax; returns (p_pos, p_neg)."""
-    a, b = float(s[0]), float(s[1])
-    m = max(a, b)
-    ea, eb = np.exp(a - m), np.exp(b - m)
-    total = ea + eb
-    return float(ea / total), float(eb / total)
+    """Numerically stable two-way softmax of one score pair, the one-pair
+    view of ``_softmax_pairs``; returns (p_pos, p_neg)."""
+    p = _softmax_pairs(np.array([s[0], s[1]], dtype=np.float64))
+    return float(p[0]), float(p[1])
 
 
 def cross_entropy(s: ScorePair, label: int) -> tuple[float, tuple[float, float]]:
@@ -93,9 +100,7 @@ def _ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
     of the mean.
     """
     n = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
-    exps = np.exp(logits - m)
-    probs = exps / exps.sum(axis=1, keepdims=True)
+    probs = _softmax_pairs(logits)
     target_col = np.where(labels == LABEL_POS, 0, 1)
     picked = probs[np.arange(n), target_col]
     # fully saturated inputs would otherwise produce log(0)

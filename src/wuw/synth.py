@@ -143,7 +143,7 @@ def make_chirp_task(
             else:
                 clip = make_noise_clip(rng)
                 record.update(label="noise")
-            write_wav(clip, out / name, encoding="float32")
+            write_wav(clip, out / name)
             lines.append(json.dumps(record, sort_keys=True))
     manifest = out / "manifest.jsonl"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -27,14 +27,7 @@ from wuw.errors import (
     WavFormatError,
 )
 
-
-def pcm16_wav_bytes(samples, rate=16000, channels=1, format_code=1, bits=16):
-    payload = struct.pack(f"<{len(samples)}h", *samples)
-    fmt = struct.pack("<HHIIHH", format_code, channels, rate,
-                      rate * channels * bits // 8, channels * bits // 8, bits)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    return b"RIFF" + struct.pack("<I", len(body)) + body
+from wavs import pcm16_wav_bytes
 
 
 class TestReadWav:
@@ -58,7 +51,7 @@ class TestReadWav:
 
     def test_float32_roundtrip(self, tmp_path):
         clip = AudioClip(np.linspace(-1, 1, 777))
-        write_wav(clip, tmp_path / "f.wav", encoding="float32")
+        write_wav(clip, tmp_path / "f.wav")
         back = read_wav(tmp_path / "f.wav")
         np.testing.assert_allclose(back.samples, clip.samples, atol=1e-7)
 

@@ -8,9 +8,12 @@ import pytest
 
 from wuw.audio import AudioClip, peak_normalize, read_wav, write_wav
 from wuw.cli import main
+from wuw.errors import ProtocolError
 from wuw.features import CLOUD, DEVICE, mfcc
-from wuw.nnet import WeightStore, init_gru_scorer, save_weights
+from wuw.fusion import FusionModel
+from wuw.nnet import WeightStore, init_gru_scorer, make_scorer, save_weights
 from wuw.synth import make_chirp_task, make_stream
+from wuw.wire import DeviceAgent, VerificationServer, decode_request
 
 from test_fusion import fusion_store
 
@@ -59,7 +62,7 @@ class TestPipeline:
 
         stream, _ = make_stream(np.random.default_rng(4), n_keywords=2, gap_s=3.0)
         wav = base / "stream.wav"
-        write_wav(stream, wav, encoding="float32")
+        write_wav(stream, wav)
         dumps = base / "requests"
         # theta 0 fires on every window outside the refractory period
         code, text = run(capsys, "detect", wav, "--device-weights", device,
@@ -71,6 +74,46 @@ class TestPipeline:
         assert all(set(e) == {"window_start_sample", "device_log_odds", "threshold"}
                    for e in events)
         assert len(list(dumps.glob("req_*.wuwp"))) == len(events)
+
+    def test_detect_against_a_keyed_server_records_each_verdict(self, tmp_path, capsys):
+        device = init_gru_scorer(DEVICE, hidden=4, layers=1, seed=1)
+        save_weights(device, tmp_path / "device.wuwm")
+        members = [make_scorer(init_gru_scorer(CLOUD, hidden=4, layers=1, seed=s), name)
+                   for s, name in enumerate(("a", "b"))]  # the member ids of fusion_store
+        ws = fusion_store()
+        rng = np.random.default_rng(6)
+        ws = WeightStore({k: rng.normal(size=t.shape) for k, t in ws.tensors.items()},
+                         ws.metadata)
+        key = 0x5EED
+        server = VerificationServer(members, FusionModel(ws), key=key)
+        stream, _ = make_stream(np.random.default_rng(4), n_keywords=2, gap_s=3.0)
+        wav = tmp_path / "stream.wav"
+        write_wav(stream, wav)
+        host, port = server.start()
+        try:
+            code = main(["detect", str(wav), "--device-weights", str(tmp_path / "device.wuwm"),
+                         "--theta-device", "0", "--refractory", "2",
+                         "--server", f"{host}:{port}", "--key", str(key),
+                         "--dump-requests", str(tmp_path / "requests")])
+        finally:
+            server.shutdown()
+        out, err = capsys.readouterr()
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        fired = DeviceAgent(make_scorer(device), theta_device=0.0,
+                            refractory_s=2.0).feed(read_wav(wav))
+        assert len(records) == len(fired) >= 2 and err == f"{len(fired)} events\n"
+        for record, (event, request) in zip(records, fired):
+            want = server.verify(request)
+            assert record["window_start_sample"] == event.window_start_sample
+            assert record["verdict"] == want.verdict.name.lower() in ("accept", "reject")
+            assert record["fused_p_pos"] == float(np.float32(want.fused_p_pos))
+            # the frame went out keyed: it cannot be read without the key
+            frame = (tmp_path / "requests" / f"req_{event.window_start_sample}.wuwp").read_bytes()
+            with pytest.raises(ProtocolError, match="needs a key"):
+                decode_request(frame)
+            assert decode_request(frame, key=key).features.tobytes() == \
+                request.features.tobytes()
 
     def test_synth_writes_the_chirp_task(self, tmp_path, capsys):
         code, text = run(capsys, "synth", tmp_path / "cli", "--train", "4", "--valid", "2",
@@ -86,7 +129,7 @@ class TestPipeline:
     def test_features_writes_the_mfcc_matrix_as_npy(self, tmp_path, capsys, name, config):
         stream, _ = make_stream(np.random.default_rng(5), n_keywords=1, gap_s=2.0)
         wav, out = tmp_path / "stream.wav", tmp_path / name
-        write_wav(stream, wav, encoding="float32")
+        write_wav(stream, wav)
         assert run(capsys, "features", wav, out, "--config", name)[0] == 0
         assert sorted(tmp_path.iterdir()) == [out, wav]  # exactly OUT, no ".npy" added
         want = mfcc(peak_normalize(read_wav(wav)), config)
@@ -223,7 +266,7 @@ class TestExitCodes:
         save_weights(init_gru_scorer(DEVICE, hidden=4, layers=1), device)
         stream, _ = make_stream(np.random.default_rng(4), n_keywords=1, gap_s=2.0)
         wav = tmp_path / "stream8k.wav"
-        write_wav(AudioClip(stream.samples, 8000), wav, encoding="float32")
+        write_wav(AudioClip(stream.samples, 8000), wav)
         code, text = run(capsys, "detect", wav, "--device-weights", device,
                          "--theta-device", "0")
         assert code == 3

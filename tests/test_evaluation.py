@@ -6,7 +6,15 @@ import pytest
 
 from wuw import audio, evaluation
 from wuw.errors import ManifestError
-from wuw.audio import SNR_RANGE_DB, AudioClip, measure_power, peak_normalize, read_wav, write_wav
+from wuw.audio import (
+    SNR_RANGE_DB,
+    AudioClip,
+    extract_window,
+    measure_power,
+    peak_normalize,
+    read_wav,
+    write_wav,
+)
 from wuw.evaluation import (
     _ClipCache,
     _mixed_window,
@@ -23,6 +31,8 @@ from wuw.features import CLOUD, DEVICE, mfcc, preset
 from wuw.fusion import FusionModel, log_odds
 from wuw.nnet import Scorer, ScorePair, WeightStore, init_gru_scorer, make_scorer, softmax2
 from wuw.synth import make_chirp_task
+
+from wavs import pcm16_wav_bytes
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +126,8 @@ class TestLoadManifest:
 
     @pytest.mark.parametrize("line,match", [
         ("{not json", "invalid JSON"),
+        ('{"path": "a.wav", "label": "noise", "split": "test", "n": ' + "1" * 5000 + "}",
+         "invalid JSON"),
         ('["a.wav"]', "entry must be an object"),
         ('{"path": "a.wav", "label": "speech", "split": "test"}', "unknown label"),
         ('{"path": "a.wav", "label": "noise", "split": "dev"}', "unknown split"),
@@ -128,17 +140,31 @@ class TestLoadManifest:
          "invalid span"),
         ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": -Infinity, "end_s": 0.4}',
          "invalid span"),
+        ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": true, "end_s": 1.2}',
+         "invalid span"),
+        ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": 0, "end_s": "1.2"}',
+         "invalid span"),
+        ('{"path": "a.wav", "label": "wuw", "split": "test", "start_s": 0, "end_s": 1'
+         + "0" * 400 + "}", "invalid span"),
         ('{"path": "a.wav", "label": "wuw", "split": "train"}', "wuw entry lacks"),
         ('{"path": "a.wav", "label": "wuw", "split": "valid"}', "wuw entry lacks"),
-    ], ids=["json", "not-object", "label", "split", "missing-bound", "inverted-span",
-            "nan-span", "infinite-span", "negative-infinite-span",
-            "unaligned-train", "unaligned-valid"])
+    ], ids=["json", "huge-int", "not-object", "label", "split", "missing-bound", "inverted-span",
+            "nan-span", "infinite-span", "negative-infinite-span", "bool-span",
+            "string-span", "int-past-float-span", "unaligned-train", "unaligned-valid"])
     def test_malformed_line_is_refused_by_file_and_line(self, tmp_path, line, match):
         manifest = tmp_path / "m.jsonl"
         manifest.write_text('{"path": "a.wav", "label": "noise", "split": "test"}\n\n'
                             + line + "\n", encoding="utf-8")
         with pytest.raises(ManifestError, match=rf"m\.jsonl:3: {match}"):
             load_manifest(manifest)
+
+    def test_integer_bounds_load(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"path": "a.wav", "label": "wuw", "split": "train", '
+                            '"start_s": 0, "end_s": 1}\n', encoding="utf-8")
+        [entry] = load_manifest(manifest)
+        assert entry.span == audio.AlignmentSpan(0.0, 1.0)
+        assert type(entry.span.start_s) is float and type(entry.span.end_s) is float
 
     def test_blank_lines_are_skipped_and_unaligned_entries_may_be_allowed(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
@@ -319,6 +345,67 @@ def powers(monkeypatch):
     return counts
 
 
+@pytest.fixture(scope="module")
+def silent_corpus(tmp_path_factory):
+    """A chirp corpus whose train and test splits have one noise entry
+    each, an all-zero clip."""
+    base = tmp_path_factory.mktemp("chirps_silent")
+    manifest = make_chirp_task(base, n_train=5, n_valid=0, n_test=5, seed=21)
+    write_wav(AudioClip(np.zeros(48000)), base / "silence.wav")
+    entries = [e for e in load_manifest(manifest) if e.label != "noise"]
+    entries += [evaluation.ManifestEntry("silence.wav", "noise", split)
+                for split in ("train", "test")]
+    return entries, base
+
+
+def unmixed_cut(entry, base, rng):
+    """The window of ``entry`` that the samplers cut with ``rng``, then the
+    noise index they draw from a one-entry pool."""
+    clip = peak_normalize(read_wav(base / entry.path))
+    window = extract_window(clip, span=entry.span if entry.label == "wuw" else None, rng=rng)
+    rng.integers(1)
+    return window
+
+
+def no_mixing(*args, **kwargs):
+    raise AssertionError("a window was mixed with silent noise")
+
+
+class TestSilentNoisePassesThrough:
+    def test_evaluate_scores_the_unmixed_cuts(self, silent_corpus, monkeypatch):
+        entries, base = silent_corpus
+        monkeypatch.setattr(evaluation, "mix_at_snr", no_mixing)
+        seen = []
+        buckets = [(-10.0, 20.0), (20.0, 50.0)]
+        evaluate(entries, lambda clip: seen.append(clip.samples) or 0.5, theta=0.5,
+                 buckets=buckets, seed=22, base_dir=base)
+        test = [e for e in entries if e.split == "test"]
+        samples = sorted(test, key=lambda e: e.label != "wuw")
+        rng = np.random.default_rng(22)
+        want = []
+        for lo, hi in buckets:
+            for entry in samples:
+                rng.uniform(lo, hi)  # the SNR, drawn first and then not used
+                want.append(unmixed_cut(entry, base, rng))
+        assert len(seen) == len(want) == 2 * len(test)
+        for got, window in zip(seen, want):
+            assert got.tobytes() == window.samples.tobytes()
+
+    def test_feature_build_returns_the_unmixed_cuts(self, silent_corpus, monkeypatch):
+        entries, base = silent_corpus
+        monkeypatch.setattr(evaluation, "mix_at_snr", no_mixing)
+        monkeypatch.setattr(evaluation, "draw_snr", no_mixing)
+        got = build_feature_dataset(entries, DEVICE, "train", seed=23, copies=2,
+                                    base_dir=base)
+        rng = np.random.default_rng(23)
+        want = [(mfcc(unmixed_cut(entry, base, rng), DEVICE), int(entry.label == "wuw"))
+                for entry in entries if entry.split == "train" for _ in range(2)]
+        assert len(got) == len(want) == 10
+        for (fm, y), (fm_want, y_want) in zip(got, want):
+            assert y == y_want
+            assert fm.values.tobytes() == fm_want.values.tobytes()
+
+
 class TestOnePowerPerWindow:
     def test_feature_build(self, rir_corpus, powers):
         entries, base = rir_corpus
@@ -381,15 +468,28 @@ class TestClipReads:
         assert reads == once_each(base, entries, "test", ("wuw", "other", "noise"))
 
 
+CLIP_FILES = pytest.mark.parametrize("encoding,samples", [
+    ("pcm16", np.random.default_rng(17).uniform(-0.6, 0.6, size=4000)),
+    ("float32", np.random.default_rng(18).normal(scale=0.3, size=4000)),
+    ("pcm16", np.zeros(4000)),
+], ids=["pcm16", "float32", "all-zero"])
+
+
+def clip_file(path, encoding, samples):
+    """Write ``samples`` at 8 kHz as a PCM16 or a float32 WAV file; return
+    what ``peak_normalize(read_wav(path))`` gives for it."""
+    if encoding == "pcm16":
+        path.write_bytes(pcm16_wav_bytes(np.round(samples * 32768).astype(int).tolist(),
+                                         rate=8000))
+    else:
+        write_wav(AudioClip(samples, 8000), path)
+    return peak_normalize(read_wav(path))
+
+
 class TestClipCacheExactness:
-    @pytest.mark.parametrize("encoding,samples", [
-        ("pcm16", np.random.default_rng(17).uniform(-0.6, 0.6, size=4000)),
-        ("float32", np.random.default_rng(18).normal(scale=0.3, size=4000)),
-        ("pcm16", np.zeros(4000)),
-    ], ids=["pcm16", "float32", "all-zero"])
+    @CLIP_FILES
     def test_kept_clip_is_the_normalized_file(self, tmp_path, encoding, samples):
-        write_wav(AudioClip(samples, 8000), tmp_path / "a.wav", encoding=encoding)
-        want = peak_normalize(read_wav(tmp_path / "a.wav"))
+        want = clip_file(tmp_path / "a.wav", encoding, samples)
         cache = _ClipCache(tmp_path, [evaluation.ManifestEntry("a.wav", "noise", "test")])
         for _ in range(3):  # the first get reads the file, later ones rebuild the clip
             got = cache.get("a.wav")
@@ -399,3 +499,14 @@ class TestClipCacheExactness:
             assert cache.silent("a.wav") == (measure_power(want) == 0.0)
         kept = cache._clips["a.wav"][0]
         assert kept.dtype == np.float32 and kept.shape == (4000,)
+
+    @CLIP_FILES
+    def test_unkept_clip_is_the_normalized_file(self, tmp_path, encoding, samples, reads):
+        want = clip_file(tmp_path / "a.wav", encoding, samples)
+        cache = _ClipCache(tmp_path, [])
+        for n in range(1, 3):  # read again on every get, and not held
+            got = cache.get("a.wav")
+            assert got.samples.dtype == np.float64
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.sample_rate_hz == 8000
+            assert reads == {str(tmp_path / "a.wav"): n} and cache._clips == {}

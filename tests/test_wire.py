@@ -820,6 +820,29 @@ class TestEnsembleCoreOnTheWire:
         assert not keep
         assert decode_response(response).verdict is Verdict.ERROR
 
+    def test_request_at_another_config_gets_error_before_any_member(self):
+        calls = []
+
+        def counted(fm):
+            calls.append(fm)
+            return ScorePair(0.0, 0.0)
+
+        server = VerificationServer([Scorer("m0", CLOUD.config_id, counted)],
+                                    passthrough_fusion(["device", "m0"]))
+        good = VerifyRequest(config_id=CLOUD.config_id, device_log_odds=1.0,
+                             features=np.zeros((148, 40), dtype=np.float32))
+        response, keep = server.handle_frame(encode_request(good))
+        assert keep and decode_response(response).verdict is Verdict.ACCEPT and len(calls) == 1
+        for config_id in (DEVICE.config_id, 3, 255):
+            req = VerifyRequest(config_id=config_id, device_log_odds=1.0,
+                                features=np.zeros((148, 40), dtype=np.float32))
+            with pytest.raises(ModelError, match=f"request carries {config_id}"):
+                server.verify(req)
+            response, keep = server.handle_frame(encode_request(req))
+            assert not keep
+            assert decode_response(response).verdict is Verdict.ERROR
+        assert len(calls) == 1
+
     def test_failing_member_gets_error(self):
         def broken(fm):
             raise RuntimeError("member crashed")
