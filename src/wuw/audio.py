@@ -54,6 +54,7 @@ class AudioClip:
 
     @property
     def duration_s(self) -> float:
+        """Length in seconds; the benchmark's stream workload reads it."""
         return self.samples.size / self.sample_rate_hz
 
 
@@ -210,31 +211,48 @@ def extract_window(
     return AudioClip(clip.samples[start : start + target], rate)
 
 
+def _fit_noise(noise: AudioClip, n: int) -> np.ndarray:
+    """The n samples of ``noise`` that are mixed into an n-sample signal:
+    the noise tiled (wrapped) or cropped to n. A crop is a view, not a copy."""
+    reps = -(-n // len(noise))
+    return (noise.samples if reps == 1 else np.tile(noise.samples, reps))[:n]
+
+
+def mixed_noise_power(noise: AudioClip, n: int) -> float:
+    """Mean-square power of the noise samples that ``mix_at_snr`` adds to an
+    n-sample signal: 0 when those samples are silent, whatever the rest of
+    the clip holds, and 0 for an empty clip, which has none to add."""
+    return float(np.mean(np.square(_fit_noise(noise, n)))) if len(noise) else 0.0
+
+
 def mix_at_snr(
-    signal: AudioClip, noise: AudioClip, snr_db: float, signal_power: float | None = None
+    signal: AudioClip,
+    noise: AudioClip,
+    snr_db: float,
+    signal_power: float | None = None,
+    noise_power: float | None = None,
 ) -> AudioClip:
     """Add noise to the signal at an exact signal-to-noise ratio.
 
     The noise is tiled (wrapped) or cropped to the signal length first, so
     the realized SNR of the two addends equals ``snr_db``. Noise at least as
     long as the signal is cropped without a copy. A caller that has already
-    measured the signal's power passes it as ``signal_power``
-    (``measure_power(signal)``), and the signal is not squared again.
+    measured either power passes it, ``measure_power(signal)`` as
+    ``signal_power`` or ``mixed_noise_power(noise, len(signal))`` as
+    ``noise_power``, and those samples are not squared again.
     """
     if signal.sample_rate_hz != noise.sample_rate_hz:
         raise DataError("signal and noise sample rates differ")
     if len(signal) == 0 or len(noise) == 0:
         raise DataError("signal and noise must be non-empty")
 
-    reps = -(-len(signal) // len(noise))
-    tiled = (noise.samples if reps == 1 else np.tile(noise.samples, reps))[: len(signal)]
-
     p_signal = measure_power(signal) if signal_power is None else signal_power
-    p_noise = float(np.mean(np.square(tiled)))
+    p_noise = mixed_noise_power(noise, len(signal)) if noise_power is None else noise_power
     if p_signal == 0.0 or p_noise == 0.0:
         raise DataError("SNR undefined for zero-power signal or noise")
 
     gain = np.sqrt(p_signal / (p_noise * 10.0 ** (snr_db / 10.0)))
+    tiled = _fit_noise(noise, len(signal))
     return AudioClip(signal.samples + gain * tiled, signal.sample_rate_hz)
 
 

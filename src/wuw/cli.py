@@ -162,12 +162,8 @@ def cmd_fuse_train(args) -> int:
 
 def cmd_detect(args) -> int:
     device = _load_scorer(args.device_weights)
-    agent = wire.DeviceAgent(
-        device,
-        theta_device=args.theta_device,
-        refractory_s=args.refractory,
-        key=args.key,
-    )
+    agent = wire.DeviceAgent(device, theta_device=args.theta_device,
+                             refractory_s=args.refractory)
     # the agent's events do not depend on how the stream is cut into chunks
     fired = agent.feed(audio.read_wav(args.wav))
     for event, request in fired:
@@ -298,7 +294,10 @@ def build_parser() -> _Parser:
     p.add_argument("--refractory", type=_seconds, default=1.0)
     p.add_argument("--server", type=_parse_server,
                    help="host:port of a verification server")
-    p.add_argument("--key", type=_parse_key, help="pre-shared obfuscation key (int)")
+    p.add_argument("--key", type=_parse_key,
+                   help="pre-shared obfuscation key (int): requests are sent and dumped "
+                        "obfuscated under it; a server started with a key refuses requests "
+                        "sent without it")
     p.add_argument("--dump-requests", help="directory for raw request frames")
     p.set_defaults(func=cmd_detect)
 

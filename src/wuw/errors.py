@@ -37,23 +37,19 @@ class WavChannelError(DataError):
 
 # -- Weight files ---------------------------------------------------------
 
-class WeightFileError(ModelError):
-    """Base class for weight-file problems."""
-
-
-class WeightMagicError(WeightFileError):
+class WeightMagicError(ModelError):
     """File does not start with the weight-file magic."""
 
 
-class WeightVersionError(WeightFileError):
+class WeightVersionError(ModelError):
     """Unsupported weight-file version."""
 
 
-class WeightTruncatedError(WeightFileError):
+class WeightTruncatedError(ModelError):
     """File ends before the declared payload."""
 
 
-class WeightLayoutError(WeightFileError):
+class WeightLayoutError(ModelError):
     """Declared tensor shapes and payload disagree, or metadata is invalid."""
 
 

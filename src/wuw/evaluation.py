@@ -42,6 +42,7 @@ from .audio import (
     extract_window,
     measure_power,
     mix_at_snr,
+    mixed_noise_power,
     read_wav,
 )
 from .errors import DataError, ManifestError
@@ -206,11 +207,17 @@ class _ClipCache:
             samples /= peak
         return AudioClip(samples, rate)
 
-    def silent(self, path: str) -> bool:
-        """Whether the kept clip at ``path``, loaded by ``get``, is silence.
-        Peak-normalized, its power is 0 exactly when its peak is, so this
-        is ``measure_power(clip) == 0`` without squaring the clip."""
-        return self._clips[path][1] == 0.0
+
+def _mix(window: AudioClip, noise: AudioClip, snr_db: Callable[[], float]) -> AudioClip:
+    """``window`` mixed with ``noise`` at ``snr_db()`` dB, the one silence
+    rule of both samplers: when the window or the noise samples that would
+    be added to it are silent, no SNR is defined, none is asked for, and the
+    window passes through unmixed. Each power is measured once and handed
+    to ``mix_at_snr``."""
+    p_signal, p_noise = measure_power(window), mixed_noise_power(noise, len(window))
+    if p_signal == 0.0 or p_noise == 0.0:
+        return window
+    return mix_at_snr(window, noise, snr_db(), signal_power=p_signal, noise_power=p_noise)
 
 
 def _mixed_window(
@@ -225,13 +232,8 @@ def _mixed_window(
     with a noise entry drawn after the cut."""
     span = entry.span if entry.label == "wuw" else None
     window = extract_window(clip, span=span, rng=rng)
-    noise_path = noise_pool[int(rng.integers(len(noise_pool)))].path
-    noise = cache.get(noise_path)
-    # Degenerate silence cannot be mixed at a defined SNR; pass it through.
-    power = measure_power(window)
-    if power == 0.0 or cache.silent(noise_path):
-        return window
-    return mix_at_snr(window, noise, snr_db, signal_power=power)
+    noise = cache.get(noise_pool[int(rng.integers(len(noise_pool)))].path)
+    return _mix(window, noise, lambda: snr_db)
 
 
 def _mixed_windows(
@@ -424,10 +426,10 @@ def build_feature_dataset(
     Each wuw/other/noise sample yields ``copies`` windows. Draws per window:
     the cut; for speech, when the split has RIR entries, a coin that
     reverberates with probability ``_RIR_PROB`` and on heads the RIR index;
-    the noise index; and the SNR (``draw_snr``) only when neither window nor
-    noise is silent. Unlike ``_mixed_windows`` the SNR comes last; the order
-    is kept because it fixes which training windows a seed gives. Sources
-    are normalized on load; the mixture itself is not rescaled.
+    the noise index; and the SNR (``draw_snr``) only when ``_mix`` can mix.
+    Unlike ``_mixed_windows`` the SNR comes last; the order is kept because
+    it fixes which training windows a seed gives. Sources are normalized on
+    load; the mixture itself is not rescaled.
 
     Memory: the split's noise and RIR pools stay loaded for the call. Each
     sample is read once, cut into its ``copies`` windows and dropped, so
@@ -453,11 +455,8 @@ def build_feature_dataset(
             ):
                 rir = cache.get(rir_pool[int(rng.integers(len(rir_pool)))].path)
                 window = convolve_rir(window, rir)
-            noise_path = noise_pool[int(rng.integers(len(noise_pool)))].path
-            noise = cache.get(noise_path)
-            power = measure_power(window)
-            if power > 0.0 and not cache.silent(noise_path):
-                window = mix_at_snr(window, noise, draw_snr(rng), signal_power=power)
+            noise = cache.get(noise_pool[int(rng.integers(len(noise_pool)))].path)
+            window = _mix(window, noise, lambda: draw_snr(rng))
             dataset.append((mfcc(window, config), label))
     return dataset
 

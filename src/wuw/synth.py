@@ -21,6 +21,9 @@ from .features import _matmul_rows
 CHIRP_F0_HZ = 1000.0
 CHIRP_F1_HZ = 4000.0
 
+# Length of a keyword, and of the negative clips' noise burst, in seconds.
+KEYWORD_S = 0.6
+
 # Length of a mixing-noise clip, in seconds.
 NOISE_CLIP_S = 3.0
 
@@ -59,7 +62,7 @@ def _shaped_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     return colored / np.max(np.abs(colored))
 
 
-def chirp_keyword(rng: np.random.Generator, duration_s: float = 0.6) -> np.ndarray:
+def chirp_keyword(rng: np.random.Generator, duration_s: float = KEYWORD_S) -> np.ndarray:
     """The synthetic wake word: a rising sweep under a Hann envelope."""
     t = np.arange(int(duration_s * CANONICAL_RATE_HZ)) / CANONICAL_RATE_HZ
     # A linear sweep from f0 at t = 0 to f1 at duration_s. The phase is
@@ -95,7 +98,7 @@ def make_negative_clip(rng: np.random.Generator, clip_s: float = 2.0) -> AudioCl
     """A keyword-free clip: a shaped-noise burst over the same quiet floor."""
     n = int(clip_s * CANONICAL_RATE_HZ)
     floor = 0.01 * _shaped_noise(rng, n)
-    burst = 0.7 * _shaped_noise(rng, int(0.6 * CANONICAL_RATE_HZ))
+    burst = 0.7 * _shaped_noise(rng, int(KEYWORD_S * CANONICAL_RATE_HZ))
     start = int(rng.integers(0, n - burst.size + 1))
     samples = floor.copy()
     samples[start : start + burst.size] += burst * np.hanning(burst.size)

@@ -23,8 +23,13 @@ float32 sum of 5,920 products. Measured: GRU log-odds within 3.3e-7 and p_pos
 within 7.2e-8 (three 2x128 members, 200 synthetic windows, 3 seeds); linear
 log-odds within 1.5e-6 and p_pos within 2e-7. The tests hold both bounds.
 
-The payload obfuscation is a keyed XOR keystream, not cryptography; use a
-real transport-security layer in production.
+Obfuscation belongs to the codec and follows the endpoint's key: the sender
+sets bit 0 exactly when it has a key (``encode_request(req, key)``), and a
+receiver refuses a frame whose bit disagrees with its own key
+(``decode_request(frame, key)``). So a keyed server answers a plain frame,
+and an unkeyed one a flagged frame, with ERROR, and runs no member. The
+obfuscation is a keyed XOR keystream, not cryptography; use a real
+transport-security layer in production.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import socket
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import BinaryIO, Sequence
 
@@ -63,6 +68,7 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 FLAG_OBFUSCATED = 0x01
 
 _REQ_FIXED = struct.Struct("<BBBQfHH")
+_RESP_FIXED = struct.Struct("<BfH")
 
 # The device agent scores a WINDOW_S window every this many device hops.
 _STRIDE_HOPS = 2
@@ -196,15 +202,20 @@ def _unframe(frame: bytes) -> bytes:
 
 
 def encode_request(req: VerifyRequest, key: int | None = None) -> bytes:
+    """The request's frame. With a key, the payload is obfuscated and bit 0
+    of the flags set; without one, a request already flagged obfuscated is
+    refused."""
     payload = req.features.astype("<f4").tobytes()
-    if req.flags & FLAG_OBFUSCATED:
-        if key is None:
-            raise ProtocolError("obfuscated request needs a key")
+    flags = req.flags
+    if key is not None:
         payload = obfuscate(payload, key, req.nonce)
+        flags |= FLAG_OBFUSCATED
+    elif flags & FLAG_OBFUSCATED:
+        raise ProtocolError("obfuscated request needs a key")
     body = _REQ_FIXED.pack(
         PROTOCOL_VERSION,
         req.config_id,
-        req.flags,
+        flags,
         req.nonce,
         req.device_log_odds,
         req.n_frames,
@@ -214,6 +225,9 @@ def encode_request(req: VerifyRequest, key: int | None = None) -> bytes:
 
 
 def decode_request(frame: bytes, key: int | None = None) -> VerifyRequest:
+    """The request a frame carries. ProtocolError unless bit 0 of its flags
+    is set exactly when ``key`` is given: a flagged frame needs a key, and
+    a receiver with a key takes no plain frame."""
     body = _unframe(frame)
     if len(body) < _REQ_FIXED.size:
         raise FrameTruncatedError("request body shorter than its fixed fields")
@@ -228,9 +242,10 @@ def decode_request(frame: bytes, key: int | None = None) -> VerifyRequest:
         raise FrameLengthError(
             f"payload of {len(payload)} bytes, header declares {expected}"
         )
-    if flags & FLAG_OBFUSCATED:
-        if key is None:
-            raise ProtocolError("obfuscated request needs a key")
+    if bool(flags & FLAG_OBFUSCATED) != (key is not None):
+        raise ProtocolError("obfuscated request needs a key" if key is None
+                            else "plain request refused: the receiver has a key")
+    if key is not None:
         payload = obfuscate(payload, key, nonce)
     features = np.frombuffer(payload, dtype="<f4").reshape(n_frames, n_coeffs)
     return VerifyRequest(
@@ -243,20 +258,18 @@ def decode_request(frame: bytes, key: int | None = None) -> VerifyRequest:
 
 
 def encode_response(resp: VerifyResponse) -> bytes:
-    body = struct.pack(
-        "<BfH", int(resp.verdict), resp.fused_p_pos, resp.member_log_odds.size
-    )
+    body = _RESP_FIXED.pack(int(resp.verdict), resp.fused_p_pos, resp.member_log_odds.size)
     return _frame(body + resp.member_log_odds.astype("<f4").tobytes())
 
 
 def decode_response(frame: bytes) -> VerifyResponse:
     body = _unframe(frame)
-    if len(body) < 7:
+    if len(body) < _RESP_FIXED.size:
         raise FrameTruncatedError("response body shorter than its fixed fields")
-    verdict, p_pos, n_members = struct.unpack_from("<BfH", body, 0)
+    verdict, p_pos, n_members = _RESP_FIXED.unpack_from(body, 0)
     if verdict not in (0, 1, 2):
         raise ProtocolError(f"unknown verdict byte {verdict}")
-    payload = body[7:]
+    payload = body[_RESP_FIXED.size :]
     if len(payload) != 4 * n_members:
         raise FrameLengthError("member log-odds payload length mismatch")
     values = np.frombuffer(payload, dtype="<f4").copy()
@@ -322,7 +335,10 @@ class DeviceAgent:
     device-hop stride, the window whose cloud features the server takes;
     when the score clears the threshold outside the refractory period, it
     emits a DetectionEvent plus a VerifyRequest carrying
-    verification-resolution features of the same window.
+    verification-resolution features of the same window. The request's
+    flags are 0: the agent holds no key, and whether its frame is obfuscated
+    is decided where it is encoded, by the key handed to ``encode_request``
+    or ``request_verification``.
 
     Sample store: the agent owns one float64 array two windows long, and
     the carried samples, those from the next window's start onward, are
@@ -363,14 +379,12 @@ class DeviceAgent:
         scorer: Scorer,
         theta_device: float = 0.5,
         refractory_s: float = 1.0,
-        key: int | None = None,
     ):
         _check_operating_point(theta_device, refractory_s)
         device_cfg = preset(scorer.config_id)
         if device_cfg.config_id != DEVICE.config_id:
             raise ModelError("device agent needs a scorer over the device config")
         self.theta_device = theta_device
-        self.key = key
         self._core = Ensemble([scorer])
         self._device_cfg = device_cfg
         self._threshold_lo = log_odds(theta_device, 1.0 - theta_device)
@@ -457,7 +471,6 @@ class DeviceAgent:
             device_log_odds=lo,
             features=cloud_fm.values,
             nonce=start,
-            flags=FLAG_OBFUSCATED if self.key is not None else 0,
         )
         return event, request
 

@@ -1,5 +1,6 @@
 """End to end through ``wuw``'s command line, in process, on a tiny corpus."""
 
+import dataclasses
 import json
 import socket
 
@@ -13,7 +14,13 @@ from wuw.features import CLOUD, DEVICE, mfcc
 from wuw.fusion import FusionModel
 from wuw.nnet import WeightStore, init_gru_scorer, make_scorer, save_weights
 from wuw.synth import make_chirp_task, make_stream
-from wuw.wire import DeviceAgent, VerificationServer, decode_request
+from wuw.wire import (
+    FLAG_OBFUSCATED,
+    DeviceAgent,
+    VerificationServer,
+    decode_request,
+    encode_request,
+)
 
 from test_fusion import fusion_store
 
@@ -114,6 +121,26 @@ class TestPipeline:
                 decode_request(frame)
             assert decode_request(frame, key=key).features.tobytes() == \
                 request.features.tobytes()
+
+    @pytest.mark.parametrize("key", [None, 0x5EED], ids=["plain", "keyed"])
+    def test_dumped_frames_are_the_requests_encoded_under_the_key(self, tmp_path, capsys, key):
+        device = init_gru_scorer(DEVICE, hidden=4, layers=1, seed=1)
+        save_weights(device, tmp_path / "device.wuwm")
+        stream, _ = make_stream(np.random.default_rng(4), n_keywords=2, gap_s=3.0)
+        wav, dumps = tmp_path / "stream.wav", tmp_path / "requests"
+        write_wav(stream, wav)
+        code, _ = run(capsys, "detect", wav, "--device-weights", tmp_path / "device.wuwm",
+                      "--theta-device", "0", "--refractory", "2", "--dump-requests", dumps,
+                      *(["--key", str(key)] if key is not None else []))
+        assert code == 0
+        fired = DeviceAgent(make_scorer(device), theta_device=0.0,
+                            refractory_s=2.0).feed(read_wav(wav))
+        assert len(fired) >= 2 and len(list(dumps.iterdir())) == len(fired)
+        for event, request in fired:
+            # flagged for the key explicitly: the codec must give the same frame
+            flagged = dataclasses.replace(request, flags=FLAG_OBFUSCATED if key else 0)
+            frame = (dumps / f"req_{event.window_start_sample}.wuwp").read_bytes()
+            assert frame == encode_request(flagged, key=key)
 
     def test_synth_writes_the_chirp_task(self, tmp_path, capsys):
         code, text = run(capsys, "synth", tmp_path / "cli", "--train", "4", "--valid", "2",

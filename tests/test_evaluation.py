@@ -10,7 +10,6 @@ from wuw.audio import (
     SNR_RANGE_DB,
     AudioClip,
     extract_window,
-    measure_power,
     peak_normalize,
     read_wav,
     write_wav,
@@ -334,10 +333,12 @@ def powers(monkeypatch):
         counts["measured"] += 1
         return real_measure(clip)
 
-    def mixed(signal, noise, snr_db, signal_power=None):
+    def mixed(signal, noise, snr_db, signal_power=None, noise_power=None):
         counts["mixed"] += 1
         assert signal_power == real_measure(signal)
-        return real_mix(signal, noise, snr_db, signal_power=signal_power)
+        assert noise_power == audio.mixed_noise_power(noise, len(signal))
+        return real_mix(signal, noise, snr_db, signal_power=signal_power,
+                        noise_power=noise_power)
 
     monkeypatch.setattr(audio, "measure_power", measured)
     monkeypatch.setattr(evaluation, "measure_power", measured)
@@ -345,17 +346,30 @@ def powers(monkeypatch):
     return counts
 
 
-@pytest.fixture(scope="module")
-def silent_corpus(tmp_path_factory):
+def one_noise_corpus(base, noise):
     """A chirp corpus whose train and test splits have one noise entry
-    each, an all-zero clip."""
-    base = tmp_path_factory.mktemp("chirps_silent")
+    each, the clip ``noise``."""
     manifest = make_chirp_task(base, n_train=5, n_valid=0, n_test=5, seed=21)
-    write_wav(AudioClip(np.zeros(48000)), base / "silence.wav")
+    write_wav(AudioClip(noise), base / "noise.wav")
     entries = [e for e in load_manifest(manifest) if e.label != "noise"]
-    entries += [evaluation.ManifestEntry("silence.wav", "noise", split)
+    entries += [evaluation.ManifestEntry("noise.wav", "noise", split)
                 for split in ("train", "test")]
     return entries, base
+
+
+@pytest.fixture(scope="module")
+def silent_corpus(tmp_path_factory):
+    """One noise entry per split, an all-zero clip."""
+    return one_noise_corpus(tmp_path_factory.mktemp("chirps_silent"), np.zeros(48000))
+
+
+@pytest.fixture(scope="module")
+def late_noise_corpus(tmp_path_factory):
+    """One noise entry per split, silent for its first 1.6 s: every 1.5 s
+    window would be mixed with zeros, though the clip as a whole is not silent."""
+    noise = np.random.default_rng(24).uniform(-1.0, 1.0, size=48000)
+    noise[:25600] = 0.0
+    return one_noise_corpus(tmp_path_factory.mktemp("chirps_late_noise"), noise)
 
 
 def unmixed_cut(entry, base, rng):
@@ -371,39 +385,56 @@ def no_mixing(*args, **kwargs):
     raise AssertionError("a window was mixed with silent noise")
 
 
+def evaluate_scores_the_unmixed_cuts(corpus, monkeypatch):
+    entries, base = corpus
+    monkeypatch.setattr(evaluation, "mix_at_snr", no_mixing)
+    seen = []
+    buckets = [(-10.0, 20.0), (20.0, 50.0)]
+    evaluate(entries, lambda clip: seen.append(clip.samples) or 0.5, theta=0.5,
+             buckets=buckets, seed=22, base_dir=base)
+    test = [e for e in entries if e.split == "test"]
+    samples = sorted(test, key=lambda e: e.label != "wuw")
+    rng = np.random.default_rng(22)
+    want = []
+    for lo, hi in buckets:
+        for entry in samples:
+            rng.uniform(lo, hi)  # the SNR, drawn first and then not used
+            want.append(unmixed_cut(entry, base, rng))
+    assert len(seen) == len(want) == 2 * len(test)
+    for got, window in zip(seen, want):
+        assert got.tobytes() == window.samples.tobytes()
+
+
+def feature_build_returns_the_unmixed_cuts(corpus, monkeypatch):
+    entries, base = corpus
+    monkeypatch.setattr(evaluation, "mix_at_snr", no_mixing)
+    monkeypatch.setattr(evaluation, "draw_snr", no_mixing)
+    got = build_feature_dataset(entries, DEVICE, "train", seed=23, copies=2,
+                                base_dir=base)
+    rng = np.random.default_rng(23)
+    want = [(mfcc(unmixed_cut(entry, base, rng), DEVICE), int(entry.label == "wuw"))
+            for entry in entries if entry.split == "train" for _ in range(2)]
+    assert len(got) == len(want) == 10
+    for (fm, y), (fm_want, y_want) in zip(got, want):
+        assert y == y_want
+        assert fm.values.tobytes() == fm_want.values.tobytes()
+
+
 class TestSilentNoisePassesThrough:
     def test_evaluate_scores_the_unmixed_cuts(self, silent_corpus, monkeypatch):
-        entries, base = silent_corpus
-        monkeypatch.setattr(evaluation, "mix_at_snr", no_mixing)
-        seen = []
-        buckets = [(-10.0, 20.0), (20.0, 50.0)]
-        evaluate(entries, lambda clip: seen.append(clip.samples) or 0.5, theta=0.5,
-                 buckets=buckets, seed=22, base_dir=base)
-        test = [e for e in entries if e.split == "test"]
-        samples = sorted(test, key=lambda e: e.label != "wuw")
-        rng = np.random.default_rng(22)
-        want = []
-        for lo, hi in buckets:
-            for entry in samples:
-                rng.uniform(lo, hi)  # the SNR, drawn first and then not used
-                want.append(unmixed_cut(entry, base, rng))
-        assert len(seen) == len(want) == 2 * len(test)
-        for got, window in zip(seen, want):
-            assert got.tobytes() == window.samples.tobytes()
+        evaluate_scores_the_unmixed_cuts(silent_corpus, monkeypatch)
 
     def test_feature_build_returns_the_unmixed_cuts(self, silent_corpus, monkeypatch):
-        entries, base = silent_corpus
-        monkeypatch.setattr(evaluation, "mix_at_snr", no_mixing)
-        monkeypatch.setattr(evaluation, "draw_snr", no_mixing)
-        got = build_feature_dataset(entries, DEVICE, "train", seed=23, copies=2,
-                                    base_dir=base)
-        rng = np.random.default_rng(23)
-        want = [(mfcc(unmixed_cut(entry, base, rng), DEVICE), int(entry.label == "wuw"))
-                for entry in entries if entry.split == "train" for _ in range(2)]
-        assert len(got) == len(want) == 10
-        for (fm, y), (fm_want, y_want) in zip(got, want):
-            assert y == y_want
-            assert fm.values.tobytes() == fm_want.values.tobytes()
+        feature_build_returns_the_unmixed_cuts(silent_corpus, monkeypatch)
+
+    # silence is judged on the noise samples a window is mixed with
+    def test_evaluate_passes_a_silent_noise_crop_through(self, late_noise_corpus,
+                                                          monkeypatch):
+        evaluate_scores_the_unmixed_cuts(late_noise_corpus, monkeypatch)
+
+    def test_feature_build_passes_a_silent_noise_crop_through(self, late_noise_corpus,
+                                                               monkeypatch):
+        feature_build_returns_the_unmixed_cuts(late_noise_corpus, monkeypatch)
 
 
 class TestOnePowerPerWindow:
@@ -496,7 +527,6 @@ class TestClipCacheExactness:
             assert got.samples.dtype == np.float64
             assert got.samples.tobytes() == want.samples.tobytes()
             assert got.sample_rate_hz == want.sample_rate_hz == 8000
-            assert cache.silent("a.wav") == (measure_power(want) == 0.0)
         kept = cache._clips["a.wav"][0]
         assert kept.dtype == np.float32 and kept.shape == (4000,)
 

@@ -1,4 +1,5 @@
-"""The runtime's import contract: no wuw module imports scipy.
+"""The runtime's import contract: no wuw module imports scipy, and the
+package namespace imports nothing.
 
 numpy is the only runtime dependency; scipy is a test-time oracle. After
 numpy, importing scipy.fft loads 85 modules in about 0.3 s and adds about
@@ -6,7 +7,8 @@ numpy, importing scipy.fft loads 85 modules in about 0.3 s and adds about
 (2-vCPU x86-64, Python 3.11, scipy 1.17). One test reads the import
 statements of every module under src/wuw; the others run one path in a
 fresh interpreter and report the scipy modules it left loaded. Inputs are
-made here, in the parent process.
+made here, in the parent process. The last imports one feature module in a
+fresh interpreter and reports whether the wire protocol came with it.
 """
 
 import ast
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from wuw.audio import AudioClip, write_wav
 from wuw.features import CLOUD, DEVICE
@@ -142,3 +145,15 @@ stream, starts = synth.make_stream(np.random.default_rng(0), n_keywords=2)
 assert manifest.is_file() and len(starts) == 2
 """
     assert scipy_modules_after(code, tmp_path) == []
+
+
+@pytest.mark.parametrize("module", ["wuw.audio", "wuw.features"])
+def test_a_feature_module_loads_no_wire_protocol(module):
+    """The package re-exports nothing, so a module loads only its own imports."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code = (f"import json, sys, {module}\n"
+            "print(json.dumps(sorted({'wuw.wire', 'socketserver'} & set(sys.modules))))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []

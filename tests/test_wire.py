@@ -139,6 +139,16 @@ class TestRequestCodec:
         assert back.features.tobytes() == req.features.tobytes()
         assert encode_request(back, key=0xC0FFEE) == frame
 
+    def test_the_key_alone_sets_and_checks_bit_0(self):
+        rng = np.random.default_rng(3)
+        plain = random_request(rng)
+        flagged = dataclasses.replace(plain, flags=FLAG_OBFUSCATED)
+        frame = encode_request(plain, key=0xC0FFEE)
+        assert frame[10] == FLAG_OBFUSCATED  # the flags byte follows version, config
+        assert frame == encode_request(flagged, key=0xC0FFEE)
+        with pytest.raises(ProtocolError, match="receiver has a key"):
+            decode_request(encode_request(plain), key=0xC0FFEE)
+
     def test_wrong_key_scrambles_payload(self):
         rng = np.random.default_rng(2)
         req = random_request(rng, obfuscated=True)
@@ -377,7 +387,7 @@ class TestDeviceAgent:
         scorer = oracle_device_scorer(stream)
 
         def run(size):
-            agent = DeviceAgent(scorer, refractory_s=1.5, key=3)
+            agent = DeviceAgent(scorer, refractory_s=1.5)
             return [(e, encode_request(r, key=3))
                     for i in range(0, len(stream), size)
                     for e, r in agent.feed(stream.samples[i : i + size])]
@@ -665,6 +675,34 @@ class TestVerification:
 
     def good_frame(self, device_log_odds=10.0):
         return encode_request(self.good_request(device_log_odds))
+
+    @pytest.mark.parametrize("server_key,sender_key", [(0x5EED, None), (None, 0x5EED)],
+                             ids=["keyed-server-plain-frame", "plain-server-keyed-frame"])
+    def test_frame_whose_bit_disagrees_with_the_key_gets_error_and_closes(
+            self, server_key, sender_key):
+        import socket
+
+        calls = []
+
+        def counted(fm):
+            calls.append(fm)
+            return ScorePair(0.0, 0.0)
+
+        server = VerificationServer([Scorer("m0", CLOUD.config_id, counted)],
+                                    passthrough_fusion(["device", "m0"]), key=server_key)
+        addr = server.start()
+        try:
+            with socket.create_connection(addr, timeout=5) as sock, \
+                    sock.makefile("rb") as reader:
+                req = dataclasses.replace(self.good_request(50.0),
+                                          flags=FLAG_OBFUSCATED if sender_key else 0)
+                sock.sendall(encode_request(req, key=sender_key))
+                assert decode_response(read_frame(reader)).verdict is Verdict.ERROR
+                with pytest.raises(EOFError):  # closed by the server
+                    read_frame(reader)
+        finally:
+            server.shutdown()
+        assert calls == []
 
     def test_two_frames_on_one_connection_get_two_answers_in_order(self):
         import socket
