@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, WavChannelError, WavEncodingError, WavFormatError
+from .errors import DataError
 
 CANONICAL_RATE_HZ = 16000
 
@@ -79,7 +79,7 @@ def read_wav(path) -> AudioClip:
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+        raise DataError(f"{path}: not a RIFF/WAVE file")
 
     # Chunk bodies are views into the file bytes, not copies of them.
     view = memoryview(data)
@@ -91,35 +91,33 @@ def read_wav(path) -> AudioClip:
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
-            raise WavFormatError(f"{path}: truncated '{chunk_id!r}' chunk")
+            raise DataError(f"{path}: truncated '{chunk_id!r}' chunk")
         if chunk_id == b"fmt ":
             if size < 16:
-                raise WavFormatError(f"{path}: fmt chunk too short")
+                raise DataError(f"{path}: fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             payload = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None or payload is None:
-        raise WavFormatError(f"{path}: missing fmt or data chunk")
+        raise DataError(f"{path}: missing fmt or data chunk")
 
     format_code, channels, rate, _byte_rate, _block_align, bits = fmt
     if channels != 1:
-        raise WavChannelError(f"{path}: expected mono, got {channels} channels")
+        raise DataError(f"{path}: expected mono, got {channels} channels")
 
     if format_code == _WAV_FMT_PCM and bits == 16:
         if len(payload) % 2:
-            raise WavFormatError(f"{path}: PCM16 data chunk has odd byte length")
+            raise DataError(f"{path}: PCM16 data chunk has odd byte length")
         samples = np.frombuffer(payload, dtype="<i2").astype(np.float64)
         samples /= 32768.0
     elif format_code == _WAV_FMT_FLOAT and bits == 32:
         if len(payload) % 4:
-            raise WavFormatError(f"{path}: float32 data chunk length not a multiple of 4")
+            raise DataError(f"{path}: float32 data chunk length not a multiple of 4")
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     else:
-        raise WavEncodingError(
-            f"{path}: unsupported encoding (format {format_code}, {bits} bits)"
-        )
+        raise DataError(f"{path}: unsupported encoding (format {format_code}, {bits} bits)")
     return AudioClip(samples, rate)
 
 

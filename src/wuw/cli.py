@@ -1,8 +1,8 @@
 """Command-line surface tying the toolkit together.
 
-Exit codes: 0 success, 1 usage error, 2 data error (a file that cannot be
-read or written included), 3 model/protocol error (a verification server
-that cannot be reached or cannot listen included).
+Exit codes: 0 success; 1 usage error; 2 ``DataError``, or a file that
+cannot be read or written; 3 ``ModelError`` or ``ProtocolError``, a
+verification server that cannot be reached or cannot listen included.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ class _Parser(argparse.ArgumentParser):
 
 # argparse ``type=`` parsers: a malformed value is a usage error (exit 1).
 
-def _parse_key(text: str) -> int:
+def _parse_int(text: str) -> int:
+    """An int in any base Python's ``int(text, 0)`` reads (0x5eed, 0o17, 42)."""
     try:
-        return int(text, 0) & 0xFFFFFFFFFFFFFFFF
+        return int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an int: {text!r}") from None
 
@@ -64,6 +65,7 @@ _port = _ranged(int, lambda v: 0 <= v < 65536, "a port in 0-65535")
 _probability = _ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _seconds = _ranged(float, lambda v: 0.0 <= v < math.inf, "finite and at least 0")
 _positive_float = _ranged(float, lambda v: 0.0 < v < math.inf, "finite and above 0")
+_key = _ranged(_parse_int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")  # the wire's u64
 
 
 _CONFIGS = {"device": features.DEVICE, "cloud": features.CLOUD}
@@ -294,7 +296,7 @@ def build_parser() -> _Parser:
     p.add_argument("--refractory", type=_seconds, default=1.0)
     p.add_argument("--server", type=_parse_server,
                    help="host:port of a verification server")
-    p.add_argument("--key", type=_parse_key,
+    p.add_argument("--key", type=_key,
                    help="pre-shared obfuscation key (int): requests are sent and dumped "
                         "obfuscated under it; a server started with a key refuses requests "
                         "sent without it")
@@ -307,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--member", action="append", required=True)
     p.add_argument("--fusion", required=True)
     p.add_argument("--theta-cloud", type=_probability, default=0.5)
-    p.add_argument("--key", type=_parse_key, help="pre-shared obfuscation key (int)")
+    p.add_argument("--key", type=_key, help="pre-shared obfuscation key (int)")
     p.set_defaults(func=cmd_serve)
 
     def common_eval(p):

@@ -1,77 +1,24 @@
-"""Exception hierarchy shared across the toolkit.
+"""The toolkit's three errors, one per exit code of ``wuw`` (usage problems
+exit 1):
 
-The CLI maps these onto exit codes: DataError -> 2, ModelError and
-ProtocolError -> 3 (usage problems exit 1).
+- ``DataError`` -> 2: bad or inconsistent input data (WAV files, manifests,
+  datasets, a request's shape);
+- ``ModelError`` -> 3: weight files, config mismatches, member wiring;
+- ``ProtocolError`` -> 3: malformed wire frames or transport failures.
+
+No caller tells refusals of one class apart, so each is told by its message
+("bad frame magic", "truncated header", ``path:line``). A subclass is worth
+adding only together with a caller that catches it.
 """
 
 
-class WuwError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class DataError(WuwError):
+class DataError(Exception):
     """Bad or inconsistent input data (audio files, manifests, datasets)."""
 
 
-class ModelError(WuwError):
+class ModelError(Exception):
     """Model-level problems: weight files, config mismatches, member wiring."""
 
 
-class ProtocolError(WuwError):
+class ProtocolError(Exception):
     """Malformed wire frames or transport-level violations."""
-
-
-# -- WAV reader -----------------------------------------------------------
-
-class WavFormatError(DataError):
-    """Not a parseable RIFF/WAVE container (bad magic, truncated chunks)."""
-
-
-class WavEncodingError(DataError):
-    """Sample encoding other than PCM16 or IEEE float32."""
-
-
-class WavChannelError(DataError):
-    """Channel count other than mono."""
-
-
-# -- Weight files ---------------------------------------------------------
-
-class WeightMagicError(ModelError):
-    """File does not start with the weight-file magic."""
-
-
-class WeightVersionError(ModelError):
-    """Unsupported weight-file version."""
-
-
-class WeightTruncatedError(ModelError):
-    """File ends before the declared payload."""
-
-
-class WeightLayoutError(ModelError):
-    """Declared tensor shapes and payload disagree, or metadata is invalid."""
-
-
-# -- Wire protocol --------------------------------------------------------
-
-class FrameMagicError(ProtocolError):
-    """Frame does not start with the protocol magic."""
-
-
-class FrameVersionError(ProtocolError):
-    """Unknown protocol version."""
-
-
-class FrameTruncatedError(ProtocolError):
-    """Frame ends before the declared body length."""
-
-
-class FrameLengthError(ProtocolError):
-    """Declared lengths are inconsistent or exceed the size cap."""
-
-
-# -- Manifests ------------------------------------------------------------
-
-class ManifestError(DataError):
-    """Invalid manifest line; the message names the offending line."""

@@ -45,7 +45,7 @@ from .audio import (
     mixed_noise_power,
     read_wav,
 )
-from .errors import DataError, ManifestError
+from .errors import DataError
 from .features import FeatureMatrix, mfcc, preset
 from .fusion import DEVICE_MEMBER_ID, Ensemble, FusionModel, LogOddsVector, ScoreDataset, fuse
 from .nnet import Scorer, softmax2
@@ -82,26 +82,26 @@ def load_manifest(path, require_alignments: bool = True) -> list[ManifestEntry]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except ValueError as exc:  # also an integer past Python's digit limit
-            raise ManifestError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict):
-            raise ManifestError(f"{path}:{lineno}: entry must be an object")
+            raise DataError(f"{path}:{lineno}: entry must be an object")
         label = obj.get("label")
         if label not in LABELS:
-            raise ManifestError(f"{path}:{lineno}: unknown label {label!r}")
+            raise DataError(f"{path}:{lineno}: unknown label {label!r}")
         split = obj.get("split")
         if split not in SPLITS:
-            raise ManifestError(f"{path}:{lineno}: unknown split {split!r}")
+            raise DataError(f"{path}:{lineno}: unknown split {split!r}")
         entry_path = obj.get("path")
         if not isinstance(entry_path, str) or not entry_path:
-            raise ManifestError(f"{path}:{lineno}: path must be a non-empty string, "
-                                f"got {entry_path!r}")
+            raise DataError(f"{path}:{lineno}: path must be a non-empty string, "
+                            f"got {entry_path!r}")
         span = None
         bounds = obj.get("start_s"), obj.get("end_s")
         if bounds != (None, None):
@@ -111,7 +111,7 @@ def load_manifest(path, require_alignments: bool = True) -> list[ManifestEntry]:
                     raise DataError("span bounds must be numbers")
                 span = AlignmentSpan(float(bounds[0]), float(bounds[1]))
             except (OverflowError, DataError):  # OverflowError: an int past float
-                raise ManifestError(
+                raise DataError(
                     f"{path}:{lineno}: invalid span [{bounds[0]}, {bounds[1]}]"
                 ) from None
         if (
@@ -120,7 +120,7 @@ def load_manifest(path, require_alignments: bool = True) -> list[ManifestEntry]:
             and split in ("train", "valid")
             and span is None
         ):
-            raise ManifestError(f"{path}:{lineno}: wuw entry lacks an alignment span")
+            raise DataError(f"{path}:{lineno}: wuw entry lacks an alignment span")
         entries.append(ManifestEntry(entry_path, label, split, span))
     return entries
 

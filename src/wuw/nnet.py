@@ -42,14 +42,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    ModelError,
-    WeightLayoutError,
-    WeightMagicError,
-    WeightTruncatedError,
-    WeightVersionError,
-)
+from .errors import DataError, ModelError
 from .features import PRESETS, FeatureMatrix, _gemm_block_rows, _matmul_rows
 
 WEIGHT_MAGIC = b"WUWM"
@@ -243,22 +236,22 @@ def _tensor_entry(declared) -> tuple[str, tuple[int, ...]]:
 def load_weights(path) -> WeightStore:
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != WEIGHT_MAGIC:
-        raise WeightMagicError(f"{path}: bad weight-file magic")
+        raise ModelError(f"{path}: bad weight-file magic")
     if len(data) < 9:
-        raise WeightTruncatedError(f"{path}: truncated header")
+        raise ModelError(f"{path}: truncated header")
     version, meta_len = struct.unpack_from("<BI", data, 4)
     if version != WEIGHT_VERSION:
-        raise WeightVersionError(f"{path}: unsupported version {version}")
+        raise ModelError(f"{path}: unsupported version {version}")
     if len(data) < 9 + meta_len:
-        raise WeightTruncatedError(f"{path}: truncated metadata")
+        raise ModelError(f"{path}: truncated metadata")
     try:
         meta = json.loads(data[9 : 9 + meta_len].decode("utf-8"))
         declared = meta.pop("tensors")
         entries = [_tensor_entry(d) for d in declared]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise WeightLayoutError(f"{path}: invalid metadata ({exc})") from None
+        raise ModelError(f"{path}: invalid metadata ({exc})") from None
     if len({name for name, _ in entries}) != len(entries):
-        raise WeightLayoutError(f"{path}: duplicate tensor names")
+        raise ModelError(f"{path}: duplicate tensor names")
 
     tensors = {}
     offset = 9 + meta_len
@@ -266,12 +259,12 @@ def load_weights(path) -> WeightStore:
         count = math.prod(shape)
         nbytes = 4 * count
         if offset + nbytes > len(data):
-            raise WeightTruncatedError(f"{path}: payload for {name!r} truncated")
+            raise ModelError(f"{path}: payload for {name!r} truncated")
         flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
         tensors[name] = flat.reshape(shape).copy()
         offset += nbytes
     if offset != len(data):
-        raise WeightLayoutError(f"{path}: {len(data) - offset} trailing bytes")
+        raise ModelError(f"{path}: {len(data) - offset} trailing bytes")
     return WeightStore(tensors, meta)
 
 

@@ -3,11 +3,11 @@ and the feature-transport protocol between them.
 
 Every frame is ``b"WUWP"`` + u32 little-endian body length + body, with a
 16 MiB body cap. Request body: u8 version (``PROTOCOL_VERSION``, the only
-one decoded), u8 config_id, u8 flags (bit 0 = obfuscated payload), u64
-nonce, f32 device log-odds, u16 n_frames, u16 n_coeffs, then the feature
-floats row-major. Response body: u8 verdict
-(0 reject, 1 accept, 2 error), f32 fused p_pos, u16 member count, member
-log-odds floats. Only feature matrices cross the wire; the schema has no
+one decoded), u8 config_id, u8 flags (bit 0 = obfuscated payload, the only
+bit defined), u64 nonce, f32 device log-odds, u16 n_frames, u16 n_coeffs,
+then the feature floats row-major. Response body: u8 verdict (0 reject,
+1 accept, 2 error), f32 fused p_pos, u16 member count, member log-odds
+floats. Only feature matrices cross the wire; the schema has no
 field for raw audio.
 
 Precision contract: every number on the wire is float32 (request features
@@ -47,15 +47,7 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .audio import CANONICAL_RATE_HZ, WINDOW_S, AudioClip
-from .errors import (
-    DataError,
-    FrameLengthError,
-    FrameMagicError,
-    FrameTruncatedError,
-    FrameVersionError,
-    ModelError,
-    ProtocolError,
-)
+from .errors import DataError, ModelError, ProtocolError
 from .features import CLOUD, DEVICE, FeatureConfig, FeatureMatrix, frame_count, mfcc, preset
 from .fusion import DEVICE_MEMBER_ID, Ensemble, FusionModel, LogOddsVector, fuse, log_odds
 from .nnet import Scorer, softmax2
@@ -175,7 +167,7 @@ def obfuscate(payload: bytes, key: int, nonce: int) -> bytes:
 
 def _frame(body: bytes) -> bytes:
     if len(body) > MAX_BODY_BYTES:
-        raise FrameLengthError(f"body of {len(body)} bytes exceeds cap")
+        raise ProtocolError(f"body of {len(body)} bytes exceeds cap")
     return PROTOCOL_MAGIC + struct.pack("<I", len(body)) + body
 
 
@@ -183,30 +175,30 @@ def _body_length(header, max_body: int = MAX_BODY_BYTES) -> int:
     """The body length an 8-byte frame header declares, after checking its
     magic and that the length is at most ``max_body``."""
     if header[:4] != PROTOCOL_MAGIC:
-        raise FrameMagicError("bad frame magic")
+        raise ProtocolError("bad frame magic")
     (body_len,) = struct.unpack_from("<I", header, 4)
     if body_len > max_body:
-        raise FrameLengthError(f"declared body of {body_len} bytes exceeds cap")
+        raise ProtocolError(f"declared body of {body_len} bytes exceeds cap")
     return body_len
 
 
 def _unframe(frame: bytes) -> bytes:
     if len(frame) < 8:
-        raise FrameTruncatedError("frame shorter than header")
+        raise ProtocolError("frame shorter than header")
     body_len = _body_length(frame)
     if len(frame) != 8 + body_len:
-        raise FrameTruncatedError(
-            f"frame has {len(frame) - 8} body bytes, header declares {body_len}"
-        )
+        raise ProtocolError(f"frame has {len(frame) - 8} body bytes, header declares {body_len}")
     return frame[8:]
 
 
 def encode_request(req: VerifyRequest, key: int | None = None) -> bytes:
     """The request's frame. With a key, the payload is obfuscated and bit 0
     of the flags set; without one, a request already flagged obfuscated is
-    refused."""
+    refused, as is one with a flag bit that version 1 does not define."""
     payload = req.features.astype("<f4").tobytes()
     flags = req.flags
+    if flags & ~FLAG_OBFUSCATED:
+        raise ProtocolError(f"undefined flag bits {flags:#04x}")
     if key is not None:
         payload = obfuscate(payload, key, req.nonce)
         flags |= FLAG_OBFUSCATED
@@ -226,22 +218,22 @@ def encode_request(req: VerifyRequest, key: int | None = None) -> bytes:
 
 def decode_request(frame: bytes, key: int | None = None) -> VerifyRequest:
     """The request a frame carries. ProtocolError unless bit 0 of its flags
-    is set exactly when ``key`` is given: a flagged frame needs a key, and
-    a receiver with a key takes no plain frame."""
+    is set exactly when ``key`` is given (a flagged frame needs a key, and
+    a receiver with a key takes no plain frame) and no other bit is set."""
     body = _unframe(frame)
     if len(body) < _REQ_FIXED.size:
-        raise FrameTruncatedError("request body shorter than its fixed fields")
+        raise ProtocolError("request body shorter than its fixed fields")
     version, config_id, flags, nonce, dev_lo, n_frames, n_coeffs = _REQ_FIXED.unpack_from(
         body, 0
     )
     if version != PROTOCOL_VERSION:
-        raise FrameVersionError(f"unknown protocol version {version}")
+        raise ProtocolError(f"unknown protocol version {version}")
     payload = body[_REQ_FIXED.size :]
     expected = 4 * n_frames * n_coeffs
     if len(payload) != expected:
-        raise FrameLengthError(
-            f"payload of {len(payload)} bytes, header declares {expected}"
-        )
+        raise ProtocolError(f"payload of {len(payload)} bytes, header declares {expected}")
+    if flags & ~FLAG_OBFUSCATED:
+        raise ProtocolError(f"undefined flag bits {flags:#04x}")
     if bool(flags & FLAG_OBFUSCATED) != (key is not None):
         raise ProtocolError("obfuscated request needs a key" if key is None
                             else "plain request refused: the receiver has a key")
@@ -262,16 +254,21 @@ def encode_response(resp: VerifyResponse) -> bytes:
     return _frame(body + resp.member_log_odds.astype("<f4").tobytes())
 
 
+# The server's one answer to a frame or request it refuses, and to a
+# connection beyond MAX_CONNECTIONS.
+_ERROR_FRAME = encode_response(VerifyResponse(Verdict.ERROR, 0.0, np.zeros(0, dtype=np.float32)))
+
+
 def decode_response(frame: bytes) -> VerifyResponse:
     body = _unframe(frame)
     if len(body) < _RESP_FIXED.size:
-        raise FrameTruncatedError("response body shorter than its fixed fields")
+        raise ProtocolError("response body shorter than its fixed fields")
     verdict, p_pos, n_members = _RESP_FIXED.unpack_from(body, 0)
     if verdict not in (0, 1, 2):
         raise ProtocolError(f"unknown verdict byte {verdict}")
     payload = body[_RESP_FIXED.size :]
     if len(payload) != 4 * n_members:
-        raise FrameLengthError("member log-odds payload length mismatch")
+        raise ProtocolError("member log-odds payload length mismatch")
     values = np.frombuffer(payload, dtype="<f4").copy()
     return VerifyResponse(Verdict(verdict), p_pos, values)
 
@@ -292,22 +289,21 @@ def read_frame(stream: BinaryIO, max_body: int = MAX_BODY_BYTES) -> bytes:
     """Read one complete frame from a blocking byte stream.
 
     Raises EOFError on a clean end-of-stream before any header byte, and
-    ProtocolError subclasses on anything malformed. A header that declares
-    more than ``max_body`` bytes raises FrameLengthError before any body
-    byte is read; otherwise the body is read into one buffer of the
-    declared length.
+    ProtocolError on anything malformed. A header that declares more than
+    ``max_body`` bytes is refused before any body byte is read; otherwise
+    the body is read into one buffer of the declared length.
     """
     header = bytearray(8)
     got = _read_into(stream, memoryview(header))
     if not got:
         raise EOFError
     if got < 8:
-        raise FrameTruncatedError("stream ended inside the frame header")
+        raise ProtocolError("stream ended inside the frame header")
     body_len = _body_length(header, max_body)
     frame = bytearray(8 + body_len)
     frame[:8] = header
     if _read_into(stream, memoryview(frame)[8:]) < body_len:
-        raise FrameTruncatedError("stream ended inside the frame body")
+        raise ProtocolError("stream ended inside the frame body")
     return bytes(frame)
 
 
@@ -547,11 +543,11 @@ class VerificationServer:
             req = decode_request(frame, key=self.key)
             resp = self.verify(req)
         except (ProtocolError, ModelError, DataError):
-            return _error_response(), False
+            return _ERROR_FRAME, False
         except Exception:
             # A member is outside code; its failure is this request's only.
             _log.exception("verification failed")
-            return _error_response(), False
+            return _ERROR_FRAME, False
         return encode_response(resp), True
 
     def verify(self, req: VerifyRequest) -> VerifyResponse:
@@ -593,7 +589,7 @@ class VerificationServer:
                         try:
                             frame = read_frame(self.rfile, logic.max_body)
                         except ProtocolError:
-                            self.wfile.write(_error_response())
+                            self.wfile.write(_ERROR_FRAME)
                             return
                         response, keep = logic.handle_frame(frame)
                         self.wfile.write(response)
@@ -611,7 +607,7 @@ class VerificationServer:
             def process_request(self, request, client_address):
                 if not slots.acquire(blocking=False):
                     try:
-                        request.sendall(_error_response())
+                        request.sendall(_ERROR_FRAME)
                     except OSError:
                         pass
                     self.shutdown_request(request)
@@ -647,10 +643,6 @@ class VerificationServer:
             self._tcp.server_close()
             self._tcp = None
             self._thread = None
-
-
-def _error_response() -> bytes:
-    return encode_response(VerifyResponse(Verdict.ERROR, 0.0, np.zeros(0, dtype=np.float32)))
 
 
 def request_verification(

@@ -20,12 +20,7 @@ from wuw.audio import (
     read_wav,
     write_wav,
 )
-from wuw.errors import (
-    DataError,
-    WavChannelError,
-    WavEncodingError,
-    WavFormatError,
-)
+from wuw.errors import DataError
 
 from wavs import pcm16_wav_bytes
 
@@ -62,19 +57,19 @@ class TestReadWav:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.wav"
         path.write_bytes(b"OGGS" + b"\x00" * 40)
-        with pytest.raises(WavFormatError):
+        with pytest.raises(DataError, match=r"bad\.wav: not a RIFF/WAVE file"):
             read_wav(path)
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "st.wav"
         path.write_bytes(pcm16_wav_bytes([0, 0], channels=2))
-        with pytest.raises(WavChannelError):
+        with pytest.raises(DataError, match=r"st\.wav: expected mono, got 2 channels"):
             read_wav(path)
 
     def test_unsupported_encoding(self, tmp_path):
         path = tmp_path / "u8.wav"
         path.write_bytes(pcm16_wav_bytes([0], bits=8))
-        with pytest.raises(WavEncodingError):
+        with pytest.raises(DataError, match=r"u8\.wav: unsupported encoding \(format 1, 8 bits\)"):
             read_wav(path)
 
     def test_nonstandard_rate_accepted(self, tmp_path):

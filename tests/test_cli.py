@@ -1,12 +1,15 @@
 """End to end through ``wuw``'s command line, in process, on a tiny corpus."""
 
 import dataclasses
+import importlib
 import json
+import pkgutil
 import socket
 
 import numpy as np
 import pytest
 
+import wuw
 from wuw.audio import AudioClip, peak_normalize, read_wav, write_wav
 from wuw.cli import main
 from wuw.errors import ProtocolError
@@ -23,6 +26,7 @@ from wuw.wire import (
 )
 
 from test_fusion import fusion_store
+from wavs import pcm16_wav_bytes
 
 TRAIN = ["--epochs", "5", "--seed", "1"]
 BUCKET_KEYS = {"snr_lo", "snr_hi", "tp", "fp", "fn", "f1"}
@@ -166,8 +170,10 @@ class TestPipeline:
 
 
 # What a malformed value is refused with, by the option (or the subcommand
-# position) that takes it.
+# position) that takes it, or by the option and value where they differ.
 REFUSALS = {
+    ("--key", "-1"): "must be in [0, 2**64)",
+    ("--key", str(2**64)): "must be in [0, 2**64)",
     "command": "invalid choice",
     "--server": "not host:port",
     "--key": "not an int",
@@ -229,12 +235,57 @@ class TestExitCodes:
         ("fuse-train", "--manifest", "m.jsonl", "--out", "o.wuwm", "--device-weights",
          "d.wuwm", "--member", "m.wuwm", "--hidden", "0"),
         ("synth", "corpus", "--train", "-1"),
+        ("detect", "s.wav", "--device-weights", "d.wuwm", "--key", "-1"),
+        ("serve", "--member", "m.wuwm", "--fusion", "f.wuwm", "--key", str(2**64)),
     ])
     def test_malformed_value_is_a_usage_error(self, argv, capsys):
         # argparse exits 1 for any usage error; the message names the rule
         flag, value = ("command", argv[0]) if len(argv) == 1 else argv[-2:]
+        refusal = REFUSALS.get((flag, value)) or REFUSALS[flag]
         assert main(list(argv)) == 1
-        assert f"argument {flag}: {REFUSALS[flag]}: {value!r}" in capsys.readouterr().err
+        assert f"argument {flag}: {refusal}: {value!r}" in capsys.readouterr().err
+
+    def test_the_errors_are_three_classes_one_per_exit_code(self):
+        # no caller tells a finer class apart, so src/wuw defines no other
+        defined = {}
+        for info in pkgutil.iter_modules(wuw.__path__):
+            module = importlib.import_module(f"wuw.{info.name}")
+            defined.update({f"{info.name}.{name}": value for name, value in vars(module).items()
+                            if isinstance(value, type) and issubclass(value, BaseException)
+                            and value.__module__ == module.__name__})
+        assert set(defined) == {"errors.DataError", "errors.ModelError", "errors.ProtocolError"}
+        assert all(cls.__bases__ == (Exception,) for cls in defined.values())
+
+    @pytest.mark.parametrize("case,refusal", [
+        ("not-riff", "not a RIFF/WAVE file"),
+        ("stereo", "expected mono, got 2 channels"),
+        ("pcm8", "unsupported encoding (format 1, 8 bits)"),
+    ])
+    def test_unreadable_wav_is_a_data_error(self, tmp_path, capsys, case, refusal):
+        device, wav = tmp_path / "device.wuwm", tmp_path / "s.wav"
+        save_weights(init_gru_scorer(DEVICE, hidden=4, layers=1), device)
+        wav.write_bytes({"not-riff": b"OGGS" + bytes(40),
+                         "stereo": pcm16_wav_bytes([0, 0], channels=2),
+                         "pcm8": pcm16_wav_bytes([0], bits=8)}[case])
+        assert main(["detect", str(wav), "--device-weights", str(device)]) == 2
+        assert capsys.readouterr().err == f"wuw: data error: {wav}: {refusal}\n"
+
+    @pytest.mark.parametrize("case,refusal", [
+        ("bad-magic", "bad weight-file magic"),
+        ("bad-version", "unsupported version 42"),
+        ("truncated-payload", "payload for 'head.b' truncated"),
+    ])
+    def test_corrupt_weight_file_is_a_model_error(self, tmp_path, capsys, case, refusal):
+        device = tmp_path / "device.wuwm"
+        save_weights(init_gru_scorer(DEVICE, hidden=4, layers=1), device)
+        blob = bytearray(device.read_bytes())
+        if case == "bad-magic":
+            blob[:4] = b"JUNK"
+        elif case == "bad-version":
+            blob[4] = 42
+        device.write_bytes(bytes(blob[:-5] if case == "truncated-payload" else blob))
+        assert main(["detect", str(tmp_path / "s.wav"), "--device-weights", str(device)]) == 3
+        assert capsys.readouterr().err == f"wuw: model/protocol error: {device}: {refusal}\n"
 
     def test_missing_manifest_file_is_a_data_error(self, tmp_path, capsys):
         assert run(capsys, "eval", "--manifest", tmp_path / "absent.jsonl",

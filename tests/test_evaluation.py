@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wuw import audio, evaluation
-from wuw.errors import ManifestError
+from wuw.errors import DataError
 from wuw.audio import (
     SNR_RANGE_DB,
     AudioClip,
@@ -120,7 +120,7 @@ class TestLoadManifest:
         lines = [{"path": "a.wav", "label": "noise", "split": "test"},
                  {"path": path, "label": "noise", "split": "test"}]
         manifest.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
-        with pytest.raises(ManifestError, match=r"m\.jsonl:2: path"):
+        with pytest.raises(DataError, match=r"m\.jsonl:2: path"):
             load_manifest(manifest)
 
     @pytest.mark.parametrize("line,match", [
@@ -154,7 +154,7 @@ class TestLoadManifest:
         manifest = tmp_path / "m.jsonl"
         manifest.write_text('{"path": "a.wav", "label": "noise", "split": "test"}\n\n'
                             + line + "\n", encoding="utf-8")
-        with pytest.raises(ManifestError, match=rf"m\.jsonl:3: {match}"):
+        with pytest.raises(DataError, match=rf"m\.jsonl:3: {match}"):
             load_manifest(manifest)
 
     def test_integer_bounds_load(self, tmp_path):
@@ -169,7 +169,7 @@ class TestLoadManifest:
         manifest = tmp_path / "m.jsonl"
         manifest.write_text('\n  \n{"path": "a.wav", "label": "wuw", "split": "train"}\n\n',
                             encoding="utf-8")
-        with pytest.raises(ManifestError, match=r"m\.jsonl:3: wuw entry lacks"):
+        with pytest.raises(DataError, match=r"m\.jsonl:3: wuw entry lacks"):
             load_manifest(manifest)
         assert load_manifest(manifest, require_alignments=False) == [
             evaluation.ManifestEntry("a.wav", "wuw", "train")]

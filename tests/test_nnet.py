@@ -5,14 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from wuw.errors import (
-    DataError,
-    ModelError,
-    WeightLayoutError,
-    WeightMagicError,
-    WeightTruncatedError,
-    WeightVersionError,
-)
+from wuw.errors import DataError, ModelError
 from wuw import features, nnet
 from wuw.features import CLOUD, DEVICE, FeatureMatrix
 from wuw.nnet import (
@@ -251,7 +244,7 @@ class TestWeightFiles:
         blob = bytearray((tmp_path / "w.wuwm").read_bytes())
         blob[:4] = b"JUNK"
         (tmp_path / "bad.wuwm").write_bytes(bytes(blob))
-        with pytest.raises(WeightMagicError):
+        with pytest.raises(ModelError, match=r"bad\.wuwm: bad weight-file magic"):
             load_weights(tmp_path / "bad.wuwm")
 
     def test_bad_version(self, tmp_path):
@@ -260,7 +253,7 @@ class TestWeightFiles:
         blob = bytearray((tmp_path / "w.wuwm").read_bytes())
         blob[4] = 42
         (tmp_path / "bad.wuwm").write_bytes(bytes(blob))
-        with pytest.raises(WeightVersionError):
+        with pytest.raises(ModelError, match=r"bad\.wuwm: unsupported version 42"):
             load_weights(tmp_path / "bad.wuwm")
 
     def test_truncated_payload(self, tmp_path):
@@ -268,7 +261,7 @@ class TestWeightFiles:
         save_weights(ws, tmp_path / "w.wuwm")
         blob = (tmp_path / "w.wuwm").read_bytes()
         (tmp_path / "bad.wuwm").write_bytes(blob[:-5])
-        with pytest.raises(WeightTruncatedError):
+        with pytest.raises(ModelError, match=r"bad\.wuwm: payload for '[^']+' truncated"):
             load_weights(tmp_path / "bad.wuwm")
 
     def test_shape_payload_mismatch(self, tmp_path):
@@ -276,7 +269,7 @@ class TestWeightFiles:
         save_weights(ws, tmp_path / "w.wuwm")
         blob = (tmp_path / "w.wuwm").read_bytes()
         (tmp_path / "bad.wuwm").write_bytes(blob + b"\x00\x00\x00\x00")
-        with pytest.raises(WeightLayoutError):
+        with pytest.raises(ModelError, match=r"bad\.wuwm: 4 trailing bytes"):
             load_weights(tmp_path / "bad.wuwm")
 
     @staticmethod
@@ -296,7 +289,7 @@ class TestWeightFiles:
         5,
     ], ids=["float-dim", "string-shape", "negative-dim", "int-name", "bool-dim", "not-an-object"])
     def test_malformed_tensor_declaration(self, tmp_path, metadata):
-        with pytest.raises(WeightLayoutError, match="invalid metadata"):
+        with pytest.raises(ModelError, match=r"bad\.wuwm: invalid metadata"):
             load_weights(self.write_declared(tmp_path / "bad.wuwm", metadata))
 
     @pytest.mark.parametrize("case", ["header", "metadata", "duplicate-names"])
@@ -308,13 +301,14 @@ class TestWeightFiles:
             path.write_bytes(b"WUWM\x01" + struct.pack("<I", 50) + b"{}")
         else:
             self.write_declared(path, {"tensors": [{"name": "a", "shape": [1]}] * 2}, 2)
-        error = WeightLayoutError if case == "duplicate-names" else WeightTruncatedError
-        with pytest.raises(error, match=r"bad\.wuwm: (truncated|duplicate)"):
+        refusal = {"header": "truncated header", "metadata": "truncated metadata",
+                   "duplicate-names": "duplicate tensor names"}[case]
+        with pytest.raises(ModelError, match=rf"bad\.wuwm: {refusal}"):
             load_weights(path)
 
     def test_declared_size_beyond_int64_is_truncation(self, tmp_path):
         metadata = {"tensors": [{"name": "a", "shape": [2**70]}]}
-        with pytest.raises(WeightTruncatedError):
+        with pytest.raises(ModelError, match=r"bad\.wuwm: payload for 'a' truncated"):
             load_weights(self.write_declared(tmp_path / "bad.wuwm", metadata))
 
     def test_non_finite_tensor_rejected(self):

@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 
 from wuw import wire
 from wuw.audio import WINDOW_S, AudioClip, mix_at_snr, peak_normalize
-from wuw.errors import (
-    DataError,
-    FrameLengthError,
-    FrameMagicError,
-    FrameTruncatedError,
-    FrameVersionError,
-    ModelError,
-    ProtocolError,
-)
+from wuw.errors import DataError, ModelError, ProtocolError
 from wuw.evaluation import _row_core
 from wuw.features import CLOUD, DEVICE, FeatureMatrix, frame_count, mfcc
 from wuw.fusion import (
@@ -161,33 +153,33 @@ class TestRequestCodec:
 
     def test_giant_declared_length_rejected_before_allocation(self):
         frame = b"WUWP" + struct.pack("<I", 10**9) + b"\x00" * 16
-        with pytest.raises(FrameLengthError):
+        with pytest.raises(ProtocolError, match="declared body of 1000000000 bytes exceeds cap"):
             decode_request(frame)
 
     def test_bad_magic(self):
-        with pytest.raises(FrameMagicError):
+        with pytest.raises(ProtocolError, match="bad frame magic"):
             decode_request(b"NOPE" + b"\x00" * 30)
 
     def test_unknown_version(self):
         body = struct.pack("<BBBQfHH", 9, 2, 0, 0, 0.0, 0, 0)
         frame = b"WUWP" + struct.pack("<I", len(body)) + body
-        with pytest.raises(FrameVersionError):
+        with pytest.raises(ProtocolError, match="unknown protocol version 9"):
             decode_request(frame)
 
     def test_payload_length_mismatch(self):
         body = struct.pack("<BBBQfHH", 1, 2, 0, 0, 0.0, 2, 2)  # declares 16 bytes
         frame = b"WUWP" + struct.pack("<I", len(body)) + body
-        with pytest.raises(FrameLengthError):
+        with pytest.raises(ProtocolError, match="payload of 0 bytes, header declares 16"):
             decode_request(frame)
 
     def test_truncated_body(self):
         req = VerifyRequest(config_id=2, device_log_odds=0.0,
                             features=np.ones((2, 2), dtype=np.float32))
         frame = encode_request(req)
-        with pytest.raises(FrameTruncatedError):
+        with pytest.raises(ProtocolError, match="frame has 34 body bytes, header declares 35"):
             decode_request(frame[:-1])
         body = frame[8 : 8 + wire._REQ_FIXED.size - 1]  # one byte short of the fixed fields
-        with pytest.raises(FrameTruncatedError, match="fixed fields"):
+        with pytest.raises(ProtocolError, match="request body shorter than its fixed fields"):
             decode_request(b"WUWP" + struct.pack("<I", len(body)) + body)
 
     def test_fuzz_random_prefixes_never_crash(self):
@@ -226,12 +218,17 @@ class TestResponseCodec:
         with pytest.raises(ProtocolError):
             decode_response(frame)
 
-    @pytest.mark.parametrize("body,error", [
-        (struct.pack("<BfH", 1, 0.5, 0)[:6], FrameTruncatedError),
-        (struct.pack("<BfH", 1, 0.5, 2) + bytes(4), FrameLengthError),
+    def test_error_frame_is_the_encoded_error_verdict(self):
+        golden = b"WUWP" + struct.pack("<I", 7) + struct.pack("<BfH", 2, 0.0, 0)
+        assert wire._ERROR_FRAME == golden
+        assert encode_response(VerifyResponse(Verdict.ERROR, 0.0, np.zeros(0))) == golden
+
+    @pytest.mark.parametrize("body,refusal", [
+        (struct.pack("<BfH", 1, 0.5, 0)[:6], "response body shorter than its fixed fields"),
+        (struct.pack("<BfH", 1, 0.5, 2) + bytes(4), "member log-odds payload length mismatch"),
     ], ids=["short-body", "payload-length"])
-    def test_malformed_body_refused(self, body, error):
-        with pytest.raises(error):
+    def test_malformed_body_refused(self, body, refusal):
+        with pytest.raises(ProtocolError, match=refusal):
             decode_response(b"WUWP" + struct.pack("<I", len(body)) + body)
 
 
@@ -793,7 +790,7 @@ class TestVerification:
 
     def test_body_over_cap_never_allocated(self):
         frame = b"WUWP" + struct.pack("<I", MAX_BODY_BYTES + 1)
-        with pytest.raises(FrameLengthError):
+        with pytest.raises(ProtocolError, match=f"declared body of {MAX_BODY_BYTES + 1} bytes"):
             decode_request(frame + b"")
 
     def test_verify_request_function_standalone(self):
@@ -880,6 +877,29 @@ class TestEnsembleCoreOnTheWire:
             assert not keep
             assert decode_response(response).verdict is Verdict.ERROR
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("flags,key", [(0x06, None), (0x80, None), (0x03, 0x5EED)],
+                             ids=["bits-1-2", "bit-7", "bit-1-and-bit-0-keyed"])
+    def test_undefined_flag_bits_get_error_before_any_member(self, flags, key):
+        # version 1 defines bit 0 of the flags byte only
+        calls = []
+
+        def counted(fm):
+            calls.append(fm)
+            return ScorePair(0.0, 0.0)
+
+        server = VerificationServer([Scorer("m0", CLOUD.config_id, counted)],
+                                    passthrough_fusion(["device", "m0"]), key=key)
+        good = VerifyRequest(config_id=CLOUD.config_id, device_log_odds=1.0,
+                             features=np.zeros((148, 40), dtype=np.float32))
+        with pytest.raises(ProtocolError, match=f"undefined flag bits {flags:#04x}"):
+            encode_request(dataclasses.replace(good, flags=flags), key=key)
+        frame = bytearray(encode_request(good, key=key))
+        frame[10] = flags  # the flags byte follows magic, length, version and config
+        with pytest.raises(ProtocolError, match=f"undefined flag bits {flags:#04x}"):
+            decode_request(bytes(frame), key=key)
+        assert server.handle_frame(bytes(frame)) == (wire._ERROR_FRAME, False)
+        assert calls == []
 
     def test_failing_member_gets_error(self):
         def broken(fm):
@@ -1045,25 +1065,25 @@ class TestReadFrame:
 
     def test_truncated_body(self):
         frame = self.frame()
-        with pytest.raises(FrameTruncatedError):
+        with pytest.raises(ProtocolError, match="stream ended inside the frame body"):
             read_frame(io.BytesIO(frame[:-1]))
-        with pytest.raises(FrameTruncatedError):
+        with pytest.raises(ProtocolError, match="stream ended inside the frame body"):
             read_frame(TrickleStream(frame[:-5], 2))
 
     def test_truncated_header_and_bad_magic(self):
-        with pytest.raises(FrameTruncatedError):
+        with pytest.raises(ProtocolError, match="stream ended inside the frame header"):
             read_frame(io.BytesIO(b"WUWP\x01"))
-        with pytest.raises(FrameMagicError):
+        with pytest.raises(ProtocolError, match="bad frame magic"):
             read_frame(io.BytesIO(b"XXXX" + struct.pack("<I", 0)))
 
     def test_declared_length_over_cap(self):
-        with pytest.raises(FrameLengthError):
+        with pytest.raises(ProtocolError, match=f"declared body of {MAX_BODY_BYTES + 1} bytes"):
             read_frame(io.BytesIO(b"WUWP" + struct.pack("<I", MAX_BODY_BYTES + 1)))
 
     def test_declared_length_one_byte_over_the_bound(self):
         frame = self.frame()
         stream = io.BytesIO(frame)
-        with pytest.raises(FrameLengthError):
+        with pytest.raises(ProtocolError, match=f"declared body of {len(frame) - 8} bytes"):
             read_frame(stream, max_body=len(frame) - 9)
         assert stream.tell() == 8  # no body byte read
         assert read_frame(io.BytesIO(frame), max_body=len(frame) - 8) == frame
