@@ -192,6 +192,7 @@ class _ClipCache:
         self.base = Path(base_dir) if base_dir else None
         self._keep = {e.path for e in keep}
         self._clips: dict[str, tuple[np.ndarray, float, int]] = {}
+        self._powers: dict[tuple[str, int], float] = {}
 
     def get(self, path: str) -> AudioClip:
         held = self._clips.get(path)
@@ -207,14 +208,26 @@ class _ClipCache:
             samples /= peak
         return AudioClip(samples, rate)
 
+    def noise(self, path: str, n: int) -> tuple[AudioClip, float]:
+        """(``get(path)``, ``mixed_noise_power`` of it for an n-sample
+        signal), the power measured once per (path, n): it is the same for
+        every window of a loop."""
+        clip = self.get(path)
+        power = self._powers.get((path, n))
+        if power is None:
+            power = self._powers[path, n] = mixed_noise_power(clip, n)
+        return clip, power
 
-def _mix(window: AudioClip, noise: AudioClip, snr_db: Callable[[], float]) -> AudioClip:
-    """``window`` mixed with ``noise`` at ``snr_db()`` dB, the one silence
-    rule of both samplers: when the window or the noise samples that would
-    be added to it are silent, no SNR is defined, none is asked for, and the
-    window passes through unmixed. Each power is measured once and handed
-    to ``mix_at_snr``."""
-    p_signal, p_noise = measure_power(window), mixed_noise_power(noise, len(window))
+
+def _mix(window: AudioClip, cache: _ClipCache, noise_path: str,
+         snr_db: Callable[[], float]) -> AudioClip:
+    """``window`` mixed with the noise clip at ``noise_path`` at ``snr_db()``
+    dB, the one silence rule of both samplers: when the window or the noise
+    samples that would be added to it are silent, no SNR is defined, none is
+    asked for, and the window passes through unmixed. Both powers, measured
+    once (the noise's by ``cache``), are handed to ``mix_at_snr``."""
+    noise, p_noise = cache.noise(noise_path, len(window))
+    p_signal = measure_power(window)
     if p_signal == 0.0 or p_noise == 0.0:
         return window
     return mix_at_snr(window, noise, snr_db(), signal_power=p_signal, noise_power=p_noise)
@@ -232,8 +245,8 @@ def _mixed_window(
     with a noise entry drawn after the cut."""
     span = entry.span if entry.label == "wuw" else None
     window = extract_window(clip, span=span, rng=rng)
-    noise = cache.get(noise_pool[int(rng.integers(len(noise_pool)))].path)
-    return _mix(window, noise, lambda: snr_db)
+    return _mix(window, cache, noise_pool[int(rng.integers(len(noise_pool)))].path,
+                lambda: snr_db)
 
 
 def _mixed_windows(
@@ -455,8 +468,8 @@ def build_feature_dataset(
             ):
                 rir = cache.get(rir_pool[int(rng.integers(len(rir_pool)))].path)
                 window = convolve_rir(window, rir)
-            noise = cache.get(noise_pool[int(rng.integers(len(noise_pool)))].path)
-            window = _mix(window, noise, lambda: draw_snr(rng))
+            noise_path = noise_pool[int(rng.integers(len(noise_pool)))].path
+            window = _mix(window, cache, noise_path, lambda: draw_snr(rng))
             dataset.append((mfcc(window, config), label))
     return dataset
 

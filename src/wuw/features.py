@@ -8,7 +8,8 @@ standardization is the classifier's concern.
 
 Every config reads ``CANONICAL_RATE_HZ`` audio (``mfcc`` refuses another
 rate) through the same ``N_FILTERS`` mel filters up to Nyquist; configs
-differ only in ``n_mfcc``, ``window_ms`` and ``hop_ms``.
+differ only in ``n_mfcc``, ``window_ms`` and ``hop_ms``. The system runs two,
+``DEVICE`` (on-device detection) and ``CLOUD`` (verification): the ``PRESETS``.
 
 Coefficient 0 is ln(sum of x^2 over the frame's samples + LOG_FLOOR): a
 sum, not a mean, so it depends on the frame length (a 100 ms frame sits
@@ -45,11 +46,10 @@ The DCT is one product with the first ``n_mfcc`` columns of the cached
 orthonormal DCT-II matrix, issued through the same row blocks, so a row's
 coefficients do not depend on how many rows share the call either. Each
 coefficient is the same sum over the same filters as in the full transform,
-and the features are bit-identical to slicing it (the tests check this);
-``dct2_ortho`` stays the full transform. A product that fits in one block
-is a single ``np.matmul``, so the few frames of a streaming feed pay no
-blocking overhead. This module, like every ``wuw`` module, imports no
-scipy.
+and the features are bit-identical to slicing it (the tests check this). A
+product that fits in one block is a single ``np.matmul``, so the few frames
+of a streaming feed pay no blocking overhead. This module, like every
+``wuw`` module, imports no scipy.
 """
 
 from __future__ import annotations
@@ -119,23 +119,14 @@ class FeatureConfig:
         return 1 << (self.window_samples - 1).bit_length()
 
 
-# On-device detection preset and server-side verification preset. Presets
-# 3-5 are further resolutions: a weight store may name one by its config id,
-# and the offline loops then extract it, but ``wuw train`` and the benchmark
-# use only the first two.
+# On-device detection preset and server-side verification preset: the two
+# configs the system runs. A weight store names one by its config id; any
+# other id is refused (``nnet._check_stack``). A further config becomes a
+# preset only together with a store that names it.
 DEVICE = FeatureConfig(config_id=1, n_mfcc=13, window_ms=100, hop_ms=50)
 CLOUD = FeatureConfig(config_id=2, n_mfcc=40, window_ms=30, hop_ms=10)
 
-PRESETS: dict[int, FeatureConfig] = {
-    cfg.config_id: cfg
-    for cfg in (
-        DEVICE,
-        CLOUD,
-        FeatureConfig(config_id=3, n_mfcc=13, window_ms=100, hop_ms=20),
-        FeatureConfig(config_id=4, n_mfcc=13, window_ms=30, hop_ms=10),
-        FeatureConfig(config_id=5, n_mfcc=13, window_ms=20, hop_ms=10),
-    )
-}
+PRESETS: dict[int, FeatureConfig] = {cfg.config_id: cfg for cfg in (DEVICE, CLOUD)}
 
 
 def preset(config_id: int) -> FeatureConfig:
@@ -225,15 +216,6 @@ def _dct_matrix(n: int) -> np.ndarray:
     d[:, 0] = np.sqrt(1.0 / n)
     d.flags.writeable = False
     return d
-
-
-def dct2_ortho(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II over the last axis, the decorrelating transform
-    used by mfcc(). Each row is one product with ``_dct_matrix``, so its
-    coefficients do not depend on the other rows of the call."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    return _matmul_rows(x.reshape(-1, n), _dct_matrix(n)).reshape(x.shape)
 
 
 def _gemm_block_rows(k: int, n: int) -> int:

@@ -84,15 +84,6 @@ def logits_log_odds(logits) -> np.ndarray:
     return _clamped_log_odds(_softmax_pairs(np.asarray(logits, dtype=np.float64)))
 
 
-def _column_index(cols: list[int]) -> slice | list[int]:
-    """Ascending columns as a basic slice when they are evenly spaced, as one
-    or two columns always are, so that writing them is a strided copy and
-    not a gather; otherwise the list itself."""
-    step = cols[1] - cols[0] if len(cols) > 1 else 1
-    return (slice(cols[0], cols[-1] + 1, step)
-            if cols == list(range(cols[0], cols[-1] + 1, step)) else cols)
-
-
 class Ensemble:
     """The scoring core: every scorer's log-odds for a batch of windows.
 
@@ -126,7 +117,7 @@ class Ensemble:
             else:
                 groups.setdefault(key, []).append(col)
         self._stacks = [
-            (_column_index(cols), make_stack([self.scorers[c].weights for c in cols], dtype))
+            (cols, make_stack([self.scorers[c].weights for c in cols], dtype))
             for cols in groups.values()
         ]
 
@@ -146,8 +137,8 @@ class Ensemble:
         n = sizes.pop()
         features = {c: np.asarray(features[c], dtype=np.float32) for c in self.config_ids}
         logits = np.empty((n, len(self.scorers), 2))
-        for index, stack in self._stacks:
-            logits[:, index] = stack.logits(features[stack.config_id]).transpose(1, 0, 2)
+        for cols, stack in self._stacks:
+            logits[:, cols] = stack.logits(features[stack.config_id]).transpose(1, 0, 2)
         for col, s in self._singles:
             x = features[s.config_id]
             for b in range(n):

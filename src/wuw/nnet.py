@@ -75,22 +75,13 @@ def softmax2(s: ScorePair) -> tuple[float, float]:
     return float(p[0]), float(p[1])
 
 
-def cross_entropy(s: ScorePair, label: int) -> tuple[float, tuple[float, float]]:
-    """Cross-entropy of a score pair against a binary label, as the one-row
-    view of ``_ce_batch``: (loss, gradient w.r.t. (logit_pos, logit_neg)).
-
-    The loss is within 1e-12 of the log-sum-exp form for |pos - neg| <= 40;
-    beyond a margin of about 690 against the label it saturates near 690.
-    """
-    loss, grad = _ce_batch(np.array([[s[0], s[1]]], dtype=np.float64), np.array([label]))
-    return loss, (float(grad[0, 0]), float(grad[0, 1]))
-
-
 def _ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch of (pos, neg) logit rows.
 
     Returns (loss, d loss / d logits); the gradient already carries the 1/n
-    of the mean.
+    of the mean. A row's loss is within 1e-12 of the log-sum-exp form for
+    |pos - neg| <= 40; beyond a margin of about 690 against the label it
+    saturates near 690.
     """
     n = logits.shape[0]
     probs = _softmax_pairs(logits)

@@ -40,6 +40,7 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import BinaryIO, Sequence
@@ -48,7 +49,7 @@ import numpy as np
 
 from .audio import CANONICAL_RATE_HZ, WINDOW_S, AudioClip
 from .errors import DataError, ModelError, ProtocolError
-from .features import CLOUD, DEVICE, FeatureConfig, FeatureMatrix, frame_count, mfcc, preset
+from .features import CLOUD, DEVICE, FeatureConfig, FeatureMatrix, frame_count, mfcc
 from .fusion import DEVICE_MEMBER_ID, Ensemble, FusionModel, LogOddsVector, fuse, log_odds
 from .nnet import Scorer, softmax2
 
@@ -65,9 +66,10 @@ _RESP_FIXED = struct.Struct("<BfH")
 # The device agent scores a WINDOW_S window every this many device hops.
 _STRIDE_HOPS = 2
 
-# Seconds a server connection may wait on a read (or write) before it is
-# closed, so a half-sent frame cannot hold its thread forever. It is also the
-# timeout of ``request_verification``.
+# Seconds a server connection may wait for its next frame to begin, for that
+# frame to end after its first byte, and for a write, before it is closed: a
+# half-sent or trickled frame holds its thread no longer. It is also the
+# timeout of each connect, read or write of ``request_verification``.
 READ_TIMEOUT_S = 10.0
 
 # Connections the verification server handles at once, one thread each. A
@@ -285,6 +287,27 @@ def _read_into(stream: BinaryIO, view: memoryview) -> int:
     return got
 
 
+class _FrameReads:
+    """The server's reads of one frame from a connected socket: the first
+    may wait ``READ_TIMEOUT_S`` (the idle bound between frames), and every
+    read after it must end within ``READ_TIMEOUT_S`` of when the first one
+    returned (the frame deadline). Past either, a read raises TimeoutError."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock, self._deadline = sock, None
+
+    def readinto(self, view) -> int:
+        first = self._deadline is None
+        left = READ_TIMEOUT_S if first else self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("frame deadline passed")
+        self._sock.settimeout(left)
+        n = self._sock.recv_into(view)
+        if first:
+            self._deadline = time.monotonic() + READ_TIMEOUT_S
+        return n
+
+
 def read_frame(stream: BinaryIO, max_body: int = MAX_BODY_BYTES) -> bytes:
     """Read one complete frame from a blocking byte stream.
 
@@ -377,23 +400,21 @@ class DeviceAgent:
         refractory_s: float = 1.0,
     ):
         _check_operating_point(theta_device, refractory_s)
-        device_cfg = preset(scorer.config_id)
-        if device_cfg.config_id != DEVICE.config_id:
+        if scorer.config_id != DEVICE.config_id:
             raise ModelError("device agent needs a scorer over the device config")
         self.theta_device = theta_device
         self._core = Ensemble([scorer])
-        self._device_cfg = device_cfg
         self._threshold_lo = log_odds(theta_device, 1.0 - theta_device)
         self._window = int(round(WINDOW_S * CANONICAL_RATE_HZ))
-        self._hop, self._frame_len = device_cfg.hop_samples, device_cfg.window_samples
+        self._hop, self._frame_len = DEVICE.hop_samples, DEVICE.window_samples
         self._stride = _STRIDE_HOPS * self._hop
-        self._window_frames, _ = _window_shape(device_cfg)
+        self._window_frames, _ = _window_shape(DEVICE)
         self._refractory = int(round(refractory_s * CANONICAL_RATE_HZ))
         self._store = np.empty(2 * self._window)
         self._lo = self._hi = 0  # the carried samples are _store[_lo:_hi]
         self._buf_start = 0  # absolute index of _store[_lo], the next window's start
         # device MFCC rows of the frames starting at _buf_start + j * hop
-        self._frames = np.zeros((0, device_cfg.n_mfcc), dtype=np.float32)
+        self._frames = np.zeros((0, DEVICE.n_mfcc), dtype=np.float32)
         self._last_event_start: int | None = None
         self.dropped_windows = 0
 
@@ -438,7 +459,7 @@ class DeviceAgent:
         done, total = len(frames), max(0, (hi - lo - win) // hop + 1)
         if total > done:
             piece = AudioClip(self._store[lo + done * hop : lo + (total - 1) * hop + win])
-            frames = np.concatenate([frames, mfcc(piece, self._device_cfg).values])
+            frames = np.concatenate([frames, mfcc(piece, DEVICE).values])
         w = lo
         while w + self._window <= hi:
             f0 = (w - lo) // hop
@@ -451,7 +472,7 @@ class DeviceAgent:
         return w, start + w - lo, frames[(w - lo) // hop :]
 
     def _score_window(self, window, device_values, start):
-        lo = float(self._core.log_odds({self._device_cfg.config_id: device_values[None]})[0, 0])
+        lo = float(self._core.log_odds({DEVICE.config_id: device_values[None]})[0, 0])
         if lo < self._threshold_lo:
             return None
         if (
@@ -499,8 +520,9 @@ class VerificationServer:
     (148 x 40), is refused before any member runs; this also bounds the work
     one request can ask for. Every frame gets a response: ACCEPT, REJECT, or
     ERROR for a malformed or refused request or a member that fails.
-    A connection whose next read or write waits longer than
-    ``READ_TIMEOUT_S`` is closed without a response. At most
+    A connection is closed without a response once, for ``READ_TIMEOUT_S``,
+    its next frame has not begun, a begun frame has not ended (however
+    steadily its bytes come), or a write has waited. At most
     ``MAX_CONNECTIONS`` connections are handled at once; one more gets a
     single ERROR frame and is closed without being read. A connection
     buffers at most one body of ``max_body`` bytes, the one request size
@@ -578,21 +600,21 @@ class VerificationServer:
             raise RuntimeError("server already started")
         logic = self
 
-        class Handler(socketserver.StreamRequestHandler):
-            timeout = READ_TIMEOUT_S
-
+        class Handler(socketserver.BaseRequestHandler):
             def handle(self):
-                # A clean close, a timed-out read and a reset all end this
-                # connection quietly (socket.timeout is an OSError).
+                # A clean close, a read past its bound and a reset all end
+                # this connection quietly (TimeoutError is an OSError).
+                sock = self.request
                 try:
                     while True:
                         try:
-                            frame = read_frame(self.rfile, logic.max_body)
+                            frame = read_frame(_FrameReads(sock), logic.max_body)
                         except ProtocolError:
-                            self.wfile.write(_ERROR_FRAME)
-                            return
-                        response, keep = logic.handle_frame(frame)
-                        self.wfile.write(response)
+                            response, keep = _ERROR_FRAME, False
+                        else:
+                            response, keep = logic.handle_frame(frame)
+                        sock.settimeout(READ_TIMEOUT_S)
+                        sock.sendall(response)
                         if not keep:
                             return
                 except (EOFError, OSError):

@@ -340,10 +340,23 @@ def powers(monkeypatch):
         return real_mix(signal, noise, snr_db, signal_power=signal_power,
                         noise_power=noise_power)
 
+    def noise_measured(noise, n):
+        counts["noise"] += 1
+        return audio.mixed_noise_power(noise, n)
+
     monkeypatch.setattr(audio, "measure_power", measured)
     monkeypatch.setattr(evaluation, "measure_power", measured)
     monkeypatch.setattr(evaluation, "mix_at_snr", mixed)
+    monkeypatch.setattr(evaluation, "mixed_noise_power", noise_measured)
     return counts
+
+
+class Unmemoized(_ClipCache):
+    """The oracle cache: measures the noise power again for every window."""
+
+    def noise(self, path, n):
+        clip = self.get(path)
+        return clip, audio.mixed_noise_power(clip, n)
 
 
 def one_noise_corpus(base, noise):
@@ -449,6 +462,38 @@ class TestOnePowerPerWindow:
         scores, _ = collect_scores(entries, lambda clip: 0.5, seed=4, base_dir=base)
         assert powers["measured"] == len(scores)
         assert 0 < powers["mixed"] <= len(scores)
+
+
+    def test_feature_build_measures_each_noise_once(self, rir_corpus, powers, caches,
+                                                   monkeypatch):
+        entries, base = rir_corpus
+        got = build_feature_dataset(entries, DEVICE, "train", seed=13, copies=3, base_dir=base)
+        [cache] = caches
+        assert powers["noise"] == len(cache._powers) > 0  # one call per (path, length)
+        assert {p for p, _ in cache._powers} <= paths(entries, "train", ("noise",))
+        assert {n for _, n in cache._powers} == {24000}
+        monkeypatch.setattr(evaluation, "_ClipCache", Unmemoized)
+        want = build_feature_dataset(entries, DEVICE, "train", seed=13, copies=3,
+                                     base_dir=base)
+        assert len(got) == len(want) == 30
+        for (fm, y), (fm_want, y_want) in zip(got, want):
+            assert y == y_want
+            assert fm.values.tobytes() == fm_want.values.tobytes()
+
+    def test_mixed_windows_measure_each_noise_once(self, corpus, powers, caches, monkeypatch):
+        entries, base = corpus
+
+        def score(clip):
+            return float(np.mean(np.abs(clip.samples)))
+
+        got, _ = collect_scores(entries, score, seed=4, base_dir=base)
+        [cache] = caches
+        assert powers["noise"] == len(cache._powers) > 0
+        assert {p for p, _ in cache._powers} <= paths(entries, "test", ("noise",))
+        assert {n for _, n in cache._powers} == {24000}
+        monkeypatch.setattr(evaluation, "_ClipCache", Unmemoized)
+        want, _ = collect_scores(entries, score, seed=4, base_dir=base)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestClipReads:

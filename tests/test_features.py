@@ -13,14 +13,34 @@ from wuw.features import (
     PRESETS,
     FeatureConfig,
     FeatureMatrix,
-    dct2_ortho,
     frame_count,
     mel_filterbank,
     mfcc,
     power_spectrum,
+    preset,
 )
 
+# The MFCC geometries the extraction tests cover: the two presets, then three
+# further resolutions (another hop, a 512-point FFT at 13 coefficients, and a
+# 20 ms window) that no weight store may name.
+GEOMETRIES = {
+    cfg.config_id: cfg
+    for cfg in (
+        DEVICE,
+        CLOUD,
+        FeatureConfig(config_id=3, n_mfcc=13, window_ms=100, hop_ms=20),
+        FeatureConfig(config_id=4, n_mfcc=13, window_ms=30, hop_ms=10),
+        FeatureConfig(config_id=5, n_mfcc=13, window_ms=20, hop_ms=10),
+    )
+}
+
 EXPECTED_SHAPES = {1: (29, 13), 2: (148, 40), 3: (71, 13), 4: (148, 13), 5: (149, 13)}
+
+
+def dct2(x):
+    """The orthonormal DCT-II over the last axis, as ``mfcc`` applies it:
+    one product with ``_dct_matrix``."""
+    return x @ features._dct_matrix(x.shape[-1])
 
 
 def random_clip(seed=0, n=24000):
@@ -94,7 +114,7 @@ def mp_mel_center_bins(n_filters, fft_len, rate):
 
 
 class TestMelFilterbank:
-    @pytest.mark.parametrize("config", list(PRESETS.values()), ids=lambda c: c.config_id)
+    @pytest.mark.parametrize("config", list(GEOMETRIES.values()), ids=lambda c: c.config_id)
     def test_rows_peak_at_one_and_contiguous(self, config):
         fb = mel_filterbank(config)
         assert fb.shape == (features.N_FILTERS, config.fft_len // 2 + 1)
@@ -122,7 +142,7 @@ class TestMelFilterbank:
 class TestMfcc:
     @pytest.mark.parametrize("config_id,shape", sorted(EXPECTED_SHAPES.items()))
     def test_published_shapes(self, config_id, shape):
-        fm = mfcc(random_clip(), PRESETS[config_id])
+        fm = mfcc(random_clip(), GEOMETRIES[config_id])
         assert fm.values.shape == shape
         assert fm.config_id == config_id
 
@@ -137,7 +157,7 @@ class TestMfcc:
         # the pipeline then overwrites with the frame log energy.
         rng = np.random.default_rng(2)
         x = np.full(40, rng.uniform(0.5, 2.0))
-        coeffs = dct2_ortho(x)
+        coeffs = dct2(x)
         np.testing.assert_allclose(coeffs[1:], 0.0, atol=1e-12)
         np.testing.assert_allclose(coeffs[0], x[0] * np.sqrt(40), rtol=1e-12)
 
@@ -168,7 +188,7 @@ class TestMfcc:
 
 
 class TestMelRowBlocks:
-    @pytest.mark.parametrize("config", list(PRESETS.values()), ids=lambda c: c.config_id)
+    @pytest.mark.parametrize("config", list(GEOMETRIES.values()), ids=lambda c: c.config_id)
     @pytest.mark.parametrize("per_call", [1, 2, 7, 29])
     def test_long_clip_equals_frame_aligned_sub_clips(self, config, per_call):
         clip = random_clip(5, n=3 * 16000 + 123)
@@ -235,7 +255,7 @@ def mfcc_oracle(clip, config):
 
 
 class TestMfccOracle:
-    @pytest.mark.parametrize("config", list(PRESETS.values()), ids=lambda c: c.config_id)
+    @pytest.mark.parametrize("config", list(GEOMETRIES.values()), ids=lambda c: c.config_id)
     @pytest.mark.parametrize("length", ["window", "window+hop", "1.5s", "1.5s+333", "7s+5"])
     def test_bit_equal_to_the_plain_way(self, config, length):
         n = {"window": config.window_samples,
@@ -253,7 +273,7 @@ class TestMfccOracle:
         strided = mfcc(AudioClip(samples), CLOUD).values
         assert np.array_equal(strided, mfcc(AudioClip(samples.copy()), CLOUD).values)
 
-    @pytest.mark.parametrize("config", list(PRESETS.values()), ids=lambda c: c.config_id)
+    @pytest.mark.parametrize("config", list(GEOMETRIES.values()), ids=lambda c: c.config_id)
     @pytest.mark.parametrize("view", ["offset", "step2", "read-only"])
     def test_sample_views_give_the_features_of_their_copy(self, config, view):
         # frames are cut from the samples' own buffer, which starts at a view's
@@ -306,7 +326,7 @@ class TestDctOracle:
         x = np.random.default_rng(n).normal(scale=30.0, size=shape + (n,))
         scale = np.max(np.abs(x))
         np.testing.assert_allclose(
-            dct2_ortho(x), dct(x, type=2, norm="ortho"), rtol=0, atol=1e-12 * scale
+            dct2(x), dct(x, type=2, norm="ortho"), rtol=0, atol=1e-12 * scale
         )
 
     def test_matrix_is_cached_and_read_only(self):
@@ -327,7 +347,7 @@ class TestDctParseval:
     def test_parseval(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=int(rng.integers(2, 64)))
-        y = dct2_ortho(x)
+        y = dct2(x)
         np.testing.assert_allclose(np.sum(y * y), np.sum(x * x), rtol=1e-5)
 
 
@@ -337,10 +357,17 @@ class TestFeatureConfigValidation:
         assert CLOUD.n_mfcc == 40 and CLOUD.window_ms == 30 and CLOUD.hop_ms == 10
         assert DEVICE.fft_len == 2048
         assert CLOUD.fft_len == 512
-        assert PRESETS[5].fft_len == 512
-        for c in PRESETS.values():  # the smallest power of two that holds a window
+        assert GEOMETRIES[5].fft_len == 512
+        for c in GEOMETRIES.values():  # the smallest power of two that holds a window
             assert c.fft_len & (c.fft_len - 1) == 0
             assert c.fft_len // 2 < c.window_samples <= c.fft_len
+
+    @pytest.mark.parametrize("config_id", [0, 3, 4, 5, 99])
+    def test_device_and_cloud_are_the_only_presets(self, config_id):
+        assert PRESETS == {1: DEVICE, 2: CLOUD}
+        assert preset(1) is DEVICE and preset(2) is CLOUD
+        with pytest.raises(DataError, match=f"unknown feature config id {config_id}"):
+            preset(config_id)
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):

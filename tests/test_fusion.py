@@ -348,6 +348,28 @@ class TestEnsemble:
         if batch == 1:
             np.testing.assert_array_equal(got, self.per_window(scorers, x))
 
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_unevenly_spaced_stack_columns_equal_each_scorers_fn(self, batch):
+        # the sgru stack's columns 0, 2 and 3 are no strided slice; each
+        # stack writes exactly the columns it lists
+        linear = make_scorer(linear_store(frames=148, coeffs=40, seed=4,
+                                          config_id=CLOUD.config_id), "lin")
+        scorers = [gru_member("sgru", 0, hidden=8), linear, gru_member("sgru", 1, hidden=8),
+                   gru_member("sgru", 2, hidden=8)]
+        core = Ensemble(scorers)
+        assert sorted(cols for cols, _ in core._stacks) == [[0, 2, 3], [1]]
+        x = np.random.default_rng(10 + batch).normal(size=(batch, 148, 40)).astype(np.float32)
+        got = core.log_odds({2: x})
+        # bit for bit: each scorer alone at the same batch, and at B=1 its fn;
+        # a member's last bits may depend on how many windows share its
+        # product (the linear one's do at B=5), so at B=5 fn agrees to 1e-12
+        alone = np.column_stack([Ensemble([s]).log_odds({2: x})[:, 0] for s in scorers])
+        np.testing.assert_array_equal(got, alone)
+        per_window = self.per_window(scorers, x)
+        if batch == 1:
+            np.testing.assert_array_equal(got, per_window)
+        np.testing.assert_allclose(got, per_window, rtol=0, atol=1e-12)
+
     def test_stacked_members_skip_fn(self):
         ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
 

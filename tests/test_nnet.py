@@ -16,7 +16,7 @@ from wuw.nnet import (
     ScorePair,
     TrainSpec,
     WeightStore,
-    cross_entropy,
+    _ce_batch,
     fit,
     gru_cell,
     gru_outputs,
@@ -31,6 +31,13 @@ from wuw.nnet import (
     stack_key,
     train_classifier,
 )
+
+
+def cross_entropy(s, label):
+    """One row of ``_ce_batch``: (loss, gradient w.r.t. (logit_pos,
+    logit_neg)) of a score pair against a binary label."""
+    loss, grad = _ce_batch(np.array([[s[0], s[1]]], dtype=np.float64), np.array([label]))
+    return loss, (float(grad[0, 0]), float(grad[0, 1]))
 
 
 def zero_gru(i=3, h=4):
@@ -502,7 +509,7 @@ class TestMakeScorer:
         with pytest.raises(ModelError):
             make_scorer(WeightStore({}, {"kind": "mystery", "config_id": 1}))
 
-    @pytest.mark.parametrize("config_id", [None, 99, "x", [1], True])
+    @pytest.mark.parametrize("config_id", [None, 99, "x", [1], True, 3, 4, 5])
     def test_config_id_that_is_not_a_preset_is_a_model_error(self, config_id):
         for ws in (init_gru_scorer(DEVICE, hidden=4, layers=1), linear_store()):
             ws.metadata["config_id"] = config_id

@@ -475,9 +475,12 @@ class TestDeviceAgent:
             assert req.features.tobytes() == mfcc(raw, CLOUD).values.tobytes()
 
     def test_wrong_config_scorer_rejected(self):
-        cloudy = Scorer("c", CLOUD.config_id, lambda fm: ScorePair(0.0, 0.0))
-        with pytest.raises(ModelError):
-            DeviceAgent(cloudy)
+        # the cloud preset, and an id that is no preset at all (a DataError
+        # from the preset lookup until the agent compared ids directly)
+        for config_id in (CLOUD.config_id, 99):
+            other = Scorer("c", config_id, lambda fm: ScorePair(0.0, 0.0))
+            with pytest.raises(ModelError, match="device config"):
+                DeviceAgent(other)
 
     def test_operating_point_is_validated(self):
         quiet = Scorer("zero", DEVICE.config_id, lambda fm: ScorePair(0.0, 0.0))
@@ -643,6 +646,54 @@ class TestVerification:
         finally:
             server.shutdown()
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_trickling_clients_are_closed_at_the_frame_deadline(self, monkeypatch):
+        # Two clients hold both slots and send one byte of a frame every
+        # 0.3 s, inside the per-read bound of 0.5 s. The whole frame is due
+        # 0.5 s after its first byte, so both are closed then, unanswered,
+        # and an honest request gets its verdict once their slots free.
+        import socket
+        import time
+
+        monkeypatch.setattr(wire, "MAX_CONNECTIONS", 2)
+        monkeypatch.setattr(wire, "READ_TIMEOUT_S", 0.5)
+        server = self.make_server()
+        addr = server.start()
+        frame = self.good_frame()
+        closed_at = {}
+        try:
+            socks = [socket.create_connection(addr, timeout=5) for _ in range(2)]
+            t0 = time.monotonic()
+            try:
+                for i in range(10):  # 3 s at most; never a whole frame
+                    for j, sock in enumerate(socks):
+                        if j in closed_at:
+                            continue
+                        try:
+                            sock.sendall(frame[i : i + 1])
+                            sock.settimeout(0.15)
+                            data = sock.recv(4096)
+                        except TimeoutError:
+                            continue  # still open: the next byte follows
+                        except ConnectionError:  # a byte sent after the close
+                            data = b""
+                        assert data == b""  # closed, with no response
+                        closed_at[j] = time.monotonic() - t0
+                    if len(closed_at) == 2:
+                        break
+            finally:
+                for sock in socks:
+                    sock.close()
+            assert sorted(closed_at) == [0, 1], "a trickling client was never closed"
+            assert max(closed_at.values()) < 1.5
+            deadline = time.monotonic() + 5.0
+            while (verdict := request_verification(addr, self.good_request()).verdict) \
+                    is Verdict.ERROR:
+                assert time.monotonic() < deadline, "a slot was never released"
+                time.sleep(0.01)
+            assert verdict in (Verdict.ACCEPT, Verdict.REJECT)
+        finally:
+            server.shutdown()
 
     def test_connection_over_the_limit_gets_error_until_a_slot_frees(self, monkeypatch):
         import socket
