@@ -20,9 +20,10 @@ and dtype: ``make_stack`` hands every caller (the ensemble cores in
 ``fusion``, a Scorer's ``fn``) the one stack that is alive for those stores
 at that precision, and never casts per call.
 ``Scorer.fn`` of a built-in kind is a one-window view of its own stack. In
-the GRU kernel, per layer, the input projection ``x @ W_ih.T`` is computed
-for all time steps before the recurrence; only ``h @ W_hh.T`` stays inside
-the time loop. Every layer returns its states at every step, written over
+the GRU kernel, which stores each gate of each member as its own contiguous
+block, per layer, the input projection ``x @ W_ih.T`` is computed for all
+time steps before the recurrence; only ``h @ W_hh.T`` stays inside the time
+loop. Every layer returns its states at every step, written over
 the previous layer's states when the widths match, and the stack pools the
 last layer's per member.
 ``gru_cell`` and ``gru_outputs`` are the step-by-step oracle it is tested
@@ -99,7 +100,7 @@ def _ce_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
 @dataclass
 class GRUParams:
     """One GRU layer's parameters, gates stacked in (update, reset, candidate)
-    order: w_ih (3H, I), w_hh (3H, H), b_ih (3H,), b_hh (3H,)."""
+    order: w_ih (3H, I), w_hh (3H, H), b_ih (3H,), b_hh (3H,), with H >= 1."""
 
     w_ih: np.ndarray
     w_hh: np.ndarray
@@ -107,9 +108,10 @@ class GRUParams:
     b_hh: np.ndarray
 
     def __post_init__(self):
-        h3 = self.w_ih.shape[0]
+        h3 = self.w_ih.shape[0] if self.w_ih.ndim == 2 else 0
         if (
-            h3 % 3
+            not h3
+            or h3 % 3
             or self.w_hh.shape != (h3, h3 // 3)
             or self.b_ih.shape != (h3,)
             or self.b_hh.shape != (h3,)
@@ -373,6 +375,20 @@ def _stacked(
     return out
 
 
+def _gate_major(stores: Sequence[WeightStore], name: str, dtype) -> np.ndarray:
+    """GRU tensor ``name`` of every store, a weight (3H, K) or a bias (3H,),
+    as one C-contiguous ``dtype`` array (3, M, K, H) or (3, M, 1, H): block
+    [g, j] is gate g of member j, transposed, so ``x @ out`` gives each gate
+    of each member its own contiguous block. Filled straight from the
+    stores, with no intermediate copy."""
+    first = stores[0][name]
+    hs, k = first.shape[0] // 3, first.size // first.shape[0]
+    out = np.empty((3, len(stores), k, hs), dtype=dtype)
+    for j, ws in enumerate(stores):
+        out[:, j] = ws[name].reshape(3, hs, k).transpose(0, 2, 1)
+    return out
+
+
 class GRUStack:
     """M GRU scorers of one shape, run in lockstep over a window batch.
 
@@ -380,28 +396,36 @@ class GRUStack:
     member pools its last layer as its kind says: ``sgru`` the final hidden
     state, ``gru-max`` the elementwise max over time. Weights are cast to
     ``dtype`` and stored pre-transposed and C-contiguous here, once: a batched
-    matmul on a transposed view does not reach BLAS. Everything from the
-    input projection to the head then runs in ``dtype``. The object holds no
-    per-call state, so threads may share it.
+    matmul on a transposed view does not reach BLAS. Each layer is stored
+    gate-major (``_gate_major``): ``w_ih`` (3, M, I, H), ``w_hh`` (3, M, H, H),
+    ``b_ih`` and ``b_hh`` (3, M, 1, H), so every gate of every member is one
+    contiguous block, in the input projection and in the time loop alike.
+    Everything from the input projection to the head then runs in ``dtype``.
+    The object holds no per-call state, so threads may share it.
     """
 
     @staticmethod
     def check(ws: WeightStore) -> None:
         """Raise ModelError unless ws holds a well-formed GRU scorer: the
-        four tensors of each of its ``_gru_depth`` layers, each layer's input
-        the previous one's width, and a head over the last."""
-        size_in = None
+        four tensors of each of its ``_gru_depth`` layers, the first layer's
+        input as wide as its feature preset's ``n_mfcc``, each later layer's
+        the previous one's width, and a head over the last. ``_check_stack``
+        has checked the preset."""
+        if not _gru_depth(ws):
+            raise ModelError("GRU scorer has no layers")
+        size_in = PRESETS[ws.config_id].n_mfcc
         try:
             for i in range(_gru_depth(ws)):
                 p = GRUParams(*(ws[f"gru{i}.{n}"] for n in ("w_ih", "w_hh", "b_ih", "b_hh")))
-                if size_in is not None and p.input_size != size_in:
-                    raise ModelError(f"GRU layer {i} input does not match layer {i - 1}")
+                if p.input_size != size_in:
+                    raise ModelError(
+                        f"GRU layer {i} input is {p.input_size} wide, not "
+                        + (f"layer {i - 1}'s {size_in}" if i else f"the config's {size_in}")
+                    )
                 size_in = p.hidden_size
             head_w, head_b = ws["head.w"], ws["head.b"]
         except (KeyError, ValueError) as exc:
             raise ModelError(f"malformed GRU scorer: {exc!r}") from None
-        if size_in is None:
-            raise ModelError("GRU scorer has no layers")
         if head_w.shape != (2, size_in) or head_b.shape != (2,):
             raise ModelError("GRU scorer head does not match its last layer")
 
@@ -411,18 +435,14 @@ class GRUStack:
         self.config_id = stores[0].config_id
         self.dtype = np.dtype(dtype)
         self.layers = [
-            (
-                _stacked(stores, f"gru{i}.w_ih", True, dtype),  # (M, I, 3H)
-                _stacked(stores, f"gru{i}.w_hh", True, dtype),  # (M, H, 3H)
-                _stacked(stores, f"gru{i}.b_ih", dtype=dtype)[:, None, :],  # (M, 1, 3H)
-                _stacked(stores, f"gru{i}.b_hh", dtype=dtype)[:, None, :],
-            )
+            tuple(_gate_major(stores, f"gru{i}.{n}", dtype)
+                  for n in ("w_ih", "w_hh", "b_ih", "b_hh"))
             for i in range(_gru_depth(stores[0]))
         ]
         self.head_w = _stacked(stores, "head.w", True, dtype)             # (M, H, 2)
         self.head_b = _stacked(stores, "head.b", dtype=dtype)[:, None, :]  # (M, 1, 2)
         self.max_pool = np.array([ws.kind == "gru-max" for ws in stores])
-        self.input_size = self.layers[0][0].shape[1]
+        self.input_size = self.layers[0][0].shape[2]
         self.hidden_size = self.head_w.shape[1]
 
     @property
@@ -439,9 +459,10 @@ class GRUStack:
         n, steps = x.shape[0], x.shape[1]
         hs = self.hidden_size
         # windows per chunk: within the scratch budget, and few enough that
-        # the recurrent matmul (chunk, H) @ (H, 3H) stays a single-thread gemm
+        # each recurrent matmul, one gate of one member (chunk, H) @ (H, H),
+        # stays a single-thread gemm
         row_bytes = self.dtype.itemsize * self.n_members * steps * 4 * hs
-        chunk = max(1, min(_SCRATCH_BYTES // row_bytes, _gemm_block_rows(hs, 3 * hs)))
+        chunk = max(1, min(_SCRATCH_BYTES // row_bytes, _gemm_block_rows(hs, hs)))
         out = np.empty((self.n_members, n, 2), dtype=self.dtype)
         for s in range(0, n, chunk):
             out[:, s : s + chunk] = self._run(x[s : s + chunk])
@@ -463,37 +484,41 @@ def _gru_layer(seq, params, steps, n):
     """One stacked layer over time-major rows seq (T*B, I) or (M, T*B, I);
     returns the states (M, T, B, H) of every step.
 
-    The layer computes in its params' element type, which ``seq`` must
-    share. Once the input projection has read it, an (M, T*B, H) ``seq``
-    (the previous layer's states) is dead, so the states are written into
-    it."""
+    ``params`` is a gate-major layer of ``GRUStack.layers``. The input
+    projection comes out as (3, M, T*B, H), one block per gate and member,
+    in row blocks sized by the (I, H) product; in the time loop ``h @ w_hh``
+    writes (3, M, B, H), so the update and reset gates, the candidate's
+    recurrent term and the state are each a contiguous array. The layer
+    computes in its params' element type, which ``seq`` must share. Once
+    the input projection has read it, an (M, T*B, H) ``seq`` (the previous
+    layer's states) is dead, so the states are written into it."""
     w_ih, w_hh, b_ih, b_hh = params
-    m, hs, dtype = w_hh.shape[0], w_hh.shape[1], w_hh.dtype
-    gi = _matmul_rows(seq, w_ih)  # (M, T*B, 3H): the hoisted input projection
+    m, hs, dtype = w_hh.shape[1], w_hh.shape[3], w_hh.dtype
+    gi = _matmul_rows(seq, w_ih)  # (3, M, T*B, H): the hoisted input projection
     gi += b_ih
-    gi = gi.reshape(m, steps, n, 3 * hs)
+    gi = gi.reshape(3, m, steps, n, hs)
     if seq.shape == (m, steps * n, hs):
         states = seq.reshape(m, steps, n, hs)
     else:
         states = np.empty((m, steps, n, hs), dtype=dtype)
     h = np.zeros((m, n, hs), dtype=dtype)
-    gh = np.empty((m, n, 3 * hs), dtype=dtype)
-    zr = np.empty((m, n, 2 * hs), dtype=dtype)
+    gh = np.empty((3, m, n, hs), dtype=dtype)
+    zr = np.empty((2, m, n, hs), dtype=dtype)
     cand = np.empty((m, n, hs), dtype=dtype)
     keep = np.empty((m, n, hs), dtype=dtype)
-    z, r = zr[..., :hs], zr[..., hs:]
+    z, r = zr
+    gh_zr, gh_n = gh[:2], gh[2]
     for t in range(steps):
         np.matmul(h, w_hh, out=gh)
         gh += b_hh
-        g = gi[:, t]
         # z and r in one sigmoid: 1 / (1 + exp(-x))
-        np.add(g[..., : 2 * hs], gh[..., : 2 * hs], out=zr)
+        np.add(gi[:2, :, t], gh_zr, out=zr)
         np.negative(zr, out=zr)
         np.exp(zr, out=zr)
         zr += 1.0
         np.reciprocal(zr, out=zr)
-        np.multiply(r, gh[..., 2 * hs :], out=cand)
-        cand += g[..., 2 * hs :]
+        np.multiply(r, gh_n, out=cand)
+        cand += gi[2, :, t]
         np.tanh(cand, out=cand)
         # h' = (1 - z) * n + z * h
         np.subtract(1.0, z, out=keep)
@@ -519,15 +544,22 @@ class LinearStack:
     @staticmethod
     def check(ws: WeightStore) -> None:
         """Raise ModelError unless ws holds a well-formed linear scorer:
-        ``norm.mean`` and ``norm.std`` (C,), ``w`` (2, D) with D a multiple
-        of C, ``b`` (2,), and every ``norm.std`` above zero."""
+        ``norm.mean`` and ``norm.std`` (C,) with C its feature preset's
+        ``n_mfcc``, ``w`` (2, D) with D a multiple of C, ``b`` (2,), and
+        every ``norm.std`` above zero. ``_check_stack`` has checked the
+        preset."""
         try:
             mean, std, w, b = (ws[n] for n in ("norm.mean", "norm.std", "w", "b"))
         except KeyError as exc:
             raise ModelError(f"malformed linear scorer: no tensor {exc}") from None
         c = mean.size
+        if c != PRESETS[ws.config_id].n_mfcc:
+            raise ModelError(
+                f"malformed linear scorer: norm.mean has {c} coefficients, config "
+                f"{ws.config_id} has {PRESETS[ws.config_id].n_mfcc}"
+            )
         shapes = (mean.shape, std.shape, w.shape[:1], w.ndim, b.shape)
-        if c == 0 or shapes != ((c,), (c,), (2,), 2, (2,)) or w.shape[1] % c or not w.shape[1]:
+        if shapes != ((c,), (c,), (2,), 2, (2,)) or w.shape[1] % c or not w.shape[1]:
             raise ModelError(
                 f"malformed linear scorer: norm.mean {mean.shape}, norm.std {std.shape}, "
                 f"w {w.shape} and b {b.shape} do not agree"

@@ -513,9 +513,10 @@ class VerificationServer:
     weights are immutable, each connection is handled on its own thread and
     every frame is answered independently. Its stacked members compute in
     float32, the precision the response carries (the module docstring gives
-    the contract and its bounds): three 2x128 GRU members take about 13 ms
-    a request in float32 against 18-19 ms in float64 (2 vCPUs, numpy 2.4 on
-    OpenBLAS). A Scorer without ``weights`` runs its own ``fn``. A request whose features are not
+    the contract and its bounds): three 2x128 GRU members take about 7 ms
+    a request in float32 against about 13 ms in float64 (in-process
+    ``verify``, 2 vCPUs, numpy 2.4 on OpenBLAS 0.3.31). A Scorer without
+    ``weights`` runs its own ``fn``. A request whose features are not
     ``input_shape``, the cloud-config features of one ``WINDOW_S`` window
     (148 x 40), is refused before any member runs; this also bounds the work
     one request can ask for. Every frame gets a response: ACCEPT, REJECT, or

@@ -3,6 +3,7 @@ runs here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -85,18 +86,44 @@ class TestAggregate:
     def test_record_alternates_which_side_runs_first(self, monkeypatch, tmp_path):
         calls = []
 
-        def fake_run(tree, workload, seed, seconds):
+        def fake_run(tree, workload, seed, seconds, env):
             calls.append((tree.name, workload, seed, seconds))
             return line(10.0 + seed, 100.0)
 
         monkeypatch.setattr(benchrec, "run_once", fake_run)
-        got = benchrec.record(tmp_path / "base", tmp_path / "change", SPEC, [3, 4, 5], 2.0)
+        got = benchrec.record(tmp_path / "base", tmp_path / "change", SPEC, [3, 4, 5], 2.0,
+                              {"base": {}, "change": {}})
         assert [p["first"] for p in got] == ["base", "change", "base"] * 2
         assert [c[0] for c in calls[:6]] == ["base", "change", "change", "base",
                                               "base", "change"]
         assert {(w, s) for _, w, s, _ in calls} == {(w, s) for w in ("stream", "offline")
                                                     for s in (3, 4, 5)}
         assert all(c[3] == 2.0 for c in calls)
+
+
+    def test_both_sides_import_from_source_alike(self, monkeypatch, tmp_path):
+        envs = {"base": [], "change": []}
+
+        def fake_run(cmd, cwd, env, **kwargs):
+            envs[Path(cwd).name].append(env)
+            prefix = Path(env["PYTHONPYCACHEPREFIX"])
+            assert prefix.is_dir() and not any(prefix.iterdir())
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(line(10.0, 100.0)) + "\n", "")
+
+        monkeypatch.setattr(benchrec.subprocess, "run", fake_run)
+        benchrec.record(tmp_path / "base", tmp_path / "change", SPEC, [0, 1], 2.0,
+                        benchrec.side_envs(tmp_path / "cache"))
+        assert len(envs["base"]) == len(envs["change"]) == 4
+        base, change = envs["base"][0], envs["change"][0]
+        assert all(env == base for env in envs["base"])
+        assert all(env == change for env in envs["change"])
+        assert base["PYTHONDONTWRITEBYTECODE"] == change["PYTHONDONTWRITEBYTECODE"] == "1"
+        # the same environment but for each side's own cache prefix
+        assert base.pop("PYTHONPYCACHEPREFIX") != change.pop("PYTHONPYCACHEPREFIX")
+        assert base == change
+
+    def test_the_machine_block_states_the_bytecode_mode(self):
+        assert benchrec.machine()["bytecode"] == benchrec.BYTECODE_MODE
 
 
 def full_record():

@@ -375,6 +375,21 @@ class TestExitCodes:
         assert run(capsys, "serve", "--member", tmp_path / "m.wuwm",
                    "--fusion", tmp_path / "f.wuwm")[0] == 3
 
+    def test_flat_gru_input_weights_are_a_model_error(self, work, tmp_path, capsys):
+        _, manifest = work
+        ws = init_gru_scorer(DEVICE, hidden=4, layers=2)
+        ws.tensors["gru1.w_ih"] = ws.tensors["gru1.w_ih"].reshape(-1)[:12]
+        save_weights(ws, tmp_path / "flat.wuwm")
+        assert run(capsys, "eval", "--manifest", manifest,
+                   "--weights", tmp_path / "flat.wuwm")[0] == 3
+
+    def test_member_narrower_than_its_config_is_refused_at_start(self, tmp_path, capsys):
+        ws = init_gru_scorer(DEVICE, hidden=4, layers=1)  # 13 inputs
+        ws.metadata["config_id"] = CLOUD.config_id         # claims 40
+        save_weights(ws, tmp_path / "m.wuwm")
+        assert run(capsys, "serve", "--member", tmp_path / "m.wuwm",
+                   "--fusion", tmp_path / "f.wuwm")[0] == 3
+
     @pytest.mark.parametrize("case", ["no fc1.w", "member_ids int", "fc2.b"])
     def test_malformed_fusion_file_is_a_model_error(self, work, tmp_path, capsys, case):
         _, manifest = work

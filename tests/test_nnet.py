@@ -338,27 +338,30 @@ def separable_dataset(n, seed, config_id=1, frames=4, coeffs=3):
 class TestLinearClassifier:
     def test_zero_weights_zero_logits(self):
         ws = WeightStore(
-            {"norm.mean": np.zeros(3), "norm.std": np.ones(3),
-             "w": np.zeros((2, 12)), "b": np.zeros(2)},
+            {"norm.mean": np.zeros(13), "norm.std": np.ones(13),
+             "w": np.zeros((2, 52)), "b": np.zeros(2)},
             {"kind": "linear", "config_id": 1},
         )
-        fm = FeatureMatrix(np.random.default_rng(11).normal(size=(4, 3)), 1)
+        fm = FeatureMatrix(np.random.default_rng(11).normal(size=(4, 13)), 1)
         assert make_scorer(ws).fn(fm) == ScorePair(0.0, 0.0)
 
     def test_single_feature_sign(self):
+        w = np.zeros((2, 13))
+        w[:, 0] = [1.0, -1.0]
         ws = WeightStore(
-            {"norm.mean": np.zeros(1), "norm.std": np.ones(1),
-             "w": np.array([[1.0], [-1.0]]), "b": np.zeros(2)},
+            {"norm.mean": np.zeros(13), "norm.std": np.ones(13), "w": w, "b": np.zeros(2)},
             {"kind": "linear", "config_id": 1},
         )
-        fm = FeatureMatrix(np.array([[2.5]]), 1)
+        values = np.zeros((1, 13))
+        values[0, 0] = 2.5
+        fm = FeatureMatrix(values, 1)
         out = make_scorer(ws).fn(fm)
         assert out.logit_pos == pytest.approx(2.5)
         assert out.logit_neg == pytest.approx(-2.5)
 
     def test_trains_to_high_accuracy_on_separable_data(self):
-        train = separable_dataset(200, seed=12)
-        valid = separable_dataset(50, seed=13)
+        train = separable_dataset(200, seed=12, coeffs=DEVICE.n_mfcc)
+        valid = separable_dataset(50, seed=13, coeffs=DEVICE.n_mfcc)
         ws = train_classifier(train, valid, TrainSpec(max_epochs=120, seed=0))
         score = make_scorer(ws).fn
         correct = 0
@@ -368,8 +371,8 @@ class TestLinearClassifier:
         assert correct / len(train) >= 0.99
 
     def test_final_validation_loss_small(self):
-        train = separable_dataset(200, seed=14)
-        valid = separable_dataset(80, seed=15)
+        train = separable_dataset(200, seed=14, coeffs=DEVICE.n_mfcc)
+        valid = separable_dataset(80, seed=15, coeffs=DEVICE.n_mfcc)
         ws = train_classifier(train, valid, TrainSpec(max_epochs=200, seed=1))
         score = make_scorer(ws).fn
         losses = []
@@ -606,11 +609,18 @@ class TestGRUStack:
     @pytest.mark.parametrize("case,match", [
         ("missing", "malformed"), ("missing-w_ih", "malformed"), ("chain", "layer 1 input"),
         ("no-layers", "no layers"), ("head", "head"), ("config", "config_id"),
+        ("flat-w_ih0", "malformed"), ("flat-w_ih1", "malformed"),
+        ("input-width", "layer 0 input is 13 wide, not the config's 40"),
     ])
     def test_malformed_store_refused_on_every_path(self, case, match):
-        ws = init_gru_scorer(CLOUD, hidden=8, seed=0)
+        ws = init_gru_scorer(DEVICE if case == "input-width" else CLOUD, hidden=8, seed=0)
         tensors, meta = dict(ws.tensors), dict(ws.metadata)
-        if case == "missing":
+        if case == "input-width":  # a device-config stack that claims the cloud config
+            meta["config_id"] = CLOUD.config_id
+        elif case.startswith("flat-"):
+            name = f"gru{case[-1]}.w_ih"
+            tensors[name] = tensors[name].reshape(-1)[:24]
+        elif case == "missing":
             del tensors["gru1.w_hh"]
         elif case == "missing-w_ih":  # layer 1's other tensors still claim it
             del tensors["gru1.w_ih"]
@@ -716,6 +726,23 @@ class TestGRUStack:
         GRUStack(stores, dtype=np.float32).logits(x)
         assert runs == [2, 2, 2, 2, 1, 4, 4, 1]
 
+    def test_chunk_is_bound_by_one_gates_recurrent_product(self, monkeypatch):
+        # three 2x128 members over 148 steps: 4 float64 windows fill the
+        # scratch budget; 9 float32 windows do, under the 16 rows of a
+        # (chunk, 128) @ (128, 128) single-thread gemm
+        stores = [init_gru_scorer(CLOUD, kind=k, seed=i) for i, k in enumerate(self.KINDS)]
+        x = np.zeros((9, 148, 40), dtype=np.float32)
+        runs = []
+
+        def run(stack, chunk):
+            runs.append(len(chunk))
+            return np.zeros((stack.n_members, len(chunk), 2), stack.dtype)
+
+        monkeypatch.setattr(GRUStack, "_run", run)
+        GRUStack(stores).logits(x)
+        GRUStack(stores, dtype=np.float32).logits(x)
+        assert runs == [4, 4, 1, 9]
+
     def test_layer_writes_its_states_over_its_input(self):
         layer0, layer1 = GRUStack(self.stores(hidden=8, layers=2)).layers
         steps, n = 6, 2
@@ -731,7 +758,122 @@ class TestGRUStack:
         assert x.tobytes() == kept.tobytes()
 
 
-def linear_store(frames=4, coeffs=3, seed=0, config_id=DEVICE.config_id):
+def member_major_layer(seq, params, steps, n):
+    """The member-major form of the GRU stack's layer, the oracle of the
+    gate-major kernel: the same arithmetic in the same order, on params
+    w_ih (M, I, 3H), w_hh (M, H, 3H), b_ih and b_hh (M, 1, 3H), where each
+    gate is a strided slice of a 3H row."""
+    w_ih, w_hh, b_ih, b_hh = params
+    m, hs, dtype = w_hh.shape[0], w_hh.shape[1], w_hh.dtype
+    gi = features._matmul_rows(seq, w_ih)  # (M, T*B, 3H): the hoisted input projection
+    gi += b_ih
+    gi = gi.reshape(m, steps, n, 3 * hs)
+    if seq.shape == (m, steps * n, hs):
+        states = seq.reshape(m, steps, n, hs)
+    else:
+        states = np.empty((m, steps, n, hs), dtype=dtype)
+    h = np.zeros((m, n, hs), dtype=dtype)
+    gh = np.empty((m, n, 3 * hs), dtype=dtype)
+    zr = np.empty((m, n, 2 * hs), dtype=dtype)
+    cand = np.empty((m, n, hs), dtype=dtype)
+    keep = np.empty((m, n, hs), dtype=dtype)
+    z, r = zr[..., :hs], zr[..., hs:]
+    for t in range(steps):
+        np.matmul(h, w_hh, out=gh)
+        gh += b_hh
+        g = gi[:, t]
+        # z and r in one sigmoid: 1 / (1 + exp(-x))
+        np.add(g[..., : 2 * hs], gh[..., : 2 * hs], out=zr)
+        np.negative(zr, out=zr)
+        np.exp(zr, out=zr)
+        zr += 1.0
+        np.reciprocal(zr, out=zr)
+        np.multiply(r, gh[..., 2 * hs :], out=cand)
+        cand += g[..., 2 * hs :]
+        np.tanh(cand, out=cand)
+        # h' = (1 - z) * n + z * h
+        np.subtract(1.0, z, out=keep)
+        keep *= cand
+        h *= z
+        h += keep
+        states[:, t] = h
+    return states
+
+
+def member_major_logits(stores, x, dtype, chunks):
+    """Logits (M, B, 2) of GRU scorers over windows x (B, T, I) through
+    ``member_major_layer``, in ``dtype``, run over consecutive window chunks
+    of the given sizes."""
+    def stacked(name, transpose=False):
+        return np.ascontiguousarray(
+            np.stack([ws[name].T if transpose else ws[name] for ws in stores]), dtype=dtype)
+
+    layers = [(stacked(f"gru{i}.w_ih", True), stacked(f"gru{i}.w_hh", True),
+               stacked(f"gru{i}.b_ih")[:, None, :], stacked(f"gru{i}.b_hh")[:, None, :])
+              for i in range(nnet._gru_depth(stores[0]))]
+    head_w, head_b = stacked("head.w", True), stacked("head.b")[:, None, :]
+    max_pool = np.array([ws.kind == "gru-max" for ws in stores])[:, None, None]
+    out, start = [], 0
+    for size in chunks:
+        part = x[start : start + size]
+        start += size
+        steps = part.shape[1]
+        seq = np.ascontiguousarray(part.transpose(1, 0, 2), dtype=dtype).reshape(steps * size, -1)
+        for params in layers:
+            states = member_major_layer(seq, params, steps, size)
+            seq = states.reshape(len(stores), steps * size, -1)
+        pooled = np.where(max_pool, states.max(axis=1), states[:, -1])
+        out.append(pooled @ head_w + head_b)
+    assert start == len(x)
+    return np.concatenate(out, axis=1)
+
+
+class TestGateMajorKernel:
+    """``GRUStack.logits`` against the member-major layer it replaced, bit
+    for bit: storing the gates as their own blocks moves no rounding."""
+
+    def check(self, monkeypatch, stores, x, dtype, atol=0.0):
+        chunks = []
+        run = GRUStack._run
+
+        def recorded(stack, part):
+            chunks.append(len(part))
+            return run(stack, part)
+
+        monkeypatch.setattr(GRUStack, "_run", recorded)
+        got = GRUStack(stores, dtype).logits(x)
+        want = member_major_logits(stores, x, dtype, chunks)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        if atol:
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 4, 5, 9])
+    def test_mixed_2x128_stack(self, monkeypatch, batch, dtype):
+        stores = [init_gru_scorer(CLOUD, kind=k, seed=i)
+                  for i, k in enumerate(("sgru", "gru-max", "sgru"))]
+        x = np.random.default_rng(batch).normal(size=(batch, 148, 40)).astype(np.float32)
+        self.check(monkeypatch, stores, x, dtype)
+
+    # OpenBLAS 0.3.31 on an AVX-512 core runs a float32 (R, 40) @ (40, 8)
+    # product through another kernel than (R, 40) @ (40, 24), with its own
+    # rounding: so an H=8 float32 stack, whose gate-major projection issues
+    # the first, is only within 1e-6 of the member-major one (measured: up to
+    # 6e-8). Its float64 products round alike, and so do float32 ones at
+    # H=128.
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 0.0), (np.float32, 1e-6)],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_small_stacks(self, monkeypatch, layers, dtype, atol):
+        stores = [init_gru_scorer(CLOUD, kind=k, hidden=8, layers=layers, seed=i)
+                  for i, k in enumerate(("gru-max", "sgru"))]
+        x = np.random.default_rng(layers).normal(size=(3, 25, 40)).astype(np.float32)
+        self.check(monkeypatch, stores, x, dtype, atol)
+
+
+def linear_store(frames=4, coeffs=DEVICE.n_mfcc, seed=0, config_id=DEVICE.config_id):
     rng = np.random.default_rng(seed)
     return WeightStore(
         {"norm.mean": rng.normal(size=coeffs), "norm.std": rng.uniform(0.5, 2.0, size=coeffs),
@@ -755,7 +897,7 @@ class TestLinearStack:
     @pytest.mark.parametrize("batch", [1, 5])
     def test_matches_per_window_loop(self, batch, members):
         stores = [linear_store(seed=i) for i in range(members)]
-        x = np.random.default_rng(batch).normal(size=(batch, 4, 3)).astype(np.float32)
+        x = np.random.default_rng(batch).normal(size=(batch, 4, 13)).astype(np.float32)
         got = LinearStack(stores).logits(x)
         assert got.shape == (members, batch, 2)
         for m, ws in enumerate(stores):
@@ -781,11 +923,11 @@ class TestLinearStack:
 
     def test_wrong_input_shape_rejected(self):
         stack = LinearStack([linear_store()])
-        for shape in [(1, 5, 3), (1, 6, 2), (4, 3)]:
+        for shape in [(1, 5, 13), (1, 4, 12), (4, 13)]:
             with pytest.raises(DataError):
                 stack.logits(np.zeros(shape))
 
-    @pytest.mark.parametrize("case", ["missing", "bias", "width", "norm", "zero_std"])
+    @pytest.mark.parametrize("case", ["missing", "bias", "width", "norm", "zero_std", "coeffs"])
     def test_malformed_store_refused_by_make_scorer(self, case):
         ws = linear_store()
         tensors = dict(ws.tensors)
@@ -794,7 +936,9 @@ class TestLinearStack:
         elif case == "bias":
             tensors["b"] = np.zeros(3)
         elif case == "width":
-            tensors["w"] = np.zeros((2, 13))
+            tensors["w"] = np.zeros((2, 14))
+        elif case == "coeffs":  # consistent in itself, but the device config has 13
+            tensors = dict(linear_store(coeffs=3).tensors)
         elif case == "norm":
             tensors["norm.std"] = np.ones(4)
         else:

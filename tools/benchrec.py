@@ -11,9 +11,12 @@ each gated workload of the change side's ``BENCHMARK.json`` and each of
     python3 wuwbench/run.py --workload W --seed s --seconds S
 
 one after the other, in their own tree; the base runs first in even pairs and
-the change in odd ones, so neither side always meets the machine warmer. The
-last JSON line of each run is its result. A run that exits non-zero or prints
-no result stops the recording.
+the change in odd ones, so neither side always meets the machine warmer. Both
+sides run with ``PYTHONDONTWRITEBYTECODE=1`` and each with its own empty
+``PYTHONPYCACHEPREFIX``, so both import every module from source whatever
+``__pycache__`` either tree holds, and neither writes bytecode: memory and
+start-up then differ only by the code. The last JSON line of each run is its
+result. A run that exits non-zero or prints no result stops the recording.
 
 The record holds every pair and, per workload and end-to-end metric, each
 side's median and quartiles, the change's wins out of the pairs (ties count
@@ -21,9 +24,9 @@ for neither) and its median against the metric's bound in
 ``BENCHMARK.json``: "within" or "worse" than the bound, or "unresolved" when
 the base's own quartile spread is wider than the bound and not every change
 run reads better than every base run. It also holds the machine (cores,
-Python, numpy, BLAS build, thread settings), both revisions, the seeds and
-the run length. Run it on an otherwise idle machine; it changes nothing in
-either tree but the benchmark's own work directories.
+Python, numpy, BLAS build, thread settings, bytecode mode), both revisions,
+the seeds and the run length. Run it on an otherwise idle machine; it changes
+nothing in either tree but the benchmark's own work directories.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ SCHEMA = 1
 # Environment variables that set BLAS and OpenMP thread counts.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# How both sides import Python modules, as the record's machine block states it.
+BYTECODE_MODE = "from source: PYTHONDONTWRITEBYTECODE=1, an empty PYTHONPYCACHEPREFIX per side"
+
 
 def _git(*args: str) -> str:
     return subprocess.run(("git",) + args, cwd=ROOT, check=True, capture_output=True,
@@ -62,11 +68,24 @@ def extract(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one benchmark run in ``tree``."""
+def side_envs(cache_root: Path) -> dict[str, dict[str, str]]:
+    """The run environment of each side: this process's, with bytecode
+    writing off and the side's own new, empty ``PYTHONPYCACHEPREFIX`` under
+    ``cache_root`` (``BYTECODE_MODE``)."""
+    envs = {}
+    for side in ("base", "change"):
+        prefix = cache_root / f"pycache-{side}"
+        prefix.mkdir(parents=True)
+        envs[side] = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                      "PYTHONPYCACHEPREFIX": str(prefix)}
+    return envs
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
+    """The result line of one benchmark run in ``tree`` under ``env``."""
     cmd = [sys.executable, "wuwbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
@@ -150,6 +169,7 @@ def machine() -> dict:
         "numpy": np.__version__,
         "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
         "threads": {v: os.environ.get(v) for v in _THREAD_VARS},
+        "bytecode": BYTECODE_MODE,
         "platform": platform.platform(),
     }
 
@@ -175,15 +195,17 @@ def check_record(rec: dict) -> None:
 
 
 def record(base_tree: Path, change_tree: Path, spec: dict, seeds: list[int],
-           seconds: float) -> list[dict]:
-    """Every pair, alternating which side runs first."""
+           seconds: float, envs: dict[str, dict[str, str]]) -> list[dict]:
+    """Every pair, alternating which side runs first; each side runs under
+    its environment in ``envs`` (``side_envs``)."""
     pairs = []
+    trees = {"base": base_tree, "change": change_tree}
     for workload in (w["name"] for w in spec["workloads"]):
         for i, seed in enumerate(seeds):
             first = "base" if i % 2 == 0 else "change"
-            trees = {"base": base_tree, "change": change_tree}
             order = ("base", "change") if first == "base" else ("change", "base")
-            results = {side: run_once(trees[side], workload, seed, seconds) for side in order}
+            results = {side: run_once(trees[side], workload, seed, seconds, envs[side])
+                       for side in order}
             pairs.append({"workload": workload, "seed": seed, "first": first, **results})
             print(f"{workload} seed {seed}: " + "  ".join(
                 f"{m}: {results['base']['metrics'][m]['value']:.4g} -> "
@@ -212,7 +234,7 @@ def main(argv=None) -> int:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
         seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
         seeds = list(range(args.seed, args.seed + args.pairs))
-        pairs = record(base_tree, ROOT, spec, seeds, seconds)
+        pairs = record(base_tree, ROOT, spec, seeds, seconds, side_envs(Path(tmp, "pycache")))
 
     rec = {"schema": SCHEMA, "base": base, "change": change, "seeds": seeds,
            "seconds": seconds, "machine": machine(), "pairs": pairs,
