@@ -293,7 +293,7 @@ def build_parser() -> _Parser:
     p.add_argument("wav")
     p.add_argument("--device-weights", required=True)
     p.add_argument("--theta-device", type=_probability, default=0.5)
-    p.add_argument("--refractory", type=_seconds, default=1.0)
+    p.add_argument("--refractory", type=_seconds, default=wire.REFRACTORY_S)
     p.add_argument("--server", type=_parse_server,
                    help="host:port of a verification server")
     p.add_argument("--key", type=_key,

@@ -763,12 +763,20 @@ LabeledFeatures = Sequence[tuple[FeatureMatrix, int]]
 
 
 def _dataset_arrays(data: LabeledFeatures) -> tuple[np.ndarray, np.ndarray]:
+    """A split's features and labels; DataError unless its matrices share one
+    shape and config, a feature preset as wide as they are, so the store loads."""
     mats = [fm.values for fm, _ in data]
     labels = np.array([int(y) for _, y in data])
     shapes = {m.shape for m in mats}
     configs = {fm.config_id for fm, _ in data}
     if len(shapes) != 1 or len(configs) != 1:
         raise DataError("all feature matrices must share one shape and config")
+    (config_id,), ((_, coeffs),) = configs, shapes
+    if type(config_id) is not int or config_id not in PRESETS:
+        raise DataError(f"config_id {config_id!r} is not a feature preset")
+    if coeffs != PRESETS[config_id].n_mfcc:
+        raise DataError(f"features have {coeffs} coefficients, config {config_id} "
+                        f"has {PRESETS[config_id].n_mfcc}")
     return np.stack(mats).astype(np.float64), labels
 
 

@@ -1,14 +1,14 @@
 """Two-phase detection fabric: streaming device agent, verification server,
 and the feature-transport protocol between them.
 
-Every frame is ``b"WUWP"`` + u32 little-endian body length + body, with a
-16 MiB body cap. Request body: u8 version (``PROTOCOL_VERSION``, the only
-one decoded), u8 config_id, u8 flags (bit 0 = obfuscated payload, the only
-bit defined), u64 nonce, f32 device log-odds, u16 n_frames, u16 n_coeffs,
-then the feature floats row-major. Response body: u8 verdict (0 reject,
-1 accept, 2 error), f32 fused p_pos, u16 member count, member log-odds
-floats. Only feature matrices cross the wire; the schema has no
-field for raw audio.
+Every frame is ``b"WUWP"`` + u32 little-endian body length + body; each end
+reads a frame under the largest body it can receive (``read_frame``).
+Request body: u8 version (``PROTOCOL_VERSION``, the only one decoded), u8
+config_id, u8 flags (bit 0 = obfuscated payload, the only bit defined), u64
+nonce, f32 device log-odds, u16 n_frames, u16 n_coeffs, then the feature
+floats row-major. Response body: u8 verdict (0 reject, 1 accept, 2 error),
+f32 fused p_pos, u16 member count, member log-odds floats. Only feature
+matrices cross the wire; the schema has no field for raw audio.
 
 Precision contract: every number on the wire is float32 (request features
 and device log-odds; response p_pos and member log-odds), as are the weight
@@ -43,7 +43,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,20 +57,25 @@ _log = logging.getLogger(__name__)
 
 PROTOCOL_MAGIC = b"WUWP"
 PROTOCOL_VERSION = 1
-MAX_BODY_BYTES = 16 * 1024 * 1024
 FLAG_OBFUSCATED = 0x01
 
 _REQ_FIXED = struct.Struct("<BBBQfHH")
 _RESP_FIXED = struct.Struct("<BfH")
+# The device's read bound: the largest response body, a u16 count of f32s.
+_MAX_RESPONSE_BODY = _RESP_FIXED.size + 4 * 0xFFFF
 
 # The device agent scores a WINDOW_S window every this many device hops.
 _STRIDE_HOPS = 2
 
-# Seconds a server connection may wait for its next frame to begin, for that
-# frame to end after its first byte, and for a write, before it is closed: a
-# half-sent or trickled frame holds its thread no longer. It is also the
-# timeout of each connect, read or write of ``request_verification``.
+# Seconds ``read_frame`` waits for a frame's first byte, and then for the
+# rest of it from that byte, at either end: a half-sent or trickled frame
+# holds its reader no longer. It also bounds each connect and write.
 READ_TIMEOUT_S = 10.0
+
+# Default seconds after a device trigger in which the agent fires no other,
+# for ``DeviceAgent`` and ``wuw detect``: on keywords 3 s apart it fired
+# twice per keyword at 1 s, once at 1.5 and 2 s.
+REFRACTORY_S = 2.0
 
 # Connections the verification server handles at once, one thread each. A
 # connection beyond them is answered with one ERROR frame and closed.
@@ -167,20 +172,23 @@ def obfuscate(payload: bytes, key: int, nonce: int) -> bytes:
 
 # -- Framing ---------------------------------------------------------------
 
+def _fit(value: int, bits: int, field: str) -> int:
+    """``value``, or ProtocolError unless the header's u``bits`` ``field`` holds it."""
+    if not 0 <= value < 1 << bits:
+        raise ProtocolError(f"{field} {value} does not fit the header's u{bits} field")
+    return value
+
+
 def _frame(body: bytes) -> bytes:
-    if len(body) > MAX_BODY_BYTES:
-        raise ProtocolError(f"body of {len(body)} bytes exceeds cap")
-    return PROTOCOL_MAGIC + struct.pack("<I", len(body)) + body
+    return PROTOCOL_MAGIC + struct.pack("<I", _fit(len(body), 32, "body length")) + body
 
 
-def _body_length(header, max_body: int = MAX_BODY_BYTES) -> int:
+def _body_length(header) -> int:
     """The body length an 8-byte frame header declares, after checking its
-    magic and that the length is at most ``max_body``."""
+    magic."""
     if header[:4] != PROTOCOL_MAGIC:
         raise ProtocolError("bad frame magic")
     (body_len,) = struct.unpack_from("<I", header, 4)
-    if body_len > max_body:
-        raise ProtocolError(f"declared body of {body_len} bytes exceeds cap")
     return body_len
 
 
@@ -208,12 +216,12 @@ def encode_request(req: VerifyRequest, key: int | None = None) -> bytes:
         raise ProtocolError("obfuscated request needs a key")
     body = _REQ_FIXED.pack(
         PROTOCOL_VERSION,
-        req.config_id,
+        _fit(req.config_id, 8, "config_id"),
         flags,
-        req.nonce,
+        _fit(req.nonce, 64, "nonce"),
         req.device_log_odds,
-        req.n_frames,
-        req.n_coeffs,
+        _fit(req.n_frames, 16, "n_frames"),
+        _fit(req.n_coeffs, 16, "n_coeffs"),
     )
     return _frame(body + payload)
 
@@ -252,7 +260,8 @@ def decode_request(frame: bytes, key: int | None = None) -> VerifyRequest:
 
 
 def encode_response(resp: VerifyResponse) -> bytes:
-    body = _RESP_FIXED.pack(int(resp.verdict), resp.fused_p_pos, resp.member_log_odds.size)
+    n_members = _fit(resp.member_log_odds.size, 16, "member count")
+    body = _RESP_FIXED.pack(int(resp.verdict), resp.fused_p_pos, n_members)
     return _frame(body + resp.member_log_odds.astype("<f4").tobytes())
 
 
@@ -275,58 +284,38 @@ def decode_response(frame: bytes) -> VerifyResponse:
     return VerifyResponse(Verdict(verdict), p_pos, values)
 
 
-def _read_into(stream: BinaryIO, view: memoryview) -> int:
-    """Fill ``view`` from the stream; returns the bytes read, fewer than
-    ``len(view)`` only when the stream ended."""
-    got = 0
-    while got < len(view):
-        n = stream.readinto(view[got:])
-        if not n:
-            break
-        got += n
-    return got
+def read_frame(sock: socket.socket, max_body: int) -> bytes:
+    """Read one complete frame from a connected socket.
 
-
-class _FrameReads:
-    """The server's reads of one frame from a connected socket: the first
-    may wait ``READ_TIMEOUT_S`` (the idle bound between frames), and every
-    read after it must end within ``READ_TIMEOUT_S`` of when the first one
-    returned (the frame deadline). Past either, a read raises TimeoutError."""
-
-    def __init__(self, sock: socket.socket):
-        self._sock, self._deadline = sock, None
-
-    def readinto(self, view) -> int:
-        first = self._deadline is None
-        left = READ_TIMEOUT_S if first else self._deadline - time.monotonic()
+    The frame's first byte may take ``READ_TIMEOUT_S`` to arrive, and the
+    rest of it must arrive within ``READ_TIMEOUT_S`` of that byte, however
+    steadily it comes; past either, TimeoutError. Raises EOFError on a clean
+    close before any byte, and ProtocolError on a close inside the frame or
+    a malformed header. A header that declares more than ``max_body`` bytes
+    is refused before any body byte is read; otherwise the body is read
+    into one buffer of the declared length.
+    """
+    frame, got, deadline = bytearray(8), 0, None
+    while got < len(frame):
+        left = READ_TIMEOUT_S if deadline is None else deadline - time.monotonic()
         if left <= 0:
             raise TimeoutError("frame deadline passed")
-        self._sock.settimeout(left)
-        n = self._sock.recv_into(view)
-        if first:
-            self._deadline = time.monotonic() + READ_TIMEOUT_S
-        return n
-
-
-def read_frame(stream: BinaryIO, max_body: int = MAX_BODY_BYTES) -> bytes:
-    """Read one complete frame from a blocking byte stream.
-
-    Raises EOFError on a clean end-of-stream before any header byte, and
-    ProtocolError on anything malformed. A header that declares more than
-    ``max_body`` bytes is refused before any body byte is read; otherwise
-    the body is read into one buffer of the declared length.
-    """
-    header = bytearray(8)
-    got = _read_into(stream, memoryview(header))
-    if not got:
-        raise EOFError
-    if got < 8:
-        raise ProtocolError("stream ended inside the frame header")
-    body_len = _body_length(header, max_body)
-    frame = bytearray(8 + body_len)
-    frame[:8] = header
-    if _read_into(stream, memoryview(frame)[8:]) < body_len:
-        raise ProtocolError("stream ended inside the frame body")
+        sock.settimeout(left)
+        n = sock.recv_into(memoryview(frame)[got:])
+        if not n:
+            if not got:
+                raise EOFError
+            part = "header" if got < 8 else "body"
+            raise ProtocolError(f"stream ended inside the frame {part}")
+        if deadline is None:
+            deadline = time.monotonic() + READ_TIMEOUT_S
+        got += n
+        if got == len(frame) == 8:
+            body_len = _body_length(frame)
+            if body_len > max_body:
+                raise ProtocolError(
+                    f"declared body of {body_len} bytes exceeds the bound of {max_body}")
+            frame += bytes(body_len)
     return bytes(frame)
 
 
@@ -397,7 +386,7 @@ class DeviceAgent:
         self,
         scorer: Scorer,
         theta_device: float = 0.5,
-        refractory_s: float = 1.0,
+        refractory_s: float = REFRACTORY_S,
     ):
         _check_operating_point(theta_device, refractory_s)
         if scorer.config_id != DEVICE.config_id:
@@ -507,7 +496,7 @@ def verify_request(
 
 
 class VerificationServer:
-    """Stateless per-request verification over a TCP loopback or any stream.
+    """Stateless per-request verification, in process or over TCP.
 
     The ensemble core is built once, here, and shared: scorer and fusion
     weights are immutable, each connection is handled on its own thread and
@@ -521,15 +510,15 @@ class VerificationServer:
     (148 x 40), is refused before any member runs; this also bounds the work
     one request can ask for. Every frame gets a response: ACCEPT, REJECT, or
     ERROR for a malformed or refused request or a member that fails.
-    A connection is closed without a response once, for ``READ_TIMEOUT_S``,
-    its next frame has not begun, a begun frame has not ended (however
-    steadily its bytes come), or a write has waited. At most
-    ``MAX_CONNECTIONS`` connections are handled at once; one more gets a
-    single ERROR frame and is closed without being read. A connection
-    buffers at most one body of ``max_body`` bytes, the one request size
-    that ``input_shape`` admits (23,699 bytes for 148 x 40): a header that
-    declares more gets one ERROR frame, and the connection is closed
-    without its body being read.
+    A connection reads each frame with ``read_frame`` under ``max_body``, the
+    one request size that ``input_shape`` admits (23,699 bytes for
+    148 x 40), so it buffers at most one such body. It is closed without a
+    response once, for ``READ_TIMEOUT_S``, its next frame has not begun, a
+    begun frame has not ended (however steadily its bytes come), or a write
+    has waited; a header that declares more than ``max_body`` gets one
+    ERROR frame, and the connection is closed without its body being read.
+    At most ``MAX_CONNECTIONS`` connections are handled at once; one more
+    gets a single ERROR frame and is closed without being read.
     """
 
     def __init__(
@@ -609,7 +598,7 @@ class VerificationServer:
                 try:
                     while True:
                         try:
-                            frame = read_frame(_FrameReads(sock), logic.max_body)
+                            frame = read_frame(sock, logic.max_body)
                         except ProtocolError:
                             response, keep = _ERROR_FRAME, False
                         else:
@@ -673,9 +662,9 @@ def request_verification(
     req: VerifyRequest,
     key: int | None = None,
 ) -> VerifyResponse:
-    """Send one request over TCP and wait for the verdict, at most
-    ``READ_TIMEOUT_S`` per connect, read or write."""
+    """Send one request over TCP and wait for the verdict, read by
+    ``read_frame`` under its deadline and the largest body a response can
+    carry (``_MAX_RESPONSE_BODY``, 262,147 bytes)."""
     with socket.create_connection(addr, timeout=READ_TIMEOUT_S) as sock:
         sock.sendall(encode_request(req, key=key))
-        with sock.makefile("rb") as reader:
-            return decode_response(read_frame(reader))
+        return decode_response(read_frame(sock, _MAX_RESPONSE_BODY))

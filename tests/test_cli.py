@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import json
 import pkgutil
 import socket
@@ -11,7 +12,7 @@ import pytest
 
 import wuw
 from wuw.audio import AudioClip, peak_normalize, read_wav, write_wav
-from wuw.cli import main
+from wuw.cli import build_parser, main
 from wuw.errors import ProtocolError
 from wuw.features import CLOUD, DEVICE, mfcc
 from wuw.fusion import FusionModel
@@ -19,6 +20,7 @@ from wuw.nnet import WeightStore, init_gru_scorer, make_scorer, save_weights
 from wuw.synth import make_chirp_task, make_stream
 from wuw.wire import (
     FLAG_OBFUSCATED,
+    REFRACTORY_S,
     DeviceAgent,
     VerificationServer,
     decode_request,
@@ -406,3 +408,9 @@ class TestExitCodes:
     def test_fusion_without_device_weights_is_a_model_error(self, work, capsys):
         _, manifest = work
         assert run(capsys, "eval", "--manifest", manifest, "--fusion", "f.wuwm")[0] == 3
+
+
+def test_detect_refractory_default_is_the_agents():
+    args = build_parser().parse_args(["detect", "s.wav", "--device-weights", "d.wuwm"])
+    assert args.refractory == REFRACTORY_S
+    assert args.refractory == inspect.signature(DeviceAgent).parameters["refractory_s"].default

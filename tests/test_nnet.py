@@ -323,7 +323,7 @@ class TestWeightFiles:
             WeightStore({"t": np.array([np.inf], dtype=np.float32)}, {})
 
 
-def separable_dataset(n, seed, config_id=1, frames=4, coeffs=3):
+def separable_dataset(n, seed, config_id=1, frames=4, coeffs=DEVICE.n_mfcc):
     """Two classes split by the mean of the feature matrix."""
     rng = np.random.default_rng(seed)
     data = []
@@ -388,7 +388,7 @@ class TestLinearClassifier:
         assert a["w"].tobytes() == b["w"].tobytes()
         # init itself: a fresh seeded rng must reproduce the weights
         rng = np.random.default_rng(5)
-        dim = 12
+        dim = 52
         w0 = rng.uniform(-1 / np.sqrt(dim), 1 / np.sqrt(dim), size=(2, dim))
         np.testing.assert_allclose(a["w"], w0.astype(np.float32))
 
@@ -400,6 +400,23 @@ class TestLinearClassifier:
         b = train_classifier(train, valid, spec)
         for name in a.tensors:
             assert a[name].tobytes() == b[name].tobytes()
+
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    @pytest.mark.parametrize("config_id,coeffs,refusal", [
+        (1, 3, "features have 3 coefficients, config 1 has 13"),
+        (99, 13, "config_id 99 is not a feature preset"),
+    ], ids=["width", "config"])
+    def test_features_no_scorer_loads_are_refused(self, split, config_id, coeffs, refusal,
+                                                   monkeypatch):
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(nnet, "fit", no_epoch)
+        good = separable_dataset(20, seed=22)
+        bad = separable_dataset(20, seed=23, config_id=config_id, coeffs=coeffs)
+        train, valid = (bad, good) if split == "train" else (good, bad)
+        with pytest.raises(DataError, match=refusal):
+            train_classifier(train, valid, TrainSpec(max_epochs=1))
 
     def test_single_class_rejected(self):
         data = [(fm, 1) for fm, _ in separable_dataset(20, seed=20)]

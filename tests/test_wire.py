@@ -1,8 +1,12 @@
+import contextlib
 import dataclasses
-import io
+import inspect
+import socket
 import struct
 import sys
 import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -38,7 +42,6 @@ from wuw.nnet import (
 from wuw.synth import make_negative_clip, make_noise_clip, make_positive_clip, make_stream
 from wuw.wire import (
     FLAG_OBFUSCATED,
-    MAX_BODY_BYTES,
     DeviceAgent,
     Verdict,
     VerificationServer,
@@ -84,6 +87,99 @@ def passthrough_fusion(member_ids, weight_on=0):
         {"kind": "fusion", "member_ids": list(member_ids)},
     )
     return FusionModel(ws)
+
+
+class FakeSocket:
+    """The read side of a connected socket over ``data``: each ``recv_into``
+    hands out at most ``step`` bytes, then b"" (a clean close). It records
+    each buffer size asked for and each timeout set. With a ``clock`` (a
+    one-item list), each recv advances it by ``delay``, or raises
+    TimeoutError if that exceeds the timeout set."""
+
+    def __init__(self, data: bytes, step: int = 1 << 30, clock=None, delay=0.0):
+        self.data, self.pos, self.step = data, 0, step
+        self.clock, self.delay = clock, delay
+        self.asked, self.timeouts = [], []
+
+    def settimeout(self, timeout):
+        self.timeouts.append(timeout)
+
+    def recv_into(self, buf):
+        self.asked.append(len(buf))
+        if self.clock is not None:
+            if self.delay > self.timeouts[-1]:
+                self.clock[0] += self.timeouts[-1]
+                raise TimeoutError("timed out")
+            self.clock[0] += self.delay
+        n = min(len(buf), self.step, len(self.data) - self.pos)
+        buf[:n] = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return n
+
+
+def read_response(sock):
+    """The next response on a client socket, read as ``request_verification``
+    reads it."""
+    return decode_response(read_frame(sock, wire._MAX_RESPONSE_BODY))
+
+
+def recv_exactly(conn, n):
+    data = b""
+    while len(data) < n:
+        chunk = conn.recv(n - len(data))
+        assert chunk, "closed early"
+        data += chunk
+    return data
+
+
+@contextlib.contextmanager
+def scripted_server(respond):
+    """A listener whose one connection is read for one request frame, with
+    plain recv calls, and then handed to ``respond``; yields the listener's
+    address. The serving thread is joined, with a bound, on exit."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                header = recv_exactly(conn, 8)
+                recv_exactly(conn, struct.unpack_from("<I", header, 4)[0])
+                try:
+                    respond(conn)
+                except OSError:
+                    pass  # the client has closed
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        yield listener.getsockname()
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "the scripted server never finished"
+
+
+def bounded_call(fn, timeout):
+    """Run ``fn`` on a daemon thread, joined for at most ``timeout`` s, and
+    return what it raised (None if nothing). Fails if it is still running."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+            raised.append(None)
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    return raised[0]
+
+
+class HugeBody(bytes):
+    """An empty body that claims one byte more than a u32 can count."""
+
+    def __len__(self):
+        return 1 << 32
 
 
 class TestRequestCodec:
@@ -153,8 +249,28 @@ class TestRequestCodec:
 
     def test_giant_declared_length_rejected_before_allocation(self):
         frame = b"WUWP" + struct.pack("<I", 10**9) + b"\x00" * 16
-        with pytest.raises(ProtocolError, match="declared body of 1000000000 bytes exceeds cap"):
+        sock = FakeSocket(frame)
+        with pytest.raises(ProtocolError, match="declared body of 1000000000 bytes exceeds"):
+            read_frame(sock, 23699)
+        assert sock.asked == [8]  # no buffer of the declared length
+        with pytest.raises(ProtocolError, match="frame has 16 body bytes, header declares 10"):
             decode_request(frame)
+
+    @pytest.mark.parametrize("encode,refusal", [
+        (lambda: encode_request(VerifyRequest(2, 0.0, np.zeros((70000, 1)))), "n_frames 70000"),
+        (lambda: encode_request(VerifyRequest(2, 0.0, np.zeros((1, 70000)))), "n_coeffs 70000"),
+        (lambda: encode_request(VerifyRequest(300, 0.0, np.zeros((1, 1)))), "config_id 300"),
+        (lambda: encode_request(VerifyRequest(2, 0.0, np.zeros((1, 1)), nonce=2**64)),
+         f"nonce {2**64}"),
+        (lambda: encode_request(VerifyRequest(2, 0.0, np.zeros((1, 1)), nonce=-1)), "nonce -1"),
+        (lambda: encode_response(VerifyResponse(Verdict.ACCEPT, 0.5, np.zeros(65536))),
+         "member count 65536"),
+        (lambda: wire._frame(HugeBody()), f"body length {2**32}"),
+    ], ids=["n_frames", "n_coeffs", "config_id", "nonce-2**64", "nonce-1", "members",
+            "body-length"])
+    def test_a_field_its_header_cannot_hold_is_refused(self, encode, refusal):
+        with pytest.raises(ProtocolError, match=f"^{refusal} does not fit the header's u"):
+            encode()
 
     def test_bad_magic(self):
         with pytest.raises(ProtocolError, match="bad frame magic"):
@@ -316,6 +432,15 @@ class TestDeviceAgent:
             # the firing window must overlap its keyword
             assert event.window_start_sample <= start + 9600
             assert event.window_start_sample + 24000 >= start
+
+    def test_default_refractory_gives_one_event_per_keyword(self):
+        assert (inspect.signature(DeviceAgent).parameters["refractory_s"].default
+                == wire.REFRACTORY_S)
+        for seed in (5, 6, 7):
+            stream, starts = make_stream(np.random.default_rng(seed), n_keywords=20,
+                                         gap_s=3.0, snr_db=20.0)
+            events = DeviceAgent(oracle_device_scorer(stream)).feed(stream.samples)
+            assert len(events) == len(starts)
 
     def test_refractory_spacing(self):
         rng = np.random.default_rng(6)
@@ -740,14 +865,13 @@ class TestVerification:
                                     passthrough_fusion(["device", "m0"]), key=server_key)
         addr = server.start()
         try:
-            with socket.create_connection(addr, timeout=5) as sock, \
-                    sock.makefile("rb") as reader:
+            with socket.create_connection(addr, timeout=5) as sock:
                 req = dataclasses.replace(self.good_request(50.0),
                                           flags=FLAG_OBFUSCATED if sender_key else 0)
                 sock.sendall(encode_request(req, key=sender_key))
-                assert decode_response(read_frame(reader)).verdict is Verdict.ERROR
+                assert read_response(sock).verdict is Verdict.ERROR
                 with pytest.raises(EOFError):  # closed by the server
-                    read_frame(reader)
+                    read_response(sock)
         finally:
             server.shutdown()
         assert calls == []
@@ -758,17 +882,16 @@ class TestVerification:
         server = self.make_server()
         addr = server.start()
         try:
-            with socket.create_connection(addr, timeout=5) as sock, \
-                    sock.makefile("rb") as reader:
+            with socket.create_connection(addr, timeout=5) as sock:
                 sock.sendall(self.good_frame(10.0) + self.good_frame(-10.0))
-                first = decode_response(read_frame(reader))
-                second = decode_response(read_frame(reader))
+                first = read_response(sock)
+                second = read_response(sock)
                 assert (first.verdict, second.verdict) == (Verdict.ACCEPT, Verdict.REJECT)
                 assert first.member_log_odds[0] == np.float32(10.0)
                 assert second.member_log_odds[0] == np.float32(-10.0)
                 # the connection stays open for a third
                 sock.sendall(self.good_frame(10.0))
-                assert decode_response(read_frame(reader)).verdict is Verdict.ACCEPT
+                assert read_response(sock).verdict is Verdict.ACCEPT
         finally:
             server.shutdown()
 
@@ -787,13 +910,12 @@ class TestVerification:
             frame[8] = wire.PROTOCOL_VERSION + 1
             second = bytes(frame)
         try:
-            with socket.create_connection(addr, timeout=5) as sock, \
-                    sock.makefile("rb") as reader:
+            with socket.create_connection(addr, timeout=5) as sock:
                 sock.sendall(self.good_frame() + second)
-                assert decode_response(read_frame(reader)).verdict is Verdict.ACCEPT
-                assert decode_response(read_frame(reader)).verdict is Verdict.ERROR
+                assert read_response(sock).verdict is Verdict.ACCEPT
+                assert read_response(sock).verdict is Verdict.ERROR
                 with pytest.raises(EOFError):  # closed by the server
-                    read_frame(reader)
+                    read_response(sock)
             # the only slot frees once the handler returns
             deadline = time.monotonic() + 5.0
             while (verdict := request_verification(addr, self.good_request()).verdict) \
@@ -814,17 +936,17 @@ class TestVerification:
         import time
 
         server = self.make_server()
-        declared = server.max_body + 1 if over == "bound" else MAX_BODY_BYTES
+        # "cap": the largest length a header can declare
+        declared = server.max_body + 1 if over == "bound" else 0xFFFFFFFF
         addr = server.start()
         try:
             with socket.create_connection(addr, timeout=5) as sock:
                 t0 = time.monotonic()
                 sock.sendall(b"WUWP" + struct.pack("<I", declared))
-                with sock.makefile("rb") as reader:
-                    assert decode_response(read_frame(reader)).verdict is Verdict.ERROR
-                    assert time.monotonic() - t0 < wire.READ_TIMEOUT_S / 5
-                    with pytest.raises(EOFError):  # closed, body never awaited
-                        read_frame(reader)
+                assert read_response(sock).verdict is Verdict.ERROR
+                assert time.monotonic() - t0 < wire.READ_TIMEOUT_S / 5
+                with pytest.raises(EOFError):  # closed, body never awaited
+                    read_response(sock)
             assert request_verification(addr, self.good_request()).verdict is Verdict.ACCEPT
         finally:
             server.shutdown()
@@ -840,9 +962,62 @@ class TestVerification:
         assert server._tcp is None and server._thread is None
 
     def test_body_over_cap_never_allocated(self):
-        frame = b"WUWP" + struct.pack("<I", MAX_BODY_BYTES + 1)
-        with pytest.raises(ProtocolError, match=f"declared body of {MAX_BODY_BYTES + 1} bytes"):
-            decode_request(frame + b"")
+        # The device's bound is the largest response the format can carry:
+        # such a response is read whole, and a header declaring one byte
+        # more is refused with only the header read.
+        largest = encode_response(VerifyResponse(Verdict.ACCEPT, 0.5, np.zeros(0xFFFF)))
+        assert len(largest) - 8 == wire._MAX_RESPONSE_BODY == 262147
+        assert read_frame(FakeSocket(largest), wire._MAX_RESPONSE_BODY) == largest
+        over = b"WUWP" + struct.pack("<I", wire._MAX_RESPONSE_BODY + 1) + largest[8:] + b"\0"
+        sock = FakeSocket(over)
+        with pytest.raises(ProtocolError, match="declared body of 262148 bytes exceeds the bound"):
+            read_frame(sock, wire._MAX_RESPONSE_BODY)
+        assert sock.asked == [8]
+
+    def test_trickled_response_times_out_at_the_frame_deadline(self, monkeypatch):
+        # The server sends an honest 23-byte verdict one byte every 0.3 s,
+        # inside a per-read bound of 0.5 s. The whole frame is due 0.5 s
+        # after its first byte, so the device gives up then.
+        monkeypatch.setattr(wire, "READ_TIMEOUT_S", 0.5)
+        response = encode_response(VerifyResponse(Verdict.ACCEPT, 0.9, np.zeros(2)))
+        assert len(response) == 23
+        first_byte = []
+
+        def trickle(conn):
+            first_byte.append(time.monotonic())
+            for i in range(len(response)):
+                conn.sendall(response[i : i + 1])
+                time.sleep(0.3)
+
+        with scripted_server(trickle) as addr:
+            raised = bounded_call(lambda: request_verification(addr, self.good_request()), 3.0)
+            gave_up = time.monotonic()
+        assert isinstance(raised, TimeoutError)
+        assert 0.45 < gave_up - first_byte[0] < 1.2
+
+    def test_response_header_over_the_format_bound_is_refused_unread(self):
+        # The header declares one byte more than any response can carry and
+        # a body byte follows; the server then holds the connection open.
+        # The device refuses at the header and closes with the body byte
+        # still unread, which TCP reports to the server as a reset.
+        header = b"WUWP" + struct.pack("<I", 262148)  # 7 + 4 * 0xFFFF + 1
+        seen = []
+
+        def oversize(conn):
+            conn.sendall(header + b"\0")
+            try:
+                seen.append(conn.recv(1))
+            except ConnectionResetError:
+                seen.append("reset")
+
+        with scripted_server(oversize) as addr:
+            t0 = time.monotonic()
+            raised = bounded_call(lambda: request_verification(addr, self.good_request()), 3.0)
+            took = time.monotonic() - t0
+        assert isinstance(raised, ProtocolError)
+        assert "declared body of 262148 bytes exceeds the bound of 262147" in str(raised)
+        assert took < wire.READ_TIMEOUT_S / 5
+        assert seen == ["reset"]
 
     def test_verify_request_function_standalone(self):
         members = [zero_weight_member("m0")]
@@ -1083,22 +1258,6 @@ class TestFloat32Server:
             assert all(stack.dtype == np.float64 for _, stack in core._stacks)
 
 
-class TrickleStream(io.RawIOBase):
-    """A byte stream that hands out at most ``step`` bytes per read."""
-
-    def __init__(self, data: bytes, step: int):
-        self.data, self.pos, self.step = data, 0, step
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        n = min(len(buf), self.step, len(self.data) - self.pos)
-        buf[:n] = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return n
-
-
 class TestReadFrame:
     def frame(self):
         req = VerifyRequest(config_id=2, device_log_odds=0.5,
@@ -1108,33 +1267,52 @@ class TestReadFrame:
     @pytest.mark.parametrize("step", [1, 3, 1000])
     def test_short_reads_assemble_the_frame(self, step):
         frame = self.frame()
-        stream = TrickleStream(frame + frame, step)
-        assert read_frame(stream) == frame
-        assert read_frame(stream) == frame
+        sock = FakeSocket(frame + frame, step)
+        assert read_frame(sock, len(frame) - 8) == frame
+        assert read_frame(sock, len(frame) - 8) == frame
         with pytest.raises(EOFError):
-            read_frame(stream)
+            read_frame(sock, len(frame) - 8)
 
     def test_truncated_body(self):
         frame = self.frame()
         with pytest.raises(ProtocolError, match="stream ended inside the frame body"):
-            read_frame(io.BytesIO(frame[:-1]))
+            read_frame(FakeSocket(frame[:-1]), len(frame))
         with pytest.raises(ProtocolError, match="stream ended inside the frame body"):
-            read_frame(TrickleStream(frame[:-5], 2))
+            read_frame(FakeSocket(frame[:-5], 2), len(frame))
 
     def test_truncated_header_and_bad_magic(self):
         with pytest.raises(ProtocolError, match="stream ended inside the frame header"):
-            read_frame(io.BytesIO(b"WUWP\x01"))
+            read_frame(FakeSocket(b"WUWP\x01"), 64)
         with pytest.raises(ProtocolError, match="bad frame magic"):
-            read_frame(io.BytesIO(b"XXXX" + struct.pack("<I", 0)))
+            read_frame(FakeSocket(b"XXXX" + struct.pack("<I", 0)), 64)
 
     def test_declared_length_over_cap(self):
-        with pytest.raises(ProtocolError, match=f"declared body of {MAX_BODY_BYTES + 1} bytes"):
-            read_frame(io.BytesIO(b"WUWP" + struct.pack("<I", MAX_BODY_BYTES + 1)))
+        # the largest length a header can declare, at each end's bound
+        for bound in (23699, wire._MAX_RESPONSE_BODY):
+            sock = FakeSocket(b"WUWP" + struct.pack("<I", 0xFFFFFFFF))
+            refusal = f"declared body of 4294967295 bytes exceeds the bound of {bound}"
+            with pytest.raises(ProtocolError, match=refusal):
+                read_frame(sock, bound)
+            assert sock.asked == [8]
 
     def test_declared_length_one_byte_over_the_bound(self):
         frame = self.frame()
-        stream = io.BytesIO(frame)
+        sock = FakeSocket(frame)
         with pytest.raises(ProtocolError, match=f"declared body of {len(frame) - 8} bytes"):
-            read_frame(stream, max_body=len(frame) - 9)
-        assert stream.tell() == 8  # no body byte read
-        assert read_frame(io.BytesIO(frame), max_body=len(frame) - 8) == frame
+            read_frame(sock, len(frame) - 9)
+        assert sock.pos == 8  # no body byte read
+        assert read_frame(FakeSocket(frame), len(frame) - 8) == frame
+
+    def test_the_first_byte_starts_the_frame_deadline(self, monkeypatch):
+        # One byte a recv, each 0.3 s after the last on a fake clock: the
+        # first read may wait READ_TIMEOUT_S, each later one only what is
+        # left of READ_TIMEOUT_S after the first byte, and the frame's fifth
+        # byte would come after that deadline.
+        clock = [0.0]
+        monkeypatch.setattr(wire, "READ_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(wire, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+        sock = FakeSocket(self.frame(), 1, clock=clock, delay=0.3)
+        with pytest.raises(TimeoutError):
+            read_frame(sock, 64)
+        assert sock.pos == 4
+        assert sock.timeouts == pytest.approx([1.0, 1.0, 0.7, 0.4, 0.1])
