@@ -94,7 +94,8 @@ class Ensemble:
     in one call per batch, by the kernel ``nnet.make_stack`` builds for them.
     Any other Scorer, such as a plug-in or a wrapped ``fn`` without
     ``weights``, is called through ``fn``, one window at a time, into its
-    own column.
+    own column. A Scorer whose ``weights`` name another config than its own
+    is a ModelError.
 
     The stacked members compute in ``dtype``: weights, input projection,
     recurrence, pooling and head. The log-odds transform and its clamp run in
@@ -111,8 +112,11 @@ class Ensemble:
         groups: dict[tuple, list[int]] = {}
         self._singles: list[tuple[int, Scorer]] = []
         for col, s in enumerate(self.scorers):
+            if s.weights is not None and s.weights.config_id != s.config_id:
+                raise ModelError(f"scorer {s.member_id!r} is over config {s.config_id}, "
+                                 f"its weights over config {s.weights.config_id}")
             key = None if s.weights is None else stack_key(s.weights)
-            if key is None or s.weights.config_id != s.config_id:
+            if key is None:
                 self._singles.append((col, s))
             else:
                 groups.setdefault(key, []).append(col)

@@ -2,7 +2,8 @@
 and the feature-transport protocol between them.
 
 Every frame is ``b"WUWP"`` + u32 little-endian body length + body; each end
-reads a frame under the largest body it can receive (``read_frame``).
+reads a frame under the largest body it can receive (``read_frame``). A
+connection carries one request frame and its response, and then closes.
 Request body: u8 version (``PROTOCOL_VERSION``, the only one decoded), u8
 config_id, u8 flags (bit 0 = obfuscated payload, the only bit defined), u64
 nonce, f32 device log-odds, u16 n_frames, u16 n_coeffs, then the feature
@@ -34,6 +35,7 @@ transport-security layer in production.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import socket
@@ -143,7 +145,6 @@ class DetectionEvent:
 
 # -- Obfuscation -----------------------------------------------------------
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MIX1 = 0xBF58476D1CE4E5B9
 _SM_MIX2 = 0x94D049BB133111EB
@@ -154,19 +155,21 @@ def _keystream(seed: int, nbytes: int) -> bytes:
     n_words = -(-nbytes // 8)
     with np.errstate(over="ignore"):
         idx = np.arange(1, n_words + 1, dtype=np.uint64)
-        z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * np.uint64(_SM_GAMMA)) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_MIX1) & _MASK64
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MIX2) & _MASK64
+        z = np.uint64(seed) + idx * np.uint64(_SM_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MIX2)
         z = z ^ (z >> np.uint64(31))
     return z.astype("<u8").tobytes()[:nbytes]
 
 
 def obfuscate(payload: bytes, key: int, nonce: int) -> bytes:
-    """XOR with a keystream seeded by key XOR nonce; applying it twice is the
-    identity. This hides payloads from casual taps only; it is not encryption."""
+    """XOR with a keystream seeded by key XOR nonce, each a u64 (else
+    ProtocolError); applying it twice is the identity. This hides payloads
+    from casual taps only; it is not encryption."""
+    seed = _fit(key, 64, "key") ^ _fit(nonce, 64, "nonce")
     if not payload:
         return payload
-    stream = np.frombuffer(_keystream(key ^ nonce, len(payload)), dtype=np.uint8)
+    stream = np.frombuffer(_keystream(seed, len(payload)), dtype=np.uint8)
     return (np.frombuffer(payload, dtype=np.uint8) ^ stream).tobytes()
 
 
@@ -499,23 +502,24 @@ class VerificationServer:
     """Stateless per-request verification, in process or over TCP.
 
     The ensemble core is built once, here, and shared: scorer and fusion
-    weights are immutable, each connection is handled on its own thread and
-    every frame is answered independently. Its stacked members compute in
-    float32, the precision the response carries (the module docstring gives
-    the contract and its bounds): three 2x128 GRU members take about 7 ms
-    a request in float32 against about 13 ms in float64 (in-process
+    weights are immutable, and each connection, which carries one request,
+    is handled on its own thread. Its stacked members compute in float32,
+    the precision the response carries (the module docstring gives the
+    contract and its bounds): three 2x128 GRU members take about 7 ms a
+    request in float32 against about 13 ms in float64 (in-process
     ``verify``, 2 vCPUs, numpy 2.4 on OpenBLAS 0.3.31). A Scorer without
     ``weights`` runs its own ``fn``. A request whose features are not
     ``input_shape``, the cloud-config features of one ``WINDOW_S`` window
     (148 x 40), is refused before any member runs; this also bounds the work
     one request can ask for. Every frame gets a response: ACCEPT, REJECT, or
     ERROR for a malformed or refused request or a member that fails.
-    A connection reads each frame with ``read_frame`` under ``max_body``, the
-    one request size that ``input_shape`` admits (23,699 bytes for
-    148 x 40), so it buffers at most one such body. It is closed without a
-    response once, for ``READ_TIMEOUT_S``, its next frame has not begun, a
-    begun frame has not ended (however steadily its bytes come), or a write
-    has waited; a header that declares more than ``max_body`` gets one
+    A connection's one frame is read with ``read_frame`` under ``max_body``,
+    the one request size that ``input_shape`` admits (23,699 bytes for
+    148 x 40), so it buffers at most one such body; once it is answered, the
+    connection is closed. It is closed without a response once, for
+    ``READ_TIMEOUT_S``, its frame's first byte has not come after the accept,
+    the begun frame has not ended (however steadily its bytes come), or a
+    write has waited; a header that declares more than ``max_body`` gets one
     ERROR frame, and the connection is closed without its body being read.
     At most ``MAX_CONNECTIONS`` connections are handled at once; one more
     gets a single ERROR frame and is closed without being read.
@@ -542,25 +546,26 @@ class VerificationServer:
         self.members = tuple(members)
         self.fusion = fusion
         self.theta_cloud = theta_cloud
-        self.key = key
+        self.key = key if key is None else _fit(key, 64, "key")
         self.input_shape = _window_shape(CLOUD)
         self.max_body = _REQ_FIXED.size + 4 * self.input_shape[0] * self.input_shape[1]
         self._core = Ensemble(self.members, dtype=np.float32)
         self._tcp: socketserver.ThreadingTCPServer | None = None
         self._thread: threading.Thread | None = None
 
-    def handle_frame(self, frame: bytes) -> tuple[bytes, bool]:
-        """Answer one frame; returns (response bytes, keep connection open)."""
+    def handle_frame(self, frame: bytes) -> bytes:
+        """The response to one request frame: ACCEPT or REJECT, or the ERROR
+        frame for a malformed or refused request or a member that fails."""
         try:
             req = decode_request(frame, key=self.key)
             resp = self.verify(req)
         except (ProtocolError, ModelError, DataError):
-            return _ERROR_FRAME, False
+            return _ERROR_FRAME
         except Exception:
             # A member is outside code; its failure is this request's only.
             _log.exception("verification failed")
-            return _ERROR_FRAME, False
-        return encode_response(resp), True
+            return _ERROR_FRAME
+        return encode_response(resp)
 
     def verify(self, req: VerifyRequest) -> VerifyResponse:
         """Run every member on the shipped features, stack the device score
@@ -589,27 +594,6 @@ class VerificationServer:
         if self._tcp is not None:
             raise RuntimeError("server already started")
         logic = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                # A clean close, a read past its bound and a reset all end
-                # this connection quietly (TimeoutError is an OSError).
-                sock = self.request
-                try:
-                    while True:
-                        try:
-                            frame = read_frame(sock, logic.max_body)
-                        except ProtocolError:
-                            response, keep = _ERROR_FRAME, False
-                        else:
-                            response, keep = logic.handle_frame(frame)
-                        sock.settimeout(READ_TIMEOUT_S)
-                        sock.sendall(response)
-                        if not keep:
-                            return
-                except (EOFError, OSError):
-                    return
-
         slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
 
         class Server(socketserver.ThreadingTCPServer):
@@ -618,25 +602,33 @@ class VerificationServer:
 
             def process_request(self, request, client_address):
                 if not slots.acquire(blocking=False):
-                    try:
+                    with contextlib.suppress(OSError):
                         request.sendall(_ERROR_FRAME)
-                    except OSError:
-                        pass
                     self.shutdown_request(request)
                     return
                 try:
                     super().process_request(request, client_address)
                 except BaseException:
-                    slots.release()  # no handler thread started to release it
+                    slots.release()  # no request thread started to release it
                     raise
 
-            def process_request_thread(self, request, client_address):
+            def finish_request(self, request, client_address):
+                # In place of a handler class: answer the connection's one
+                # frame, and the caller then closes it. A clean close, a read
+                # past its bound and a reset end it quietly (TimeoutError is
+                # an OSError).
                 try:
-                    super().process_request_thread(request, client_address)
+                    with contextlib.suppress(EOFError, OSError):
+                        try:
+                            response = logic.handle_frame(read_frame(request, logic.max_body))
+                        except ProtocolError:  # refused by read_frame
+                            response = _ERROR_FRAME
+                        request.settimeout(READ_TIMEOUT_S)
+                        request.sendall(response)
                 finally:
                     slots.release()
 
-        self._tcp = Server((host, port), Handler)
+        self._tcp = Server((host, port), None)
         self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
         self._thread.start()
         return self._tcp.server_address

@@ -412,6 +412,14 @@ class TestEnsemble:
         assert calls == [(10, 40)] * 4
         np.testing.assert_array_equal(got, self.per_window([inner], x))
 
+    def test_scorer_whose_weights_name_another_config_is_refused(self):
+        # such a scorer's fn would be fed its own config's features and fail
+        # on every window
+        device_store = init_gru_scorer(DEVICE, hidden=8, seed=0)
+        mismatched = Scorer("m0", CLOUD.config_id, make_scorer(device_store).fn, device_store)
+        with pytest.raises(ModelError, match="'m0' is over config 2, its weights over config 1"):
+            Ensemble([gru_member("sgru", 0, hidden=8), mismatched])
+
     def test_configs_are_fed_separately(self):
         device = Scorer("device", DEVICE.config_id,
                         lambda fm: ScorePair(float(fm.values.sum()), 0.0))
