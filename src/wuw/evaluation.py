@@ -185,8 +185,9 @@ class _ClipCache:
     Every read is held at file precision: its samples as float32, which
     PCM16 and float32 WAVs are exactly, plus their peak and rate; a kept
     entry stays held. Each ``get`` builds from them the float64 clip that
-    ``peak_normalize(read_wav(path))`` gives, bit for bit, so a kept entry
-    costs half the memory of holding that clip."""
+    ``peak_normalize(read_wav(path))`` gives, bit for bit, and ``noise`` the
+    part of it that a mix reads, so a kept entry costs half the memory of
+    holding that clip."""
 
     def __init__(self, base_dir, keep: Iterable[ManifestEntry]):
         self.base = Path(base_dir) if base_dir else None
@@ -194,7 +195,8 @@ class _ClipCache:
         self._clips: dict[str, tuple[np.ndarray, float, int]] = {}
         self._powers: dict[tuple[str, int], float] = {}
 
-    def get(self, path: str) -> AudioClip:
+    def _held(self, path: str) -> tuple[np.ndarray, float, int]:
+        """(float32 samples, peak, rate) of ``path``, read now unless kept."""
         held = self._clips.get(path)
         if held is None:
             clip = read_wav(self.base / path if self.base else Path(path))
@@ -202,17 +204,26 @@ class _ClipCache:
             held = (clip.samples.astype(np.float32), peak, clip.sample_rate_hz)
             if path in self._keep:
                 self._clips[path] = held
-        samples, peak, rate = held
+        return held
+
+    @staticmethod
+    def _clip(samples: np.ndarray, peak: float, rate: int) -> AudioClip:
         samples = samples.astype(np.float64)
         if peak:
             samples /= peak
         return AudioClip(samples, rate)
 
+    def get(self, path: str) -> AudioClip:
+        return self._clip(*self._held(path))
+
     def noise(self, path: str, n: int) -> tuple[AudioClip, float]:
-        """(``get(path)``, ``mixed_noise_power`` of it for an n-sample
-        signal), the power measured once per (path, n): it is the same for
-        every window of a loop."""
-        clip = self.get(path)
+        """(noise clip, ``mixed_noise_power`` of it for an n-sample signal),
+        the power measured once per (path, n): it is the same for every window
+        of a loop. ``mix_at_snr`` adds only the first n samples of a clip
+        that covers n, so only those are rebuilt; a shorter clip is tiled,
+        and comes back whole, as ``get(path)``."""
+        samples, peak, rate = self._held(path)
+        clip = self._clip(samples[:n], peak, rate)
         power = self._powers.get((path, n))
         if power is None:
             power = self._powers[path, n] = mixed_noise_power(clip, n)

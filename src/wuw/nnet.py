@@ -21,9 +21,10 @@ and dtype: ``make_stack`` hands every caller (the ensemble cores in
 at that precision, and never casts per call.
 ``Scorer.fn`` of a built-in kind is a one-window view of its own stack. In
 the GRU kernel, which stores each gate of each member as its own contiguous
-block, per layer, the input projection ``x @ W_ih.T`` is computed for all
-time steps before the recurrence; only ``h @ W_hh.T`` stays inside the time
-loop. Every layer returns its states at every step, written over
+block, per layer, the input projection ``x @ W_ih.T`` is computed one time
+block at a time, ahead of that block's steps, and only ``h @ W_hh.T`` stays
+inside the time loop; a window of one request or one ``evaluate`` call is
+one block. Every layer returns its states at every step, written over
 the previous layer's states when the widths match, and the stack pools the
 last layer's per member.
 ``gru_cell`` and ``gru_outputs`` are the step-by-step oracle it is tested
@@ -319,15 +320,20 @@ def init_gru_scorer(
     return WeightStore(tensors, meta)
 
 
-# A GRU layer's transient arrays (its hoisted input projection and its hidden
-# states at every step, 4H elements of the stack's dtype per row) are kept under
-# this many bytes by running large window batches in chunks, so a float32 chunk
-# holds twice the windows of a float64 one. The layer's input, the previous
-# layer's states, is not counted. A layer after the first writes its states
-# over that input when the widths match, so it allocates only 3H per row; the
-# chunk rule still counts 4H, since a different chunk moves the GEMM row blocks
-# of the input projection and with them the last bits of the logits.
+# Large window batches run in chunks whose rows, counted at 4H elements of the
+# stack's dtype each (3H of input projection, H of hidden state), fit in this
+# many bytes, so a float32 chunk holds twice the windows of a float64 one. What
+# a layer holds at once is less: its states (H per row, written over the
+# previous layer's when the widths match) and one time block of its input
+# projection, under ``_PROJECTION_BYTES``. The chunk rule still counts 4H, since
+# a different chunk moves the GEMM row blocks of the input projection and with
+# them the last bits of the logits.
 _SCRATCH_BYTES = 8 << 20
+
+# The input projection of one time block of a GRU layer (``_gru_layer``) stays
+# under this many bytes where its GEMM row blocks allow: a B=1 window of three
+# 2x128 members over 148 steps is one block in either dtype.
+_PROJECTION_BYTES = _SCRATCH_BYTES // 4
 
 
 def _gru_depth(ws: WeightStore) -> int:
@@ -485,22 +491,28 @@ def _gru_layer(seq, params, steps, n):
     returns the states (M, T, B, H) of every step.
 
     ``params`` is a gate-major layer of ``GRUStack.layers``. The input
-    projection comes out as (3, M, T*B, H), one block per gate and member,
-    in row blocks sized by the (I, H) product; in the time loop ``h @ w_hh``
-    writes (3, M, B, H), so the update and reset gates, the candidate's
-    recurrent term and the state are each a contiguous array. The layer
-    computes in its params' element type, which ``seq`` must share. Once
-    the input projection has read it, an (M, T*B, H) ``seq`` (the previous
-    layer's states) is dead, so the states are written into it."""
+    projection runs one time block at a time: steps [t0, t1) project rows
+    [t0*B, t1*B) of ``seq`` into (3, M, (t1-t0)*B, H), one block per gate and
+    member, and then run. A block holds a whole number of the projection's
+    GEMM row blocks (``_gemm_block_rows`` of the (I, H) product), so its step
+    count is a multiple of rows / gcd(rows, B) and each row comes from the
+    same gemm call as in one whole-layer projection: the logits do not depend
+    on the blocks. Within that rule a block stays under ``_PROJECTION_BYTES``.
+    In the time loop ``h @ w_hh`` writes (3, M, B, H), so the update and reset
+    gates, the candidate's recurrent term and the state are each a contiguous
+    array. The layer computes in its params' element type, which ``seq`` must
+    share. An (M, T*B, H) ``seq`` (the previous layer's states) takes this
+    layer's states: block k's rows are projected before its steps write over
+    them, and no later block reads them."""
     w_ih, w_hh, b_ih, b_hh = params
     m, hs, dtype = w_hh.shape[1], w_hh.shape[3], w_hh.dtype
-    gi = _matmul_rows(seq, w_ih)  # (3, M, T*B, H): the hoisted input projection
-    gi += b_ih
-    gi = gi.reshape(3, m, steps, n, hs)
     if seq.shape == (m, steps * n, hs):
         states = seq.reshape(m, steps, n, hs)
     else:
         states = np.empty((m, steps, n, hs), dtype=dtype)
+    rows = _gemm_block_rows(w_ih.shape[2], hs)
+    unit = rows // math.gcd(rows, n)  # fewest steps that fill whole row blocks
+    span = max(unit, _PROJECTION_BYTES // (3 * m * n * hs * dtype.itemsize) // unit * unit)
     h = np.zeros((m, n, hs), dtype=dtype)
     gh = np.empty((3, m, n, hs), dtype=dtype)
     zr = np.empty((2, m, n, hs), dtype=dtype)
@@ -508,24 +520,30 @@ def _gru_layer(seq, params, steps, n):
     keep = np.empty((m, n, hs), dtype=dtype)
     z, r = zr
     gh_zr, gh_n = gh[:2], gh[2]
-    for t in range(steps):
-        np.matmul(h, w_hh, out=gh)
-        gh += b_hh
-        # z and r in one sigmoid: 1 / (1 + exp(-x))
-        np.add(gi[:2, :, t], gh_zr, out=zr)
-        np.negative(zr, out=zr)
-        np.exp(zr, out=zr)
-        zr += 1.0
-        np.reciprocal(zr, out=zr)
-        np.multiply(r, gh_n, out=cand)
-        cand += gi[2, :, t]
-        np.tanh(cand, out=cand)
-        # h' = (1 - z) * n + z * h
-        np.subtract(1.0, z, out=keep)
-        keep *= cand
-        h *= z
-        h += keep
-        states[:, t] = h
+    for t0 in range(0, steps, span):
+        t1 = min(t0 + span, steps)
+        gi = _matmul_rows(seq[..., t0 * n : t1 * n, :], w_ih)  # (3, M, (t1-t0)*B, H)
+        gi += b_ih
+        gi = gi.reshape(3, m, t1 - t0, n, hs)
+        for t in range(t1 - t0):
+            np.matmul(h, w_hh, out=gh)
+            gh += b_hh
+            # z and r in one sigmoid: 1 / (1 + exp(-x))
+            np.add(gi[:2, :, t], gh_zr, out=zr)
+            np.negative(zr, out=zr)
+            np.exp(zr, out=zr)
+            zr += 1.0
+            np.reciprocal(zr, out=zr)
+            np.multiply(r, gh_n, out=cand)
+            cand += gi[2, :, t]
+            np.tanh(cand, out=cand)
+            # h' = (1 - z) * n + z * h
+            np.subtract(1.0, z, out=keep)
+            keep *= cand
+            h *= z
+            h += keep
+            states[:, t0 + t] = h
+        del gi  # the next block's projection is not held alongside this one
     return states
 
 

@@ -65,6 +65,18 @@ class TestCompare:
         m = benchrec.compare(base, [1.0, 2.0, 3.0, 4.0], "lower", 0.25)
         assert m["verdict"] == "within"
 
+    @pytest.mark.parametrize("base,change,better,gain", [
+        ([10.0] * 10, [9.0] * 9 + [11.0], "lower", True),
+        ([10.0] * 10, [9.0] * 8 + [11.0] * 2, "lower", False),
+        ([100.0] * 10, [110.0] * 9 + [100.0], "higher", True),  # a tie counts for neither
+        # 10/10 wins, but a median gap of 1 inside the base's spread of 4.5
+        ([float(v) for v in range(10, 20)], [float(v) for v in range(9, 19)], "lower", False),
+    ], ids=["9-of-10", "8-of-10", "9-of-10-higher", "inside-the-spread"])
+    def test_a_gain_needs_nine_of_ten_wins_and_a_gap_beyond_the_spread(
+            self, base, change, better, gain):
+        m = benchrec.compare(base, change, better, 0.25)
+        assert m["gain"] is gain
+
 
 class TestAggregate:
     def test_summary_per_workload_and_metric(self):
@@ -138,7 +150,7 @@ class TestCheckRecord:
         rec = json.loads(json.dumps(full_record()))  # as read back from the file
         benchrec.check_record(rec)
 
-    @pytest.mark.parametrize("damage", ["key", "schema", "first", "pairs", "verdict"])
+    @pytest.mark.parametrize("damage", ["key", "schema", "first", "pairs", "verdict", "gain"])
     def test_a_malformed_record_is_refused(self, damage):
         rec = full_record()
         if damage == "key":
@@ -149,7 +161,9 @@ class TestCheckRecord:
             rec["pairs"][0]["first"] = "both"
         elif damage == "pairs":
             rec["pairs"].pop()
-        else:
+        elif damage == "verdict":
             rec["summary"]["stream"]["metrics"]["latency_ms"]["verdict"] = "fine"
+        else:
+            rec["summary"]["stream"]["metrics"]["latency_ms"]["gain"] = 1
         with pytest.raises(ValueError):
             benchrec.check_record(rec)

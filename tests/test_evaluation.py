@@ -576,6 +576,20 @@ class TestClipCacheExactness:
         assert kept.dtype == np.float32 and kept.shape == (4000,)
 
     @CLIP_FILES
+    @pytest.mark.parametrize("n", [1000, 4000, 9000], ids=["crop", "whole", "tiled"])
+    def test_noise_is_the_part_of_the_clip_a_mix_reads(self, tmp_path, encoding, samples, n):
+        want = clip_file(tmp_path / "a.wav", encoding, samples)
+        cache = _ClipCache(tmp_path, [evaluation.ManifestEntry("a.wav", "noise", "test")])
+        signal = AudioClip(np.random.default_rng(n).uniform(-0.5, 0.5, size=n), 8000)
+        for _ in range(2):
+            clip, power = cache.noise("a.wav", n)
+            assert clip.samples.tobytes() == want.samples[:n].tobytes()
+            assert power == audio.mixed_noise_power(want, n)
+            if power:
+                got = audio.mix_at_snr(signal, clip, 5.0, noise_power=power)
+                assert got.samples.tobytes() == audio.mix_at_snr(signal, want, 5.0).samples.tobytes()
+
+    @CLIP_FILES
     def test_unkept_clip_is_the_normalized_file(self, tmp_path, encoding, samples, reads):
         want = clip_file(tmp_path / "a.wav", encoding, samples)
         cache = _ClipCache(tmp_path, [])

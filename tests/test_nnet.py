@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -760,7 +761,7 @@ class TestGRUStack:
         GRUStack(stores, dtype=np.float32).logits(x)
         assert runs == [4, 4, 1, 9]
 
-    def test_layer_writes_its_states_over_its_input(self):
+    def test_layer_writes_its_states_over_its_input(self, monkeypatch):
         layer0, layer1 = GRUStack(self.stores(hidden=8, layers=2)).layers
         steps, n = 6, 2
         rng = np.random.default_rng(9)
@@ -773,6 +774,31 @@ class TestGRUStack:
         kept = x.copy()
         assert not np.shares_memory(nnet._gru_layer(x, layer0, steps, n), x)
         assert x.tobytes() == kept.tobytes()
+        # over six one-step blocks of 2-row (8, 8) products, each block's rows
+        # are still projected before its steps write over them
+        monkeypatch.setattr(features, "_GEMM_MAX_MNK", 2 * 8 * 8)
+        states = rng.normal(size=(3, steps * n, 8))
+        want = nnet._gru_layer(states.copy(), layer1, steps, n)
+        calls = record_projections(monkeypatch)
+        monkeypatch.setattr(nnet, "_PROJECTION_BYTES", 1)
+        got = nnet._gru_layer(states, layer1, steps, n)
+        assert calls == [n] * steps
+        assert np.shares_memory(got, states)
+        assert got.tobytes() == want.tobytes()
+
+
+def record_projections(monkeypatch) -> list[int]:
+    """The rows of every input projection that ``nnet._gru_layer`` issues
+    from now on, in call order."""
+    calls = []
+    matmul_rows = nnet._matmul_rows
+
+    def recorded(a, w):
+        calls.append(a.shape[-2])
+        return matmul_rows(a, w)
+
+    monkeypatch.setattr(nnet, "_matmul_rows", recorded)
+    return calls
 
 
 def member_major_layer(seq, params, steps, n):
@@ -888,6 +914,72 @@ class TestGateMajorKernel:
                   for i, k in enumerate(("gru-max", "sgru"))]
         x = np.random.default_rng(layers).normal(size=(3, 25, 40)).astype(np.float32)
         self.check(monkeypatch, stores, x, dtype, atol)
+
+
+class TestTimeBlockedProjection:
+    """``_gru_layer`` projects its input one time block at a time: bounded
+    in memory, one block for a B=1 window, and with logits that do not
+    depend on the blocks."""
+
+    @staticmethod
+    def members():
+        return [init_gru_scorer(CLOUD, kind=k, seed=i)
+                for i, k in enumerate(("sgru", "gru-max", "sgru"))]
+
+    def test_a_four_window_chunk_holds_one_block_of_projection(self):
+        # three 2x128 float64 members, T=148, B=4: the states of a layer take
+        # 1.8 MiB, its whole input projection 5.4 MiB, one time block of it
+        # under 2 MiB
+        stack = GRUStack(self.members())
+        x = np.random.default_rng(0).normal(size=(4, 148, 40)).astype(np.float32)
+        stack.logits(x)
+        tracemalloc.start()
+        try:
+            stack.logits(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_single_window_is_one_block_per_layer(self, monkeypatch, dtype):
+        # what every server request and every evaluate window runs
+        calls = record_projections(monkeypatch)
+        GRUStack(self.members(), dtype).logits(np.zeros((1, 148, 40), dtype=np.float32))
+        assert calls == [148, 148]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocks_are_whole_row_blocks_within_the_budget(self, monkeypatch, dtype):
+        calls = record_projections(monkeypatch)
+        stack = GRUStack(self.members(), dtype)
+        stack.logits(np.zeros((4, 148, 40), dtype=np.float32))
+        first, second = calls[: len(calls) // 2], calls[len(calls) // 2 :]
+        for blocks, size_in in ((first, 40), (second, 128)):
+            rows = features._gemm_block_rows(size_in, 128)
+            assert sum(blocks) == 148 * 4 and len(blocks) > 1
+            assert all(b % rows == 0 and b % 4 == 0 for b in blocks[:-1])
+            assert all(3 * 3 * b * 128 * stack.dtype.itemsize <= nnet._PROJECTION_BYTES
+                       for b in blocks)
+
+    # 40 x 24 x 2 multiply-adds per gemm: the (40, 8) and (8, 8) products of
+    # the gate-major projection run in 6- and 30-row blocks, the member-major
+    # oracle's (40, 24) and (8, 24) in 2- and 10-row ones. At T=60 none of
+    # them leaves a 1-row tail, which np.matmul would run through gemv.
+    @pytest.mark.parametrize("batch", [1, 3, 5])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_small_stacks_over_many_blocks_match_the_oracle(self, monkeypatch, layers, batch):
+        stores = [init_gru_scorer(CLOUD, kind=k, hidden=8, layers=layers, seed=i)
+                  for i, k in enumerate(("gru-max", "sgru"))]
+        x = np.random.default_rng(batch).normal(size=(batch, 60, 40)).astype(np.float32)
+        monkeypatch.setattr(features, "_GEMM_MAX_MNK", 40 * 24 * 2)
+        whole = {dtype: GRUStack(stores, dtype).logits(x) for dtype in (np.float64, np.float32)}
+        calls = record_projections(monkeypatch)
+        monkeypatch.setattr(nnet, "_PROJECTION_BYTES", 1)  # the fewest steps a block may hold
+        TestGateMajorKernel().check(monkeypatch, stores, x, np.float64)
+        per_layer = np.split(calls, np.flatnonzero(np.cumsum(calls) % (60 * batch) == 0)[:-1] + 1)
+        assert len(per_layer) == layers and all(len(blocks) > 1 for blocks in per_layer)
+        for dtype, want in whole.items():
+            assert GRUStack(stores, dtype).logits(x).tobytes() == want.tobytes()
 
 
 def linear_store(frames=4, coeffs=DEVICE.n_mfcc, seed=0, config_id=DEVICE.config_id):

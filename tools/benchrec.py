@@ -23,9 +23,12 @@ side's median and quartiles, the change's wins out of the pairs (ties count
 for neither) and its median against the metric's bound in
 ``BENCHMARK.json``: "within" or "worse" than the bound, or "unresolved" when
 the base's own quartile spread is wider than the bound and not every change
-run reads better than every base run. It also holds the machine (cores,
-Python, numpy, BLAS build, thread settings, bytecode mode), both revisions,
-the seeds and the run length. Run it on an otherwise idle machine; it changes
+run reads better than every base run. ``gain`` says whether the change's
+median is a measured gain: true when the change wins at least 9 of every 10
+pairs and its median is better than the base's by more than the base's
+quartile spread. It also holds the machine (cores, Python, numpy, BLAS
+build, thread settings, bytecode mode), both revisions, the seeds and the
+run length. Run it on an otherwise idle machine; it changes
 nothing in either tree but the benchmark's own work directories.
 """
 
@@ -44,7 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCHEMA = 1
+SCHEMA = 2
 
 # Environment variables that set BLAS and OpenMP thread counts.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -108,8 +111,9 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def compare(base: list[float], change: list[float], better: str, bound: float) -> dict:
     """One metric of one workload over paired runs: each side's quartiles,
-    the change's wins, and its median against ``bound`` (a share of the
-    base's median)."""
+    the change's wins, its median against ``bound`` (a share of the base's
+    median), and whether that median is a gain: won in at least 9 of every
+    10 pairs, and better than the base's by more than its quartile spread."""
     sign = 1.0 if better == "lower" else -1.0  # sign * (change - base) < 0 is better
     b_q, c_q = _quartiles(base), _quartiles(change)
     wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
@@ -118,6 +122,7 @@ def compare(base: list[float], change: list[float], better: str, bound: float) -
     worse_by = sign * (c_med - b_med) / abs(b_med) if b_med else 0.0
     spread = (b_q[2] - b_q[0]) / abs(b_med) if b_med else 0.0
     always_better = max(sign * c for c in change) < min(sign * b for b in base)
+    gain = 10 * wins >= 9 * len(base) and sign * (b_med - c_med) > b_q[2] - b_q[0]
     if spread > bound and not always_better:
         verdict = "unresolved"
     else:
@@ -133,6 +138,7 @@ def compare(base: list[float], change: list[float], better: str, bound: float) -
         "losses": losses,
         "pairs": len(base),
         "verdict": verdict,
+        "gain": gain,
     }
 
 
@@ -189,6 +195,7 @@ def check_record(rec: dict) -> None:
             raise ValueError(f"malformed summary of {workload!r}")
         for name, m in s["metrics"].items():
             if m["verdict"] not in ("within", "worse", "unresolved") or \
+                    type(m.get("gain")) is not bool or \
                     m["pairs"] != n_pairs[workload] or m["wins"] + m["losses"] > m["pairs"] or \
                     not m["base"]["q1"] <= m["base"]["median"] <= m["base"]["q3"]:
                 raise ValueError(f"malformed {workload} {name} summary {m!r}")
@@ -245,7 +252,8 @@ def main(argv=None) -> int:
         for name, m in s["metrics"].items():
             print(f"{workload} {name}: base {m['base']['median']:.4g} "
                   f"[{m['base']['q1']:.4g}, {m['base']['q3']:.4g}], change "
-                  f"{m['change']['median']:.4g}, wins {m['wins']}/{m['pairs']}, {m['verdict']}")
+                  f"{m['change']['median']:.4g}, wins {m['wins']}/{m['pairs']}, {m['verdict']}"
+                  + (", gain" if m["gain"] else ""))
     return 0
 
 
