@@ -801,6 +801,13 @@ def record_projections(monkeypatch) -> list[int]:
     return calls
 
 
+def blocks_per_layer(calls: list[int], rows: int) -> list[list[int]]:
+    """``record_projections`` calls split by layer, each layer's blocks
+    covering its ``rows`` time-major rows."""
+    ends = np.flatnonzero(np.cumsum(calls) % rows == 0) + 1
+    return [b.tolist() for b in np.split(calls, ends[:-1])]
+
+
 def member_major_layer(seq, params, steps, n):
     """The member-major form of the GRU stack's layer, the oracle of the
     gate-major kernel: the same arithmetic in the same order, on params
@@ -953,8 +960,9 @@ class TestTimeBlockedProjection:
         calls = record_projections(monkeypatch)
         stack = GRUStack(self.members(), dtype)
         stack.logits(np.zeros((4, 148, 40), dtype=np.float32))
-        first, second = calls[: len(calls) // 2], calls[len(calls) // 2 :]
-        for blocks, size_in in ((first, 40), (second, 128)):
+        layers = blocks_per_layer(calls, 148 * 4)
+        assert len(layers) == 2
+        for blocks, size_in in zip(layers, (40, 128)):
             rows = features._gemm_block_rows(size_in, 128)
             assert sum(blocks) == 148 * 4 and len(blocks) > 1
             assert all(b % rows == 0 and b % 4 == 0 for b in blocks[:-1])
@@ -976,7 +984,7 @@ class TestTimeBlockedProjection:
         calls = record_projections(monkeypatch)
         monkeypatch.setattr(nnet, "_PROJECTION_BYTES", 1)  # the fewest steps a block may hold
         TestGateMajorKernel().check(monkeypatch, stores, x, np.float64)
-        per_layer = np.split(calls, np.flatnonzero(np.cumsum(calls) % (60 * batch) == 0)[:-1] + 1)
+        per_layer = blocks_per_layer(calls, 60 * batch)
         assert len(per_layer) == layers and all(len(blocks) > 1 for blocks in per_layer)
         for dtype, want in whole.items():
             assert GRUStack(stores, dtype).logits(x).tobytes() == want.tobytes()
