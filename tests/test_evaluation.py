@@ -586,8 +586,8 @@ class TestClipCacheExactness:
             assert clip.samples.tobytes() == want.samples[:n].tobytes()
             assert power == audio.mixed_noise_power(want, n)
             if power:
-                got = audio.mix_at_snr(signal, clip, 5.0, noise_power=power)
-                assert got.samples.tobytes() == audio.mix_at_snr(signal, want, 5.0).samples.tobytes()
+                got = audio.mix_at_snr(signal, clip, 5.0, noise_power=power).samples
+                assert got.tobytes() == audio.mix_at_snr(signal, want, 5.0).samples.tobytes()
 
     @CLIP_FILES
     def test_unkept_clip_is_the_normalized_file(self, tmp_path, encoding, samples, reads):
